@@ -8,7 +8,9 @@ step 1e-4 validate the analytic gradients tightly, which a kinked ReLU
 would not allow.
 
 Everything is written out explicitly: forward caches, reverse-mode
-gradients, the adaptive-moment update. No autograd, no framework.
+gradients, the adaptive-moment update. No autograd, no framework. A
+training step runs the last block past its attention, and the output
+head, only at the supervised slots (see ``_encode``).
 """
 
 import struct
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import ndtr
 
 from .label_space import (
     TemporalDimension,
@@ -119,32 +121,23 @@ def init_params(cfg: TrainConfig, vocab_size: int) -> dict[str, np.ndarray]:
     return params
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
-
-
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-
-
 def _softmax(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
+    xhat = xc * inv
     return g * xhat + b, (xhat, inv, g)
 
 
 def _layer_norm_backward(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xhat, inv, g = cache
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dg = (dy * xhat).sum(axis=0)
+    db = dy.sum(axis=0)
     dxhat = dy * g
     mean1 = dxhat.mean(axis=-1, keepdims=True)
     mean2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
@@ -152,18 +145,94 @@ def _layer_norm_backward(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray,
     return dx, dg, db
 
 
-def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
-    B, T, D = x.shape
-    return x.reshape(B, T, n_heads, D // n_heads).transpose(0, 2, 1, 3)
+def _scatter_add(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """(n, D) sums of ``rows`` grouped by ``index``; repeated indices add up.
+
+    One ``bincount`` over (index, column) cells, in row order, as
+    ``np.add.at`` would add them but without its per-element loop.
+    """
+    D = rows.shape[1]
+    cells = (index[:, None] * D + np.arange(D)).ravel()
+    return np.bincount(cells, weights=rows.ravel(), minlength=n * D).reshape(n, D)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    B, H, T, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B, T, H * dh)
+def _attention(params, p: str, x: np.ndarray, key_bias: np.ndarray, scale: float, n_heads: int):
+    """Multi-head self-attention context at every one of the (B*T, D) rows."""
+    B, T = key_bias.shape[0], key_bias.shape[-1]
+    N, D = x.shape
+
+    def heads(t: np.ndarray) -> np.ndarray:
+        return t.reshape(B, T, n_heads, D // n_heads).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = (heads(x @ params[p + w] + params[p + b])
+                  for w, b in (("Wq", "bq"), ("Wk", "bk"), ("Wv", "bv")))
+    attn = _softmax(qh @ kh.transpose(0, 1, 3, 2) * scale + key_bias)
+    ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(N, D)
+    return ctx, (x, qh, kh, vh, attn, scale)
 
 
-def _forward_full(params: Mapping[str, np.ndarray], ids: np.ndarray, cfg: TrainConfig):
-    """Logits at every position plus the caches backward needs."""
+def _attention_backward(params, p: str, dctx: np.ndarray, cache, grads) -> np.ndarray:
+    """Gradients of the Q/K/V projections; returns the gradient of x."""
+    x, qh, kh, vh, attn, scale = cache
+    B, H, T, dh = qh.shape
+    N, D = x.shape
+    dctxh = dctx.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
+    dattn = dctxh @ vh.transpose(0, 1, 3, 2)
+    dvh = attn.transpose(0, 1, 3, 2) @ dctxh
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dqh = dscores @ kh * scale
+    dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
+    dx = np.zeros_like(x)
+    for name, dhead in (("q", dqh), ("k", dkh), ("v", dvh)):
+        dproj = dhead.transpose(0, 2, 1, 3).reshape(N, D)
+        grads[p + "W" + name] = x.T @ dproj
+        grads[p + "b" + name] = dproj.sum(axis=0)
+        dx += dproj @ params[p + "W" + name].T
+    return dx
+
+
+def _block_tail(params, p: str, x: np.ndarray, ctx: np.ndarray):
+    """Row-wise rest of a block: output projection, LN1, FF with GELU, LN2."""
+    x1, ln1_cache = _layer_norm(x + ctx @ params[p + "Wo"] + params[p + "bo"],
+                                params[p + "ln1_g"], params[p + "ln1_b"])
+    h = x1 @ params[p + "W1"] + params[p + "b1"]
+    cdf = ndtr(h)  # standard normal CDF, 0.5 * (1 + erf(h / sqrt 2))
+    g = h * cdf
+    out, ln2_cache = _layer_norm(x1 + g @ params[p + "W2"] + params[p + "b2"],
+                                 params[p + "ln2_g"], params[p + "ln2_b"])
+    return out, (ctx, ln1_cache, x1, h, cdf, g, ln2_cache)
+
+
+def _block_tail_backward(params, p: str, dy: np.ndarray, cache, grads):
+    """Gradients of the tail's parameters; returns (d block input, d context)."""
+    ctx, ln1_cache, x1, h, cdf, g, ln2_cache = cache
+    dr2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layer_norm_backward(dy, ln2_cache)
+    grads[p + "W2"] = g.T @ dr2
+    grads[p + "b2"] = dr2.sum(axis=0)
+    dh = (dr2 @ params[p + "W2"].T) * (cdf + h * np.exp(-0.5 * h * h) / np.sqrt(2.0 * np.pi))
+    grads[p + "W1"] = x1.T @ dh
+    grads[p + "b1"] = dh.sum(axis=0)
+    dr1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layer_norm_backward(
+        dr2 + dh @ params[p + "W1"].T, ln1_cache)
+    grads[p + "Wo"] = ctx.T @ dr1
+    grads[p + "bo"] = dr1.sum(axis=0)
+    return dr1, dr1 @ params[p + "Wo"].T
+
+
+def _encode(
+    params: Mapping[str, np.ndarray],
+    ids: np.ndarray,
+    cfg: TrainConfig,
+    positions: np.ndarray | None = None,
+):
+    """Logits at the flat positions ``row * T + col`` plus backward's caches.
+
+    Blocks before the last, and the last block's attention, run at every
+    position. Nothing after that attention mixes positions, so the last
+    block's tail and the tied head run on the selected rows only, with
+    the same result there as at every position. ``positions=None``
+    selects every position in order.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
         raise ValueError("ids must be a (batch, length) array")
@@ -174,37 +243,27 @@ def _forward_full(params: Mapping[str, np.ndarray], ids: np.ndarray, cfg: TrainC
     if ids.min() < 0 or ids.max() >= V:
         raise ValueError("token id outside vocabulary")
 
-    x = params["tok_emb"][ids] + params["pos_emb"][:T][None, :, :]
+    x = (params["tok_emb"][ids] + params["pos_emb"][:T]).reshape(B * T, cfg.d_model)
     key_bias = np.where(ids == PAD_ID, _ATTN_NEG, 0.0)[:, None, None, :]
     scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
 
     caches = []
     for l in range(cfg.n_layers):
         p = f"layer{l}."
-        x_in = x
-        q = x_in @ params[p + "Wq"] + params[p + "bq"]
-        k = x_in @ params[p + "Wk"] + params[p + "bk"]
-        v = x_in @ params[p + "Wv"] + params[p + "bv"]
-        qh, kh, vh = (_split_heads(t, cfg.n_heads) for t in (q, k, v))
-        scores = qh @ kh.transpose(0, 1, 3, 2) * scale + key_bias
-        attn = _softmax(scores)
-        ctx = _merge_heads(attn @ vh)
-        attn_out = ctx @ params[p + "Wo"] + params[p + "bo"]
-        x1, ln1_cache = _layer_norm(x_in + attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
-        h = x1 @ params[p + "W1"] + params[p + "b1"]
-        g = _gelu(h)
-        ff_out = g @ params[p + "W2"] + params[p + "b2"]
-        x2, ln2_cache = _layer_norm(x1 + ff_out, params[p + "ln2_g"], params[p + "ln2_b"])
-        caches.append((x_in, qh, kh, vh, attn, ctx, ln1_cache, x1, h, g, ln2_cache))
-        x = x2
+        ctx, attn_cache = _attention(params, p, x, key_bias, scale, cfg.n_heads)
+        if positions is not None and l == cfg.n_layers - 1:
+            x, ctx = x[positions], ctx[positions]
+        x, tail_cache = _block_tail(params, p, x, ctx)
+        caches.append((attn_cache, tail_cache))
 
     logits = x @ params["tok_emb"].T + params["out_bias"]
-    return logits, (ids, x, caches, key_bias, scale)
+    return logits, (ids, x, caches)
 
 
 def forward(params: Mapping[str, np.ndarray], ids: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    logits, _ = _forward_full(params, ids, cfg)
-    return logits
+    """(B, T, V) logits at every position."""
+    logits, (ids, _, _) = _encode(params, ids, cfg)
+    return logits.reshape(*ids.shape, -1)
 
 
 def soft_ce_loss(
@@ -281,92 +340,60 @@ def loss_and_gradients(
     batch: Batch,
     cfg: TrainConfig,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Exact reverse-mode gradients of the weighted soft cross-entropy."""
-    logits, (ids, x_final, caches, key_bias, scale) = _forward_full(params, batch.ids, cfg)
-    slot_logits = logits[batch.slot_rows, batch.slot_cols]
-    loss = soft_ce_loss(slot_logits, batch.targets, batch.weights)
+    """Exact reverse-mode gradients of the weighted soft cross-entropy.
+
+    The forward stops at the supervised slots (see ``_encode``); the
+    backward scatters back to every position at the last attention.
+    """
+    B, T = batch.ids.shape
+    rows = np.asarray(batch.slot_rows, dtype=np.int64)
+    cols = np.asarray(batch.slot_cols, dtype=np.int64)
+    # A flat position would silently alias a neighbouring row's slot.
+    if np.any((rows < 0) | (rows >= B) | (cols < 0) | (cols >= T)):
+        raise ValueError("slot position outside the batch")
+    positions = rows * T + cols
+    logits, (ids, x, caches) = _encode(params, batch.ids, cfg, positions)
+    loss = soft_ce_loss(logits, batch.targets, batch.weights)
 
     w_sum = batch.weights.sum()
-    probs = _softmax(slot_logits)
-    dslot = (batch.weights[:, None] * (probs - batch.targets)) / w_sum
-    dlogits = np.zeros_like(logits)
-    np.add.at(dlogits, (batch.slot_rows, batch.slot_cols), dslot)
-
-    grads: dict[str, np.ndarray] = {k: np.zeros_like(v) for k, v in params.items()}
-    B, T, V = logits.shape
-    D = cfg.d_model
-
-    flat_dl = dlogits.reshape(B * T, V)
-    flat_x = x_final.reshape(B * T, D)
-    grads["out_bias"] += flat_dl.sum(axis=0)
-    grads["tok_emb"] += flat_dl.T @ flat_x
-    dx = (flat_dl @ params["tok_emb"]).reshape(B, T, D)
-
+    dlogits = (batch.weights[:, None] * (_softmax(logits) - batch.targets)) / w_sum
+    grads: dict[str, np.ndarray] = {
+        "out_bias": dlogits.sum(axis=0),
+        "tok_emb": dlogits.T @ x,
+    }
+    dx = dlogits @ params["tok_emb"]
     for l in reversed(range(cfg.n_layers)):
         p = f"layer{l}."
-        x_in, qh, kh, vh, attn, ctx, ln1_cache, x1, h, g, ln2_cache = caches[l]
+        attn_cache, tail_cache = caches[l]
+        dx, dctx = _block_tail_backward(params, p, dx, tail_cache, grads)
+        if l == cfg.n_layers - 1:
+            dx, dctx = _scatter_add(positions, dx, B * T), _scatter_add(positions, dctx, B * T)
+        dx += _attention_backward(params, p, dctx, attn_cache, grads)
 
-        dr2, dg2, db2 = _layer_norm_backward(dx, ln2_cache)
-        grads[p + "ln2_g"] += dg2
-        grads[p + "ln2_b"] += db2
-
-        dff_out = dr2
-        flat_g = g.reshape(B * T, -1)
-        grads[p + "W2"] += flat_g.T @ dff_out.reshape(B * T, D)
-        grads[p + "b2"] += dff_out.sum(axis=(0, 1))
-        dgelu = dff_out @ params[p + "W2"].T
-        dh = dgelu * _gelu_grad(h)
-        flat_x1 = x1.reshape(B * T, D)
-        grads[p + "W1"] += flat_x1.T @ dh.reshape(B * T, -1)
-        grads[p + "b1"] += dh.sum(axis=(0, 1))
-        dx1 = dr2 + dh @ params[p + "W1"].T
-
-        dr1, dg1, db1 = _layer_norm_backward(dx1, ln1_cache)
-        grads[p + "ln1_g"] += dg1
-        grads[p + "ln1_b"] += db1
-
-        dattn_out = dr1
-        flat_ctx = ctx.reshape(B * T, D)
-        grads[p + "Wo"] += flat_ctx.T @ dattn_out.reshape(B * T, D)
-        grads[p + "bo"] += dattn_out.sum(axis=(0, 1))
-        dctx = _split_heads(dattn_out @ params[p + "Wo"].T, cfg.n_heads)
-
-        dattn = dctx @ vh.transpose(0, 1, 3, 2)
-        dvh = attn.transpose(0, 1, 3, 2) @ dctx
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dqh = dscores @ kh * scale
-        dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
-
-        dq = _merge_heads(dqh)
-        dk = _merge_heads(dkh)
-        dv = _merge_heads(dvh)
-        flat_xin = x_in.reshape(B * T, D)
-        dx_in = dr1.copy()
-        for name, dproj in (("Wq", dq), ("Wk", dk), ("Wv", dv)):
-            grads[p + name] += flat_xin.T @ dproj.reshape(B * T, D)
-            grads[p + name.replace("W", "b")] += dproj.sum(axis=(0, 1))
-            dx_in += dproj @ params[p + name].T
-        dx = dx_in
-
-    np.add.at(grads["tok_emb"], ids, dx)
-    grads["pos_emb"][:T] += dx.sum(axis=0)
+    grads["tok_emb"] += _scatter_add(ids.reshape(-1), dx, len(grads["tok_emb"]))
+    grads["pos_emb"] = np.zeros_like(params["pos_emb"])
+    grads["pos_emb"][:T] = dx.reshape(B, T, -1).sum(axis=0)
     return loss, grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the shared step counter."""
+    """First/second moment accumulators and the shared step counter.
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    The moments are flat vectors over every parameter in sorted key
+    order, so one update is a few whole-vector operations; ``work`` holds
+    two more such vectors that every update reuses.
+    """
+
+    m: np.ndarray
+    v: np.ndarray
+    work: np.ndarray
     step: int = 0
 
     @classmethod
     def for_params(cls, params: Mapping[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+        n = sum(p.size for p in params.values())
+        return cls(m=np.zeros(n), v=np.zeros(n), work=np.zeros((2, n)))
 
 
 def adam_step(
@@ -382,13 +409,26 @@ def adam_step(
     """
     state.step += 1
     t = state.step
-    for key in sorted(params):
-        g = grads[key]
-        state.m[key] = cfg.beta1 * state.m[key] + (1.0 - cfg.beta1) * g
-        state.v[key] = cfg.beta2 * state.v[key] + (1.0 - cfg.beta2) * (g * g)
-        m_hat = state.m[key] / (1.0 - cfg.beta1 ** t)
-        v_hat = state.v[key] / (1.0 - cfg.beta2 ** t)
-        params[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    keys = sorted(params)
+    m, v = state.m, state.v
+    g, tmp = state.work
+    np.concatenate([grads[k].ravel() for k in keys], out=g)
+    m *= cfg.beta1
+    m += np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+    g *= g
+    v *= cfg.beta2
+    v += np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+    denom = np.divide(v, 1.0 - cfg.beta2 ** t, out=tmp)
+    np.sqrt(denom, out=denom)
+    denom += cfg.adam_eps
+    update = np.divide(m, 1.0 - cfg.beta1 ** t, out=g)
+    update *= cfg.learning_rate
+    update /= denom
+    start = 0
+    for key in keys:
+        p = params[key]
+        p -= update[start : start + p.size].reshape(p.shape)
+        start += p.size
 
 
 @dataclass(frozen=True)
@@ -454,10 +494,16 @@ def train(
     Epoch order is drawn from a per-epoch shuffle stream keyed on the
     config seed; batches are consumed in that order. The log holds one
     train row per epoch and, when a validation set is given, one val row
-    with the mean rank distance of masked-[Val] predictions.
+    with the mean rank distance of masked-[Val] predictions. A batch with
+    no supervised slot (a short trailing batch can draw none) is skipped:
+    no update and no share of the loss.
     """
     if not records:
         raise ValueError("training requires a non-empty dataset")
+    if not any(r.targets for r in records):
+        raise ValueError("no training record has a supervised slot")
+    if val_records and not any(r.targets for r in val_records):
+        raise ValueError("no validation record has a supervised slot")
     params = init_params(cfg, len(vocab))
     state = AdamState.for_params(params)
     log: list[LogRow] = []
@@ -468,6 +514,8 @@ def train(
         total_w = 0.0
         for i in range(0, len(order), cfg.batch_size):
             chunk = [records[j] for j in order[i : i + cfg.batch_size]]
+            if not any(r.targets for r in chunk):
+                continue  # nothing supervised: no step, no loss
             batch = assemble_batch(chunk, vocab)
             loss, grads = loss_and_gradients(params, batch, cfg)
             if not np.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
@@ -486,6 +534,8 @@ def train(
             val_weights = []
             for i in range(0, len(val_records), cfg.batch_size):
                 chunk = list(val_records[i : i + cfg.batch_size])
+                if not any(r.targets for r in chunk):
+                    continue
                 batch = assemble_batch(chunk, vocab)
                 logits = forward(params, batch.ids, cfg)
                 slot_logits = logits[batch.slot_rows, batch.slot_cols]

@@ -197,6 +197,62 @@ def test_zero_weight_slot_contributes_nothing():
         assert np.allclose(g1[k], g2[k], atol=1e-12)
 
 
+def _random_batch(V, ids, rows, cols, seed=0):
+    raw = np.random.default_rng(seed).random((len(rows), V))
+    return Batch(ids=np.asarray(ids, dtype=np.int64), slot_rows=np.array(rows),
+                 slot_cols=np.array(cols), targets=raw / raw.sum(axis=1, keepdims=True),
+                 weights=0.5 + np.random.default_rng(seed + 1).random(len(rows)))
+
+
+def test_gathered_loss_matches_full_forward():
+    # The step computes the last block's tail and the head only at the
+    # slots; the loss must equal the one read off the full forward. Row 1
+    # has no slot, and rows are padded to different lengths.
+    v = small_vocab()
+    params = init_params(SMALL, len(v))
+    ids = [[4, 5, 6, 7, 3], [4, 6, 0, 0, 0], [5, 7, 4, 0, 0]]
+    batch = _random_batch(len(v), ids, rows=[0, 0, 2], cols=[1, 4, 2])
+    loss, _ = loss_and_gradients(params, batch, SMALL)
+    logits = forward(params, batch.ids, SMALL)
+    want = soft_ce_loss(logits[batch.slot_rows, batch.slot_cols], batch.targets, batch.weights)
+    assert loss == pytest.approx(want, rel=1e-12)
+
+
+def test_repeated_slot_adds_like_doubled_weight():
+    # The backward scatters slot rows back to positions; a slot listed
+    # twice must count twice, not once.
+    v = small_vocab()
+    params = init_params(SMALL, len(v))
+    ids = np.array([[4, 5, 6, 3], [5, 4, 0, 0]], dtype=np.int64)
+    base = _random_batch(len(v), ids, rows=[0, 1], cols=[2, 1])
+    twice = Batch(ids=ids, slot_rows=np.array([0, 0, 1]), slot_cols=np.array([2, 2, 1]),
+                  targets=base.targets[[0, 0, 1]], weights=np.array([1.0, 1.0, 1.0]))
+    doubled = Batch(ids=ids, slot_rows=base.slot_rows, slot_cols=base.slot_cols,
+                    targets=base.targets, weights=np.array([2.0, 1.0]))
+    loss_a, g_a = loss_and_gradients(params, twice, SMALL)
+    loss_b, g_b = loss_and_gradients(params, doubled, SMALL)
+    assert loss_a == pytest.approx(loss_b, rel=1e-12)
+    for k in g_a:
+        assert np.allclose(g_a[k], g_b[k], rtol=1e-9, atol=1e-15), k
+
+
+def test_slot_outside_batch_rejected():
+    v = small_vocab()
+    params = init_params(SMALL, len(v))
+    batch = _random_batch(len(v), [[4, 5, 6]], rows=[0], cols=[3])
+    with pytest.raises(ValueError, match="slot position"):
+        loss_and_gradients(params, batch, SMALL)
+
+
+def test_gradient_check_single_layer():
+    # With one block the gathered block is also the first block.
+    cfg = TrainConfig(d_model=8, n_layers=1, n_heads=2, ff_dim=16,
+                      max_len=16, batch_size=2, epochs=1, seed=4)
+    results = gradient_check(seed=4, coords_per_config=60, configs=(cfg,))
+    assert max(r.rel_error for r in results) < 1e-4
+    assert {r.key for r in results} >= {"tok_emb", "layer0.Wq"}
+
+
 def test_gradient_check_default_configs():
     results = gradient_check(seed=0, coords_per_config=40)
     assert len(results) == 120
@@ -292,6 +348,53 @@ def test_train_validation_rows():
             assert 0.0 <= row.mean_distance <= 8.0
         else:
             assert row.mean_distance is None
+
+
+def _slotless(vocab):
+    # Every masking draw misses: the record keeps its ids and has no slot.
+    tup = TemporalTuple(("they", "napped"), 1, TemporalDimension.DURATION, "hour")
+    rec = apply_masking(build_sequence(tup, vocab), MaskingConfig(p_mask=0.0, p_dim=0.0, p_event=0.0),
+                        vocab, stream_rng(0, "masking", 0))
+    assert rec.targets == ()
+    return rec
+
+
+def test_train_skips_trailing_batch_without_slots():
+    vocab = _training_vocab()
+    records = _training_records(vocab, n=17)
+    cfg = TrainConfig(d_model=16, n_layers=1, n_heads=2, ff_dim=32,
+                      max_len=16, batch_size=8, epochs=1, seed=3)
+    # The last batch of epoch 0 is the single record the shuffle puts last.
+    last = int(stream_rng(cfg.seed, "shuffle", 0).permutation(len(records))[-1])
+    records[last] = _slotless(vocab)
+    params, log = train(records, cfg, vocab)
+    assert [r.split for r in log] == ["train"]
+    assert math.isfinite(log[0].loss)
+    assert all(np.all(np.isfinite(p)) for p in params.values())
+
+
+def test_train_val_set_with_slotless_batch():
+    vocab = _training_vocab()
+    records = _training_records(vocab, n=50)
+    cfg = TrainConfig(d_model=16, n_layers=1, n_heads=2, ff_dim=32,
+                      max_len=16, batch_size=8, epochs=1, seed=3)
+    val = records[40:48] + [_slotless(vocab)]   # 8 + 1: the last batch is slotless
+    _, log = train(records[:40], cfg, vocab, val_records=val)
+    val_row = log[1]
+    assert val_row.split == "val"
+    assert math.isfinite(val_row.loss)
+    assert val_row.mean_distance is not None
+
+
+def test_train_without_any_slot_raises():
+    vocab = _training_vocab()
+    records = _training_records(vocab, n=10)
+    cfg = TrainConfig(d_model=16, n_layers=1, n_heads=2, ff_dim=32,
+                      max_len=16, batch_size=4, epochs=1, seed=3)
+    with pytest.raises(ValueError, match="no training record"):
+        train([_slotless(vocab)] * 5, cfg, vocab)
+    with pytest.raises(ValueError, match="no validation record"):
+        train(records, cfg, vocab, val_records=[_slotless(vocab)] * 5)
 
 
 def test_train_empty_dataset_raises():
