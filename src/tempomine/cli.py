@@ -20,17 +20,16 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .evaluation import (
     distribution_csv_lines,
     evaluate,
     read_eval_instances,
+    read_queries,
     report_csv_lines,
 )
 from .extraction import (
-    TemporalTuple,
     extract_sentence,
     read_tuples_jsonl,
     write_tuples_jsonl,
@@ -58,7 +57,7 @@ from .sequences import (
     write_records_binary,
     write_records_jsonl,
 )
-from .srl_ingest import SchemaError, SrlSentence, read_corpus
+from .srl_ingest import SchemaError, read_corpus
 from .targets import (
     label_count_tables,
     soft_target,
@@ -88,7 +87,6 @@ class PipelineConfig:
     """
 
     seed: int = 0
-    workers: int = 1
     p_mask: float = 0.6
     p_dim: float = 0.1
     p_event: float = 0.15
@@ -122,8 +120,6 @@ class PipelineConfig:
             raise UsageError(f"format must be 'jsonl' or 'binary', got {self.format!r}")
         if self.targets not in ("soft", "hard"):
             raise UsageError(f"targets must be 'soft' or 'hard', got {self.targets!r}")
-        if self.workers < 1:
-            raise UsageError("workers must be at least 1")
         for name in ("min_count", "max_len", "d_model", "n_layers", "n_heads",
                      "ff_dim", "batch_size", "epochs"):
             if getattr(self, name) < 1:
@@ -189,29 +185,13 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     if getattr(args, "config", None):
         for key, value in load_config_file(args.config).items():
             setattr(cfg, key, value)
-
-    flag_map = {
-        "seed": "seed", "workers": "workers", "p_mask": "p_mask", "p_dim": "p_dim",
-        "norm_mode": "norm_mode", "format": "format", "min_count": "min_count",
-        "targets": "targets", "epochs": "epochs", "batch_size": "batch_size",
-        "learning_rate": "learning_rate", "val_fraction": "val_fraction",
-        "max_len": "max_len", "d_model": "d_model", "n_layers": "n_layers",
-        "n_heads": "n_heads", "ff_dim": "ff_dim",
-    }
-    for attr, field_name in flag_map.items():
-        value = getattr(args, attr, None)
+    # Every flag shares its config field's name and is None unless given.
+    for name in _CONFIG_FIELDS:
+        value = getattr(args, name, None)
         if value is not None:
-            setattr(cfg, field_name, value)
-    if getattr(args, "am", False):
-        cfg.am = True
-    if getattr(args, "ms", False):
-        cfg.ms = True
-    if getattr(args, "balance", False):
-        cfg.balance = True
+            setattr(cfg, name, value)
     if cfg.am and getattr(args, "p_event", None) is None:
         cfg.p_event = 0.6
-    elif getattr(args, "p_event", None) is not None:
-        cfg.p_event = args.p_event
     cfg.validate()
     return cfg
 
@@ -233,44 +213,16 @@ def config_echo(subcommand: str, cfg: PipelineConfig) -> list[str]:
     return lines
 
 
-def _open_input(path: str):
-    try:
-        return open(path, encoding="utf-8")
-    except FileNotFoundError:
-        raise
-
-
-def _chunks(items: list, n: int) -> list[list]:
-    """n contiguous chunks covering items in order (some may be empty)."""
-    if n <= 1 or len(items) <= 1:
-        return [items]
-    size = (len(items) + n - 1) // n
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _extract_worker(sentences: list[SrlSentence]) -> list[TemporalTuple]:
-    out: list[TemporalTuple] = []
-    for sentence in sentences:
-        out.extend(extract_sentence(sentence))
-    return out
-
-
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    with _open_input(args.input) as fh:
+    with open(args.input, encoding="utf-8") as fh:
         reader = read_corpus(fh)
         sentences = list(reader)
     if args.strict and reader.records_skipped:
         line_no, msg = reader.errors[0]
         raise SchemaError(f"{args.input}:{line_no}: {msg}")
 
-    chunks = _chunks(sentences, cfg.workers)
-    if cfg.workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunk_results = list(pool.map(_extract_worker, chunks))
-    else:
-        chunk_results = [_extract_worker(c) for c in chunks]
-    tuples = [t for chunk in chunk_results for t in chunk]
+    tuples = [t for sentence in sentences for t in extract_sentence(sentence)]
 
     header = config_echo("extract", cfg)
     write_tuples_jsonl(args.output, tuples, header)
@@ -309,23 +261,13 @@ def _write_text(path: str | None, header_lines: list[str], lines: list[str]) -> 
 
 def _context_lookup(corpus_path: str) -> dict[tuple[str, int], tuple[tuple[str, ...], tuple[str, ...]]]:
     lookup: dict[tuple[str, int], tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    with _open_input(corpus_path) as fh:
+    with open(corpus_path, encoding="utf-8") as fh:
         for sentence in read_corpus(fh):
             lookup[(sentence.doc_id, sentence.sent_index)] = (
                 sentence.left_context or (),
                 sentence.right_context or (),
             )
     return lookup
-
-
-def _mask_worker(payload) -> list[TrainingRecord]:
-    vocab, mask_cfg, seed, max_len, items = payload
-    records = []
-    for ordinal, tup, weight, left, right in items:
-        built = build_sequence(tup, vocab, left, right, max_length=max_len)
-        rng = stream_rng(seed, "masking", ordinal)
-        records.append(apply_masking(built, mask_cfg, vocab, rng, weight))
-    return records
 
 
 def cmd_build_dataset(args: argparse.Namespace) -> int:
@@ -362,26 +304,16 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
 
     mask_cfg = MaskingConfig(
         p_mask=cfg.p_mask, p_dim=cfg.p_dim, p_event=cfg.p_event,
-        multi_sentence=cfg.ms, sigma_log=cfg.sigma_log,
-        sigma_circular=cfg.sigma_circular, norm_mode=cfg.norm_mode,
-        hard_targets=(cfg.targets == "hard"),
+        sigma_log=cfg.sigma_log, sigma_circular=cfg.sigma_circular,
+        norm_mode=cfg.norm_mode, hard_targets=(cfg.targets == "hard"),
     )
 
-    items = []
+    records = []
     for ordinal, t in kept:
-        left, right = ((), ())
-        if cfg.ms:
-            left, right = contexts.get((t.provenance[0], t.provenance[1]), ((), ()))
-        items.append((ordinal, t, weights[t.dimension][t.value], left, right))
-
-    chunks = _chunks(items, cfg.workers)
-    payloads = [(vocab, mask_cfg, cfg.seed, cfg.max_len, chunk) for chunk in chunks]
-    if cfg.workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            chunk_results = list(pool.map(_mask_worker, payloads))
-    else:
-        chunk_results = [_mask_worker(p) for p in payloads]
-    records = [r for chunk in chunk_results for r in chunk]
+        left, right = contexts.get((t.provenance[0], t.provenance[1]), ((), ()))
+        built = build_sequence(t, vocab, left, right, max_length=cfg.max_len)
+        rng = stream_rng(cfg.seed, "masking", ordinal)
+        records.append(apply_masking(built, mask_cfg, vocab, rng, weights[t.dimension][t.value]))
 
     header = config_echo("build-dataset", cfg)
     vocab_path = args.vocab_out or args.output + ".vocab.tsv"
@@ -443,14 +375,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _read_vocab(path: str) -> Vocabulary:
-    with _open_input(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return Vocabulary.from_tsv_lines(fh)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    with _open_input(args.input) as fh:
-        instances = read_eval_instances(fh)
+    with open(args.input, encoding="utf-8") as fh:
+        instances = read_eval_instances(fh, args.input)
     if not instances:
         raise UsageError(f"no evaluation instances in {args.input}")
     params, train_cfg = load_checkpoint(args.model)
@@ -468,17 +400,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     header = config_echo("predict", cfg)
 
     if args.input:
-        with _open_input(args.input) as fh:
-            queries = []
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                obj = json.loads(line)
-                queries.append(
-                    (obj["event_tokens"], int(obj["verb_index"]),
-                     TemporalDimension(obj["dimension"]))
-                )
+        with open(args.input, encoding="utf-8") as fh:
+            queries = read_queries(fh, args.input)
         lines = distribution_csv_lines(params, train_cfg, vocab, queries)
         _write_text(args.output, header, lines)
         return EXIT_OK
@@ -560,12 +483,11 @@ _EXIT_CODE_HELP = (
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file; flags win over it")
     p.add_argument("--seed", type=int, help="root seed for all named random streams")
-    p.add_argument("--workers", type=int, help="worker processes (order-preserving)")
     p.add_argument("--p-mask", dest="p_mask", type=float, help="value-slot masking probability")
     p.add_argument("--p-dim", dest="p_dim", type=float, help="dimension-slot masking probability")
     p.add_argument("--p-event", dest="p_event", type=float, help="per-event-token masking probability")
-    p.add_argument("--am", action="store_true", help="all-event masking preset: p-event 0.6 unless --p-event is given")
-    p.add_argument("--ms", action="store_true", help="include neighbor-sentence context around the event")
+    p.add_argument("--am", action="store_true", default=None, help="all-event masking preset: p-event 0.6 unless --p-event is given")
+    p.add_argument("--ms", action="store_true", default=None, help="include neighbor-sentence context around the event")
     p.add_argument("--norm-mode", dest="norm_mode", choices=("normalize", "softmax"),
                    help="soft-target normalization mode")
     p.add_argument("--format", choices=("jsonl", "binary"), help="dataset file format")
@@ -598,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="dataset file to write")
     p.add_argument("--corpus", help="source corpus, for --ms context lookup")
     p.add_argument("--vocab-out", dest="vocab_out", help="vocabulary TSV path (default: <output>.vocab.tsv)")
-    p.add_argument("--balance", action="store_true",
+    p.add_argument("--balance", action="store_true", default=None,
                    help="subsample so non-frequency dimensions match the smallest one")
     p.add_argument("--min-count", dest="min_count", type=int, help="vocabulary frequency cutoff")
     p.add_argument("--targets", choices=("soft", "hard"), help="value-slot target kind")

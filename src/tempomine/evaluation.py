@@ -12,15 +12,10 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .label_space import (
-    TemporalDimension,
-    Topology,
-    circular_distance,
-    label_space,
-    linear_distance,
-)
+from .label_space import TemporalDimension, Topology, label_space, rank_distance
 from .model import TrainConfig, predict_value_distribution
 from .sequences import Vocabulary
+from .srl_ingest import SchemaError
 
 __all__ = [
     "EvalInstance",
@@ -33,6 +28,7 @@ __all__ = [
     "report_csv_lines",
     "distribution_csv_lines",
     "read_eval_instances",
+    "read_queries",
     "eval_instance_to_json_dict",
 ]
 
@@ -60,32 +56,49 @@ def eval_instance_to_json_dict(inst: EvalInstance) -> dict:
     }
 
 
-def read_eval_instances(lines: Iterable[str]) -> list[EvalInstance]:
-    instances = []
-    for line in lines:
+Query = tuple[tuple[str, ...], int, TemporalDimension]
+
+
+def _parse_query(obj: dict) -> Query:
+    """The event_tokens / verb_index / dimension fields of one JSON line."""
+    tokens = obj["event_tokens"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError("event_tokens must be a list of strings")
+    verb_index = int(obj["verb_index"])
+    if not 0 <= verb_index < len(tokens):
+        raise ValueError(f"verb_index {verb_index} out of bounds for {len(tokens)} tokens")
+    return tuple(tokens), verb_index, TemporalDimension(obj["dimension"])
+
+
+def _parse_lines(lines: Iterable[str], source: str, parse) -> list:
+    """``parse`` applied to each JSON line; '#' and blank lines are skipped.
+
+    Any bad line raises SchemaError as ``source:line``.
+    """
+    rows = []
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        obj = json.loads(line)
-        instances.append(
-            EvalInstance(
-                event_tokens=tuple(obj["event_tokens"]),
-                verb_index=int(obj["verb_index"]),
-                dimension=TemporalDimension(obj["dimension"]),
-                gold_label=obj["gold_label"],
-            )
-        )
-    return instances
+        try:
+            rows.append(parse(json.loads(line)))
+        except KeyError as exc:
+            raise SchemaError(f"{source}:{line_no}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{source}:{line_no}: {exc}") from exc
+    return rows
 
 
-def rank_distance(pred: str, gold: str, dimension: TemporalDimension) -> int:
-    """Rank difference between prediction and gold on an ordinal space."""
-    space = label_space(dimension)
-    if space.topology is Topology.CATEGORICAL:
-        raise ValueError(f"{dimension.value} has no ordinal structure to rank")
-    if space.topology is Topology.CIRCULAR:
-        return circular_distance(pred, gold, space)
-    return linear_distance(pred, gold, space)
+def read_queries(lines: Iterable[str], source: str = "<queries>") -> list[Query]:
+    """Prediction queries: one event_tokens/verb_index/dimension object a line."""
+    return _parse_lines(lines, source, _parse_query)
+
+
+def read_eval_instances(lines: Iterable[str], source: str = "<instances>") -> list[EvalInstance]:
+    """Queries that also carry a gold_label."""
+    return _parse_lines(
+        lines, source, lambda obj: EvalInstance(*_parse_query(obj), gold_label=obj["gold_label"])
+    )
 
 
 def mean_distance(

@@ -22,6 +22,7 @@ __all__ = [
     "nearest_unit",
     "circular_distance",
     "linear_distance",
+    "rank_distance",
     "label_space",
     "all_label_spaces",
     "render_manifest",
@@ -172,6 +173,16 @@ def linear_distance(a: str, b: str, space: LabelSpace) -> int:
     if space.topology is not Topology.LOG_LINEAR:
         raise ValueError(f"{space.dimension.value} is not a log-linear space")
     return abs(space.index(a) - space.index(b))
+
+
+def rank_distance(pred: str, gold: str, dimension: TemporalDimension) -> int:
+    """Rank difference between prediction and gold on an ordinal space."""
+    space = _SPACES[dimension]
+    if space.topology is Topology.CATEGORICAL:
+        raise ValueError(f"{dimension.value} has no ordinal structure to rank")
+    if space.topology is Topology.CIRCULAR:
+        return circular_distance(pred, gold, space)
+    return linear_distance(pred, gold, space)
 
 
 def render_manifest() -> str:

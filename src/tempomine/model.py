@@ -20,15 +20,10 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .label_space import (
-    TemporalDimension,
-    Topology,
-    circular_distance,
-    label_space,
-    linear_distance,
-)
+from .label_space import TemporalDimension, Topology, label_space, rank_distance
 from .extraction import TemporalTuple
 from .seeding import stream_rng
+from .srl_ingest import SchemaError
 from .sequences import (
     MASK_ID,
     PAD_ID,
@@ -468,18 +463,13 @@ def _val_slot_distances(
             ids[j, rec.val_position] = MASK_ID
         logits = forward(params, ids, cfg)
         for j, rec in enumerate(chunk):
-            space = label_space(rec.dimension)
-            if space.topology is Topology.CATEGORICAL:
+            if label_space(rec.dimension).topology is Topology.CATEGORICAL:
                 continue
             start, labels = vocab.val_block(rec.dimension)
             block = logits[j, rec.val_position, start : start + len(labels)]
-            pred = int(np.argmax(block))
-            gold = _record_gold_index(rec, vocab)
-            if space.topology is Topology.CIRCULAR:
-                d = circular_distance(labels[pred], labels[gold], space)
-            else:
-                d = linear_distance(labels[pred], labels[gold], space)
-            distances.append(d)
+            pred = labels[int(np.argmax(block))]
+            gold = labels[_record_gold_index(rec, vocab)]
+            distances.append(rank_distance(pred, gold, rec.dimension))
     return distances
 
 
@@ -677,28 +667,36 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig]:
+    """Parameters and config; a file whose length disagrees with its header
+    and param manifest raises SchemaError naming it."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _CKPT_MAGIC:
-        raise ValueError("not a checkpoint file (bad magic)")
+    start = 4 + struct.calcsize("<HI")
+    if blob[:4] != _CKPT_MAGIC or len(blob) < start:
+        raise SchemaError(f"{path}: not a checkpoint file (bad magic)")
     version, header_len = struct.unpack_from("<HI", blob, 4)
     if version != _CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    start = 4 + struct.calcsize("<HI")
-    header = blob[start : start + header_len].decode("utf-8")
+        raise SchemaError(f"{path}: unsupported checkpoint version {version}")
     off = start + header_len
 
     shapes: list[tuple[str, tuple[int, ...]]] = []
     cfg_kwargs: dict[str, int] = {}
-    for line in header.splitlines():
-        body = line.lstrip("# ").strip()
-        if body.startswith("param "):
-            _, key, shape_s = body.split(" ", 2)
-            shapes.append((key, tuple(int(x) for x in shape_s.split("x"))))
-        elif body.startswith("config "):
-            for pair in body[len("config "):].split():
-                k, v = pair.split("=")
-                cfg_kwargs[k] = int(v)
+    try:
+        for line in blob[start:off].decode("utf-8").splitlines():
+            body = line.lstrip("# ").strip()
+            if body.startswith("param "):
+                _, key, shape_s = body.split(" ", 2)
+                shapes.append((key, tuple(int(x) for x in shape_s.split("x"))))
+            elif body.startswith("config "):
+                for pair in body[len("config "):].split():
+                    k, v = pair.split("=")
+                    cfg_kwargs[k] = int(v)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: bad checkpoint header: {exc}") from exc
+    expected = off + 4 * sum(int(np.prod(shape)) for _, shape in shapes)
+    if len(blob) != expected:
+        raise SchemaError(f"{path}: {len(blob)} bytes, but its header and param "
+                          f"manifest call for {expected}")
     params: dict[str, np.ndarray] = {}
     for key, shape in shapes:
         n = int(np.prod(shape))

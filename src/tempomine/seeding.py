@@ -3,8 +3,7 @@
 Every random decision in the pipeline draws from a stream identified by
 (seed, purpose name, optional ordinal). Streams are independent, so adding
 draws to one stage never perturbs another stage's randomness, and any
-per-record decision can be recomputed in isolation (which is what makes
-parallel workers deterministic).
+per-record decision can be recomputed in isolation from its ordinal alone.
 """
 
 import hashlib

@@ -26,6 +26,7 @@ import numpy as np
 
 from .extraction import TemporalTuple
 from .label_space import TemporalDimension, label_space
+from .srl_ingest import SchemaError
 from .targets import (
     DEFAULT_SIGMA_CIRCULAR,
     DEFAULT_SIGMA_LOG,
@@ -283,7 +284,6 @@ class MaskingConfig:
     p_mask: float = 0.6
     p_dim: float = 0.1
     p_event: float = 0.15
-    multi_sentence: bool = False
     sigma_log: float = DEFAULT_SIGMA_LOG
     sigma_circular: float = DEFAULT_SIGMA_CIRCULAR
     norm_mode: str = "normalize"
@@ -475,6 +475,8 @@ def _unpack_record(payload: bytes) -> TrainingRecord:
             soft = struct.unpack_from(f"<{n_soft}d", payload, off)
             off += 8 * n_soft
         targets.append(MaskTarget(position, token_id, soft))
+    if off != len(payload):
+        raise ValueError(f"{len(payload) - off} bytes past its last target")
     return TrainingRecord(
         input_ids=tuple(input_ids),
         targets=tuple(targets),
@@ -498,18 +500,32 @@ def write_records_binary(path: str, records: Iterable[TrainingRecord], header_li
 
 
 def read_records_binary(path: str) -> list[TrainingRecord]:
+    """Every record of a binary dataset; a damaged file raises SchemaError
+    naming the file and, past the header, the record (counted from 1)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != _BINARY_MAGIC:
-        raise ValueError("not a dataset file (bad magic)")
+    off = 4 + struct.calcsize("<HI")
+    if blob[:4] != _BINARY_MAGIC or len(blob) < off:
+        raise SchemaError(f"{path}: not a dataset file (bad magic)")
     version, header_len = struct.unpack_from("<HI", blob, 4)
     if version != _BINARY_VERSION:
-        raise ValueError(f"unsupported dataset version {version}")
-    off = 4 + struct.calcsize("<HI") + header_len
+        raise SchemaError(f"{path}: unsupported dataset version {version}")
+    off += header_len
+    if off > len(blob):
+        raise SchemaError(f"{path}: header cut short")
     records = []
     while off < len(blob):
+        ordinal = len(records) + 1
+        if off + 4 > len(blob):
+            raise SchemaError(f"{path}: record {ordinal}: length prefix cut short")
         (length,) = struct.unpack_from("<I", blob, off)
         off += 4
-        records.append(_unpack_record(blob[off:off + length]))
+        if off + length > len(blob):
+            raise SchemaError(f"{path}: record {ordinal}: {len(blob) - off} of its "
+                              f"{length} bytes present")
+        try:
+            records.append(_unpack_record(blob[off:off + length]))
+        except (struct.error, IndexError, ValueError) as exc:
+            raise SchemaError(f"{path}: record {ordinal}: {exc}") from exc
         off += length
     return records

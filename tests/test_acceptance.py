@@ -403,7 +403,7 @@ def test_acceptance_9_pipeline_reproducibility(tmp_path):
                              "--output", str(dataset), "--seed", "33"]) == 0
             assert cli.main(["train", "--input", str(dataset),
                              "--vocab", str(vocab), "--output", str(ckpt),
-                             "--seed", "33", "--workers", "1",
+                             "--seed", "33",
                              "--d-model", "32", "--n-layers", "1",
                              "--n-heads", "2", "--ff-dim", "64",
                              "--epochs", "2", "--batch-size", "16"]) == 0

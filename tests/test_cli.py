@@ -88,20 +88,6 @@ def test_extract_rerun_identical(tmp_path, fixture_corpus_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_extract_workers_preserve_order(tmp_path, fixture_corpus_path):
-    a = tmp_path / "w1.jsonl"
-    b = tmp_path / "w2.jsonl"
-    assert run(["extract", "--input", fixture_corpus_path, "--output", str(a)]) == 0
-    try:
-        code = run(["extract", "--input", fixture_corpus_path,
-                    "--output", str(b), "--workers", "2"])
-    except OSError:
-        pytest.skip("process pool unavailable in this environment")
-    assert code == 0
-    # config echoes differ (workers knob); the mined content must not
-    assert non_comment_lines(a) == non_comment_lines(b)
-
-
 def test_extract_skips_malformed_by_default(tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
     good = {"doc_id": "d", "sent_index": 0,
@@ -177,6 +163,35 @@ def test_invalid_knob_combination_exit_2(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert run(["dump-target", "duration", "hour", "--output", str(out),
                 "--p-mask", "1.5"]) == 2
+
+
+def test_workers_flag_removed_exit_2(tmp_path, fixture_corpus_path, capsys):
+    with pytest.raises(SystemExit) as ei:
+        run(["extract", "--input", fixture_corpus_path,
+             "--output", str(tmp_path / "t.jsonl"), "--workers", "2"])
+    assert ei.value.code == 2
+    assert capsys.readouterr().err.startswith("ERROR code=2 ")
+
+
+def test_config_file_workers_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("workers=2\n")
+    assert run(["manifest", "--config", str(cfg)]) == 2
+    assert f"{cfg}:1: unknown config key 'workers'" in capsys.readouterr().err
+
+
+def test_config_file_switches_hold_without_flags(pipeline, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("am=true\nms=true\nbalance=true\n")
+    out = tmp_path / "ds.jsonl"
+    assert run(["build-dataset", "--config", str(cfg),
+                "--input", str(pipeline["tuples"]),
+                "--corpus", str(pipeline["corpus"]),
+                "--output", str(out), "--seed", "21"]) == 0
+    header = header_lines(out)
+    for key in ("am", "ms", "balance"):
+        assert f"# {key}=true" in header
+    assert "# p_event=0.6" in header
 
 
 def test_am_preset_sets_p_event(tmp_path):
@@ -260,17 +275,6 @@ def test_build_dataset_deterministic(pipeline, tmp_path):
         tmp_path / "b.jsonl.vocab.tsv").read_bytes()
 
 
-def test_build_dataset_workers_equivalent(pipeline, tmp_path):
-    out = tmp_path / "w2.jsonl"
-    try:
-        code = run(["build-dataset", "--input", str(pipeline["tuples"]),
-                    "--output", str(out), "--seed", "21", "--workers", "2"])
-    except OSError:
-        pytest.skip("process pool unavailable in this environment")
-    assert code == 0
-    assert read_records_jsonl(str(out)) == read_records_jsonl(str(pipeline["dataset"]))
-
-
 def test_build_dataset_balance(pipeline, tmp_path):
     out = tmp_path / "bal.jsonl"
     assert run(["build-dataset", "--input", str(pipeline["tuples"]),
@@ -347,6 +351,21 @@ def test_train_val_fraction_rows(pipeline, tmp_path):
     assert all(r[3] != "" for r in val_rows)
 
 
+def test_train_truncated_binary_dataset_exit_4(pipeline, tmp_path, capsys):
+    dataset = tmp_path / "ds.bin"
+    vocab = tmp_path / "ds.vocab.tsv"
+    assert run(["build-dataset", "--input", str(pipeline["tuples"]),
+                "--output", str(dataset), "--vocab-out", str(vocab),
+                "--seed", "21", "--format", "binary"]) == 0
+    n_records = len(read_records_binary(str(dataset)))
+    dataset.write_bytes(dataset.read_bytes()[:-7])
+    capsys.readouterr()
+    assert run(["train", "--input", str(dataset), "--vocab", str(vocab),
+                "--output", str(tmp_path / "m.ckpt")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR code=4 {dataset}: record {n_records}: ")
+
+
 def test_train_divergence_exit_5(pipeline, tmp_path, capsys):
     ckpt = tmp_path / "d.ckpt"
     assert run(["train", "--input", str(pipeline["dataset"]),
@@ -378,6 +397,26 @@ def test_eval_missing_model_exit_3(pipeline, tmp_path, capsys):
                 "--vocab", str(pipeline["vocab"])]) == 3
 
 
+def test_eval_truncated_checkpoint_exit_4(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "cut.ckpt"
+    ckpt.write_bytes(pipeline["model"].read_bytes()[:-10])
+    assert run(["eval", "--input", str(pipeline["instances"]),
+                "--model", str(ckpt), "--vocab", str(pipeline["vocab"])]) == 4
+    assert capsys.readouterr().err.startswith(f"ERROR code=4 {ckpt}: ")
+
+
+def test_eval_instance_missing_key_exit_4(pipeline, tmp_path, capsys):
+    instances = tmp_path / "gold.jsonl"
+    instances.write_text(json.dumps({"event_tokens": ["they", "met"],
+                                     "dimension": "duration",
+                                     "gold_label": "hour"}) + "\n")
+    assert run(["eval", "--input", str(instances),
+                "--model", str(pipeline["model"]),
+                "--vocab", str(pipeline["vocab"])]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"ERROR code=4 {instances}:1: missing key 'verb_index'")
+
+
 # ----------------------------------------------------------------- predict
 
 def test_predict_inline(pipeline, capsys):
@@ -406,6 +445,21 @@ def test_predict_query_file(pipeline, tmp_path):
     lines = non_comment_lines(out)
     assert lines[0].strip() == "event_id,dimension,label,probability"
     assert len(lines) == 1 + 7
+
+
+@pytest.mark.parametrize("query, message", [
+    ({"event_tokens": ["they", "met"], "dimension": "duration"},
+     "missing key 'verb_index'"),
+    ({"event_tokens": ["they", "met"], "verb_index": 1, "dimension": "bogus"},
+     "'bogus' is not a valid TemporalDimension"),
+])
+def test_predict_query_file_bad_line_exit_4(pipeline, tmp_path, capsys, query, message):
+    queries = tmp_path / "q.jsonl"
+    good = {"event_tokens": ["they", "met"], "verb_index": 1, "dimension": "duration"}
+    queries.write_text(json.dumps(good) + "\n" + json.dumps(query) + "\n")
+    assert run(["predict", "--model", str(pipeline["model"]),
+                "--vocab", str(pipeline["vocab"]), "--input", str(queries)]) == 4
+    assert capsys.readouterr().err.startswith(f"ERROR code=4 {queries}:2: {message}")
 
 
 def test_predict_needs_query_or_flags(pipeline, capsys):

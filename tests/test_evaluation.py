@@ -14,9 +14,11 @@ from tempomine.evaluation import (
     normalized_mean_distance,
     rank_distance,
     read_eval_instances,
+    read_queries,
     report_csv_lines,
 )
 from tempomine.label_space import TemporalDimension, label_space
+from tempomine.srl_ingest import SchemaError
 
 
 # ---------------------------------------------------------------- metrics
@@ -89,6 +91,44 @@ def test_eval_instance_validates_gold():
         EvalInstance(("a",), 0, TemporalDimension.DURATION, "fortnight")
     inst = EvalInstance(("a",), 0, TemporalDimension.TYPICAL_SEASON, "fall")
     assert inst.gold_label == "fall"
+
+
+def test_read_queries_parses_each_line():
+    lines = ["# header", "",
+             json.dumps({"event_tokens": ["they", "slept"], "verb_index": 1,
+                         "dimension": "duration"})]
+    assert read_queries(lines) == [(("they", "slept"), 1, TemporalDimension.DURATION)]
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"event_tokens": ["they", "slept"], "dimension": "duration"},
+     "missing key 'verb_index'"),
+    ({"event_tokens": ["they", "slept"], "verb_index": 1, "dimension": "eon"},
+     "'eon' is not a valid TemporalDimension"),
+    ({"event_tokens": ["they", "slept"], "verb_index": 2, "dimension": "duration"},
+     "verb_index 2 out of bounds for 2 tokens"),
+    ({"event_tokens": "they slept", "verb_index": 1, "dimension": "duration"},
+     "event_tokens must be a list of strings"),
+    (["they", "slept"], "list indices"),
+])
+def test_read_queries_rejects_bad_line_as_path_line(obj, message):
+    lines = ["# header", json.dumps(obj)]
+    with pytest.raises(SchemaError, match=rf"^q\.jsonl:2: .*{message}"):
+        read_queries(lines, "q.jsonl")
+
+
+def test_read_eval_instances_shares_the_query_parser():
+    good = {"event_tokens": ["they", "slept"], "verb_index": 1,
+            "dimension": "duration", "gold_label": "hour"}
+    lines = [json.dumps(good), json.dumps({**good, "gold_label": "fortnight"})]
+    with pytest.raises(SchemaError, match="gold.jsonl:2: gold label 'fortnight'"):
+        read_eval_instances(lines, "gold.jsonl")
+    missing = {k: v for k, v in good.items() if k != "gold_label"}
+    with pytest.raises(SchemaError, match="gold.jsonl:1: missing key 'gold_label'"):
+        read_eval_instances([json.dumps(missing)], "gold.jsonl")
+    del missing["dimension"]
+    with pytest.raises(SchemaError, match="gold.jsonl:1: missing key 'dimension'"):
+        read_eval_instances([json.dumps(missing)], "gold.jsonl")
 
 
 def test_eval_instances_json_round_trip():

@@ -15,6 +15,7 @@ from tempomine.label_space import (
     linear_distance,
     logsec,
     nearest_unit,
+    rank_distance,
     render_manifest,
 )
 
@@ -155,6 +156,26 @@ def test_distance_unknown_label_raises():
     duration = label_space(TemporalDimension.DURATION)
     with pytest.raises(KeyError):
         linear_distance("second", "fortnight", duration)
+
+
+def test_rank_distance_follows_topology():
+    for dim, space in all_label_spaces().items():
+        a, b = space.labels[0], space.labels[-1]
+        if space.topology is Topology.CIRCULAR:
+            assert rank_distance(a, b, dim) == circular_distance(a, b, space) == 1
+        elif space.topology is Topology.LOG_LINEAR:
+            assert rank_distance(a, b, dim) == linear_distance(a, b, space) == len(space) - 1
+        else:
+            with pytest.raises(ValueError, match="no ordinal structure"):
+                rank_distance(a, b, dim)
+
+
+def test_rank_distance_reexported():
+    import tempomine
+    from tempomine import evaluation
+
+    assert evaluation.rank_distance is rank_distance
+    assert tempomine.rank_distance is rank_distance
 
 
 def test_hierarchy_labels():

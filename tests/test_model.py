@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tempomine.extraction import TemporalTuple
-from tempomine.label_space import TemporalDimension, label_space
+from tempomine import model as model_module
+from tempomine.label_space import TemporalDimension, label_space, rank_distance
 from tempomine.model import (
     AdamState,
     Batch,
@@ -30,6 +31,7 @@ from tempomine.sequences import (
     build_sequence,
     build_vocabulary,
 )
+from tempomine.srl_ingest import SchemaError
 
 SMALL = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
                     max_len=16, batch_size=4, epochs=1, seed=0)
@@ -334,6 +336,33 @@ def test_train_improves_loss_and_is_deterministic():
     assert train_rows[-1].loss < train_rows[0].loss
 
 
+def test_val_slot_distances_rank_masked_val_argmax(monkeypatch):
+    vocab = _training_vocab()
+    records = _training_records(vocab, n=10)
+    cfg = TrainConfig(d_model=16, n_layers=1, n_heads=2, ff_dim=32,
+                      max_len=16, batch_size=4, seed=1)
+    params = init_params(cfg, len(vocab))
+    batches = []
+
+    def counting_forward(p, ids, c):
+        batches.append(ids.copy())
+        return forward(p, ids, c)
+
+    monkeypatch.setattr(model_module, "forward", counting_forward)
+    got = model_module._val_slot_distances(params, records, vocab, cfg)
+    assert [len(ids) for ids in batches] == [4, 4, 2]
+
+    expected = []
+    for rec in records:
+        ids = np.array([rec.input_ids], dtype=np.int64)
+        ids[0, rec.val_position] = MASK_ID
+        start, labels = vocab.val_block(rec.dimension)
+        block = forward(params, ids, cfg)[0, rec.val_position, start:start + len(labels)]
+        gold = labels[model_module._record_gold_index(rec, vocab)]
+        expected.append(rank_distance(labels[int(np.argmax(block))], gold, rec.dimension))
+    assert got == expected
+
+
 def test_train_validation_rows():
     vocab = _training_vocab()
     records = _training_records(vocab)
@@ -508,6 +537,28 @@ def test_checkpoint_magic_and_bad_file(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"JUNK" + b"\x00" * 32)
     with pytest.raises(ValueError, match="magic"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("change", ["truncate", "extend"])
+def test_checkpoint_length_must_match_manifest(tmp_path, change):
+    vocab = _training_vocab()
+    cfg = TrainConfig(d_model=8, n_layers=1, n_heads=1, ff_dim=16, max_len=16)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), init_params(cfg, len(vocab)), cfg)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-6] if change == "truncate" else blob + b"\x00" * 4)
+    with pytest.raises(SchemaError, match=r"m\.ckpt: .* manifest call for"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_cut_inside_header_names_file(tmp_path):
+    vocab = _training_vocab()
+    cfg = TrainConfig(d_model=8, n_layers=1, n_heads=1, ff_dim=16, max_len=16)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), init_params(cfg, len(vocab)), cfg)
+    path.write_bytes(path.read_bytes()[:40])
+    with pytest.raises(SchemaError, match=r"m\.ckpt: "):
         load_checkpoint(str(path))
 
 

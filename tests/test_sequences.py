@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,9 @@ from tempomine.sequences import (
     val_token,
     write_records_binary,
     write_records_jsonl,
+    _pack_record,
 )
+from tempomine.srl_ingest import SchemaError
 
 
 @pytest.fixture()
@@ -460,6 +464,30 @@ def test_binary_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError):
+        read_records_binary(str(path))
+
+
+def _reprefixed(blob, payload_len, new_len):
+    """blob of one record whose u32 length prefix now says new_len."""
+    at = len(blob) - payload_len - 4
+    return blob[:at] + struct.pack("<I", new_len) + blob[at + 4:]
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda blob, n: blob[:-7], r"record 1: \d+ of its \d+ bytes present"),
+    (lambda blob, n: blob + b"\x05\x00", "record 2: length prefix cut short"),
+    (lambda blob, n: _reprefixed(blob, n, 20)[:len(blob) - n + 20], "record 1: unpack_from"),
+    (lambda blob, n: _reprefixed(blob, n, n + 3) + b"\x00" * 3,
+     "record 1: 3 bytes past its last target"),
+    (lambda blob, n: blob[:12], "header cut short"),
+], ids=["cut-payload", "cut-prefix", "short-payload", "overlong-payload", "cut-header"])
+def test_binary_damage_names_file_and_record(tmp_path, vocab, damage, message):
+    record = _sample_records(vocab, n=1)[0]
+    n = len(_pack_record(record))
+    path = tmp_path / "ds.bin"
+    write_records_binary(str(path), [record], header_lines=["made by tests"])
+    path.write_bytes(damage(path.read_bytes(), n))
+    with pytest.raises(SchemaError, match=rf"ds\.bin: {message}"):
         read_records_binary(str(path))
 
 
