@@ -379,14 +379,26 @@ def _read_vocab(path: str) -> Vocabulary:
         return Vocabulary.from_tsv_lines(fh)
 
 
+def _load_model(args: argparse.Namespace) -> tuple[dict, TrainConfig, Vocabulary]:
+    """The ``--model`` checkpoint and its ``--vocab``; a vocabulary whose
+    size is not the checkpoint's embedding row count raises SchemaError
+    naming both files."""
+    params, train_cfg = load_checkpoint(args.model)
+    vocab = _read_vocab(args.vocab)
+    rows = params["tok_emb"].shape[0]
+    if len(vocab) != rows:
+        raise SchemaError(f"{args.vocab} holds {len(vocab)} tokens, but {args.model} "
+                          f"was trained on a {rows}-token vocabulary")
+    return params, train_cfg, vocab
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     with open(args.input, encoding="utf-8") as fh:
         instances = read_eval_instances(fh, args.input)
     if not instances:
         raise UsageError(f"no evaluation instances in {args.input}")
-    params, train_cfg = load_checkpoint(args.model)
-    vocab = _read_vocab(args.vocab)
+    params, train_cfg, vocab = _load_model(args)
     reports = evaluate(params, train_cfg, vocab, instances)
     header = config_echo("eval", cfg)
     _write_text(args.output, header, report_csv_lines(reports))
@@ -395,8 +407,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    params, train_cfg = load_checkpoint(args.model)
-    vocab = _read_vocab(args.vocab)
+    params, train_cfg, vocab = _load_model(args)
     header = config_echo("predict", cfg)
 
     if args.input:

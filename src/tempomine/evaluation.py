@@ -6,7 +6,6 @@ minimal ring distance on circular ones. Hierarchy has no ordinal
 structure, so it is scored by plain accuracy instead.
 """
 
-import json
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -15,7 +14,7 @@ import numpy as np
 from .label_space import TemporalDimension, Topology, label_space, rank_distance
 from .model import TrainConfig, predict_value_distribution
 from .sequences import Vocabulary
-from .srl_ingest import SchemaError
+from .srl_ingest import parse_json_lines
 
 __all__ = [
     "EvalInstance",
@@ -70,33 +69,14 @@ def _parse_query(obj: dict) -> Query:
     return tuple(tokens), verb_index, TemporalDimension(obj["dimension"])
 
 
-def _parse_lines(lines: Iterable[str], source: str, parse) -> list:
-    """``parse`` applied to each JSON line; '#' and blank lines are skipped.
-
-    Any bad line raises SchemaError as ``source:line``.
-    """
-    rows = []
-    for line_no, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rows.append(parse(json.loads(line)))
-        except KeyError as exc:
-            raise SchemaError(f"{source}:{line_no}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{source}:{line_no}: {exc}") from exc
-    return rows
-
-
 def read_queries(lines: Iterable[str], source: str = "<queries>") -> list[Query]:
     """Prediction queries: one event_tokens/verb_index/dimension object a line."""
-    return _parse_lines(lines, source, _parse_query)
+    return parse_json_lines(lines, source, _parse_query)
 
 
 def read_eval_instances(lines: Iterable[str], source: str = "<instances>") -> list[EvalInstance]:
     """Queries that also carry a gold_label."""
-    return _parse_lines(
+    return parse_json_lines(
         lines, source, lambda obj: EvalInstance(*_parse_query(obj), gold_label=obj["gold_label"])
     )
 

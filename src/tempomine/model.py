@@ -10,7 +10,8 @@ would not allow.
 Everything is written out explicitly: forward caches, reverse-mode
 gradients, the adaptive-moment update. No autograd, no framework. A
 training step runs the last block past its attention, and the output
-head, only at the supervised slots (see ``_encode``).
+head, only at the supervised slots (see ``_encode``); scoring does the
+same at the slots it reads (``forward(..., slots=...)``).
 """
 
 import struct
@@ -123,8 +124,11 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + _LN_EPS)
+    # Means as sum / D: bitwise what ``.mean`` gives, without its Python
+    # wrapper, which a batch-1 query would pay 8 times.
+    D = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / D
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / D + _LN_EPS)
     xhat = xc * inv
     return g * xhat + b, (xhat, inv, g)
 
@@ -134,8 +138,9 @@ def _layer_norm_backward(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray,
     dg = (dy * xhat).sum(axis=0)
     db = dy.sum(axis=0)
     dxhat = dy * g
-    mean1 = dxhat.mean(axis=-1, keepdims=True)
-    mean2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    D = dxhat.shape[-1]
+    mean1 = dxhat.sum(axis=-1, keepdims=True) / D
+    mean2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / D
     dx = inv * (dxhat - mean1 - xhat * mean2)
     return dx, dg, db
 
@@ -255,9 +260,38 @@ def _encode(
     return logits, (ids, x, caches)
 
 
-def forward(params: Mapping[str, np.ndarray], ids: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    """(B, T, V) logits at every position."""
-    logits, (ids, _, _) = _encode(params, ids, cfg)
+def _slot_positions(shape: tuple[int, ...], rows, cols) -> np.ndarray:
+    """Flat positions ``row * T + col`` of slots in a (B, T) batch.
+
+    A slot outside the batch raises ValueError: its flat position would
+    silently alias a neighbouring row's slot.
+    """
+    B, T = shape
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if rows.shape != cols.shape or rows.ndim != 1:
+        raise ValueError("slot rows and columns must be 1-D and aligned")
+    if ((rows < 0) | (rows >= B) | (cols < 0) | (cols >= T)).any():
+        raise ValueError("slot position outside the batch")
+    return rows * T + cols
+
+
+def forward(
+    params: Mapping[str, np.ndarray],
+    ids: np.ndarray,
+    cfg: TrainConfig,
+    slots: tuple[Sequence[int], Sequence[int]] | None = None,
+) -> np.ndarray:
+    """(B, T, V) logits at every position, or (S, V) at ``slots=(rows, cols)``.
+
+    With slots, the last block's tail and the head run only at those
+    rows (see ``_encode``); row s equals ``forward(...)[rows[s], cols[s]]``.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if slots is not None:
+        logits, _ = _encode(params, ids, cfg, _slot_positions(ids.shape, *slots))
+        return logits
+    logits, _ = _encode(params, ids, cfg)
     return logits.reshape(*ids.shape, -1)
 
 
@@ -341,12 +375,7 @@ def loss_and_gradients(
     backward scatters back to every position at the last attention.
     """
     B, T = batch.ids.shape
-    rows = np.asarray(batch.slot_rows, dtype=np.int64)
-    cols = np.asarray(batch.slot_cols, dtype=np.int64)
-    # A flat position would silently alias a neighbouring row's slot.
-    if np.any((rows < 0) | (rows >= B) | (cols < 0) | (cols >= T)):
-        raise ValueError("slot position outside the batch")
-    positions = rows * T + cols
+    positions = _slot_positions((B, T), batch.slot_rows, batch.slot_cols)
     logits, (ids, x, caches) = _encode(params, batch.ids, cfg, positions)
     loss = soft_ce_loss(logits, batch.targets, batch.weights)
 
@@ -458,15 +487,17 @@ def _val_slot_distances(
     for i in range(0, len(records), cfg.batch_size):
         chunk = records[i : i + cfg.batch_size]
         ids = np.full((len(chunk), max(len(r.input_ids) for r in chunk)), PAD_ID, dtype=np.int64)
+        cols = [rec.val_position for rec in chunk]
         for j, rec in enumerate(chunk):
             ids[j, : len(rec.input_ids)] = rec.input_ids
-            ids[j, rec.val_position] = MASK_ID
-        logits = forward(params, ids, cfg)
+        rows = np.arange(len(chunk))
+        ids[rows, cols] = MASK_ID
+        logits = forward(params, ids, cfg, slots=(rows, cols))
         for j, rec in enumerate(chunk):
             if label_space(rec.dimension).topology is Topology.CATEGORICAL:
                 continue
             start, labels = vocab.val_block(rec.dimension)
-            block = logits[j, rec.val_position, start : start + len(labels)]
+            block = logits[j, start : start + len(labels)]
             pred = labels[int(np.argmax(block))]
             gold = labels[_record_gold_index(rec, vocab)]
             distances.append(rank_distance(pred, gold, rec.dimension))
@@ -527,8 +558,7 @@ def train(
                 if not any(r.targets for r in chunk):
                     continue
                 batch = assemble_batch(chunk, vocab)
-                logits = forward(params, batch.ids, cfg)
-                slot_logits = logits[batch.slot_rows, batch.slot_cols]
+                slot_logits = forward(params, batch.ids, cfg, slots=(batch.slot_rows, batch.slot_cols))
                 val_losses.append(soft_ce_loss(slot_logits, batch.targets, batch.weights) * batch.weights.sum())
                 val_weights.append(batch.weights.sum())
             distances = _val_slot_distances(params, val_records, vocab, cfg)
@@ -561,9 +591,9 @@ def predict_value_distribution(
     built = build_sequence(placeholder, vocab, max_length=cfg.max_len)
     ids = np.array([built.ids], dtype=np.int64)
     ids[0, built.val_position] = MASK_ID
-    logits = forward(params, ids, cfg)
+    logits = forward(params, ids, cfg, slots=((0,), (built.val_position,)))
     start, labels = vocab.val_block(dimension)
-    block = logits[0, built.val_position, start : start + len(labels)]
+    block = logits[0, start : start + len(labels)]
     return _softmax(block[None, :])[0]
 
 

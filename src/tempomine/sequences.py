@@ -26,7 +26,7 @@ import numpy as np
 
 from .extraction import TemporalTuple
 from .label_space import TemporalDimension, label_space
-from .srl_ingest import SchemaError
+from .srl_ingest import SchemaError, parse_json_lines
 from .targets import (
     DEFAULT_SIGMA_CIRCULAR,
     DEFAULT_SIGMA_LOG,
@@ -428,14 +428,10 @@ def write_records_jsonl(path: str, records: Iterable[TrainingRecord], header_lin
 
 
 def read_records_jsonl(path: str) -> list[TrainingRecord]:
-    records = []
+    """Every record of a JSONL dataset; a line with a missing key or a bad
+    value raises SchemaError as ``path:line``."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            records.append(record_from_json_dict(json.loads(line)))
-    return records
+        return parse_json_lines(fh, path, record_from_json_dict)
 
 
 _BINARY_MAGIC = b"TMDS"

@@ -15,6 +15,7 @@ numbers; they are never silently dropped.
 
 import json
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import IO, Iterator
 
@@ -24,6 +25,7 @@ __all__ = [
     "SrlFrame",
     "SrlSentence",
     "SchemaError",
+    "parse_json_lines",
     "CorpusReader",
     "read_corpus",
     "parse_sentence",
@@ -55,6 +57,26 @@ class SrlSentence:
 
 class SchemaError(ValueError):
     """A record violates the input schema."""
+
+
+def parse_json_lines(lines: Iterable[str], source: str, parse) -> list:
+    """``parse`` applied to each JSON line; '#' and blank lines are skipped.
+
+    A line that is not JSON, or that ``parse`` rejects with KeyError,
+    TypeError or ValueError, raises SchemaError as ``source:line``.
+    """
+    rows = []
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append(parse(json.loads(line)))
+        except KeyError as exc:
+            raise SchemaError(f"{source}:{line_no}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{source}:{line_no}: {exc}") from exc
+    return rows
 
 
 def _as_token_list(value, what: str) -> tuple[str, ...]:

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import tempomine
 from tempomine import cli
 from tempomine.evaluation import eval_instance_to_json_dict
 from tempomine.sequences import Vocabulary, read_records_binary, read_records_jsonl
@@ -366,6 +368,20 @@ def test_train_truncated_binary_dataset_exit_4(pipeline, tmp_path, capsys):
     assert err.startswith(f"ERROR code=4 {dataset}: record {n_records}: ")
 
 
+def test_train_record_missing_key_exit_4(pipeline, tmp_path, capsys):
+    lines = pipeline["dataset"].read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    record = json.loads(lines[first + 1])
+    del record["weight"]
+    lines[first + 1] = json.dumps(record) + "\n"
+    dataset = tmp_path / "ds.jsonl"
+    dataset.write_text("".join(lines))
+    assert run(["train", "--input", str(dataset), "--vocab", str(pipeline["vocab"]),
+                "--output", str(tmp_path / "m.ckpt")]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"ERROR code=4 {dataset}:{first + 2}: missing key 'weight'")
+
+
 def test_train_divergence_exit_5(pipeline, tmp_path, capsys):
     ckpt = tmp_path / "d.ckpt"
     assert run(["train", "--input", str(pipeline["dataset"]),
@@ -415,6 +431,41 @@ def test_eval_instance_missing_key_exit_4(pipeline, tmp_path, capsys):
                 "--vocab", str(pipeline["vocab"])]) == 4
     assert capsys.readouterr().err.startswith(
         f"ERROR code=4 {instances}:1: missing key 'verb_index'")
+
+
+@pytest.fixture(scope="module")
+def other_vocab(pipeline, tmp_path_factory):
+    """The vocabulary of another build-dataset run, smaller than the model's."""
+    root = tmp_path_factory.mktemp("other")
+    vocab = root / "other.vocab.tsv"
+    assert run(["build-dataset", "--input", str(pipeline["tuples"]),
+                "--output", str(root / "other.jsonl"), "--vocab-out", str(vocab),
+                "--seed", "21", "--min-count", "3"]) == 0
+    with open(pipeline["vocab"]) as a, open(vocab) as b:
+        assert len(Vocabulary.from_tsv_lines(b)) < len(Vocabulary.from_tsv_lines(a))
+    return vocab
+
+
+@pytest.mark.parametrize("command", ["eval", "predict --input", "predict --event"])
+def test_vocab_size_must_match_checkpoint_exit_4(pipeline, other_vocab, tmp_path, capsys,
+                                                 command):
+    queries = tmp_path / "q.jsonl"
+    queries.write_text(json.dumps({"event_tokens": ["they", "met"], "verb_index": 1,
+                                   "dimension": "duration"}) + "\n")
+    tail = {
+        "eval": ["--input", str(pipeline["instances"])],
+        "predict --input": ["--input", str(queries)],
+        "predict --event": ["--event", "they met", "--verb-index", "1",
+                            "--dimension", "duration"],
+    }[command]
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run([command.split()[0], "--model", str(pipeline["model"]),
+                "--vocab", str(other_vocab), "--output", str(out)] + tail) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR code=4 {other_vocab} holds ")
+    assert str(pipeline["model"]) in err
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------- predict
@@ -506,9 +557,14 @@ def test_manifest_lists_every_dimension(capsys):
 
 
 def test_module_entry_point():
+    # The child finds the package where this process imported it from,
+    # whether or not the caller set PYTHONPATH.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tempomine.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "tempomine.cli", "manifest"],
         capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "[duration]" in proc.stdout

@@ -246,6 +246,50 @@ def test_slot_outside_batch_rejected():
         loss_and_gradients(params, batch, SMALL)
 
 
+def test_forward_at_slots_matches_full_forward():
+    # Padded rows of different lengths, a slotless row and a slot listed
+    # twice: each gathered row is the full forward's row at that slot.
+    v = small_vocab()
+    params = init_params(SMALL, len(v))
+    ids = np.array([[4, 5, 6, 7, 3], [4, 6, 0, 0, 0], [5, 7, 4, 0, 0]], dtype=np.int64)
+    rows, cols = np.array([0, 2, 0, 2]), np.array([1, 2, 4, 2])
+    got = forward(params, ids, SMALL, slots=(rows, cols))
+    assert got.shape == (4, len(v))
+    np.testing.assert_allclose(got, forward(params, ids, SMALL)[rows, cols], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows, cols", [([0, 1], [1, 0]), ([0], [5]), ([0], [-1])])
+def test_forward_slot_outside_batch_rejected(rows, cols):
+    v = small_vocab()
+    params = init_params(SMALL, len(v))
+    ids = np.array([[4, 5, 6, 7, 3]], dtype=np.int64)
+    with pytest.raises(ValueError, match="slot position"):
+        forward(params, ids, SMALL, slots=(rows, cols))
+
+
+def _layer_norm_by_mean(x, g, b):
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + model_module._LN_EPS)
+    xhat = xc * inv
+    return g * xhat + b, xhat, inv
+
+
+@pytest.mark.parametrize("shape", [(1, 16), (10, 64), (320, 64), (7, 24), (3, 8)])
+def test_layer_norm_sum_over_d_is_bitwise_mean(shape):
+    rng = np.random.default_rng(sum(shape))
+    for scale in (1e-3, 1.0, 30.0):
+        x = scale * rng.normal(size=shape) + rng.normal()
+        g, b, dy = rng.normal(size=shape[-1]), rng.normal(size=shape[-1]), rng.normal(size=shape)
+        y, cache = model_module._layer_norm(x, g, b)
+        want_y, xhat, inv = _layer_norm_by_mean(x, g, b)
+        assert np.array_equal(y, want_y)
+        dxhat = dy * g
+        want_dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dx, _, _ = model_module._layer_norm_backward(dy, cache)
+        assert np.array_equal(dx, want_dx)
+
+
 def test_gradient_check_single_layer():
     # With one block the gathered block is also the first block.
     cfg = TrainConfig(d_model=8, n_layers=1, n_heads=2, ff_dim=16,
@@ -344,9 +388,9 @@ def test_val_slot_distances_rank_masked_val_argmax(monkeypatch):
     params = init_params(cfg, len(vocab))
     batches = []
 
-    def counting_forward(p, ids, c):
+    def counting_forward(p, ids, c, **kwargs):
         batches.append(ids.copy())
-        return forward(p, ids, c)
+        return forward(p, ids, c, **kwargs)
 
     monkeypatch.setattr(model_module, "forward", counting_forward)
     got = model_module._val_slot_distances(params, records, vocab, cfg)
@@ -386,6 +430,37 @@ def _slotless(vocab):
                         vocab, stream_rng(0, "masking", 0))
     assert rec.targets == ()
     return rec
+
+
+def test_train_val_row_matches_full_forward():
+    # The val pass reads its loss off gathered slot rows and its distances
+    # off gathered [Val] rows; both must match the full forward's rows.
+    vocab = _training_vocab()
+    records = _training_records(vocab)
+    cfg = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
+                      max_len=16, batch_size=8, epochs=1, seed=3)
+    train_records, val_records = records[:40], records[40:]
+    params, log = train(train_records, cfg, vocab, val_records=val_records)
+    val_row = log[-1]
+    assert val_row.split == "val"
+
+    wce = w = 0.0
+    for i in range(0, len(val_records), cfg.batch_size):
+        batch = assemble_batch(val_records[i:i + cfg.batch_size], vocab)
+        logits = forward(params, batch.ids, cfg)[batch.slot_rows, batch.slot_cols]
+        wce += soft_ce_loss(logits, batch.targets, batch.weights) * batch.weights.sum()
+        w += batch.weights.sum()
+    assert val_row.loss == pytest.approx(wce / w, rel=0, abs=1e-12)
+
+    distances = []
+    for rec in val_records:
+        ids = np.array([rec.input_ids], dtype=np.int64)
+        ids[0, rec.val_position] = MASK_ID
+        start, labels = vocab.val_block(rec.dimension)
+        block = forward(params, ids, cfg)[0, rec.val_position, start:start + len(labels)]
+        gold = labels[model_module._record_gold_index(rec, vocab)]
+        distances.append(rank_distance(labels[int(np.argmax(block))], gold, rec.dimension))
+    assert val_row.mean_distance == pytest.approx(np.mean(distances), rel=0, abs=1e-12)
 
 
 def test_train_skips_trailing_batch_without_slots():

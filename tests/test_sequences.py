@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -448,6 +449,25 @@ def test_records_jsonl_round_trip(tmp_path, vocab):
     assert back == records
     with open(path) as f:
         assert f.readline() == "# made by tests\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj.pop("weight"), "missing key 'weight'"),
+    (lambda obj: obj["targets"][0].pop("position"), "missing key 'position'"),
+    (lambda obj: obj.update(dimension="eon"), "'eon' is not a valid TemporalDimension"),
+    (lambda obj: obj.update(input_ids="abc"), "invalid literal for int"),
+], ids=["no-weight", "no-target-position", "bad-dimension", "bad-ids"])
+def test_records_jsonl_bad_line_names_file_and_line(tmp_path, vocab, edit, message):
+    records = _sample_records(vocab, n=3)
+    path = tmp_path / "ds.jsonl"
+    write_records_jsonl(str(path), records, header_lines=["made by tests"])
+    lines = path.read_text().splitlines(keepends=True)
+    obj = record_to_json_dict(records[1])
+    edit(obj)
+    lines[2] = json.dumps(obj) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(SchemaError, match=rf"ds\.jsonl:3: {message}"):
+        read_records_jsonl(str(path))
 
 
 def test_records_binary_round_trip(tmp_path, vocab):
