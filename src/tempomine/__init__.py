@@ -67,8 +67,6 @@ from .sequences import (
     apply_masking,
     read_records_jsonl,
     write_records_jsonl,
-    read_records_binary,
-    write_records_binary,
 )
 from .model import (
     TrainConfig,

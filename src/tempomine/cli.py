@@ -18,7 +18,6 @@ On failure a single machine-readable line is printed to stderr:
 
 import argparse
 import dataclasses
-import json
 import sys
 from dataclasses import dataclass
 
@@ -47,17 +46,14 @@ from .model import (
 from .seeding import stream_rng
 from .sequences import (
     MaskingConfig,
-    TrainingRecord,
     Vocabulary,
     apply_masking,
     build_sequence,
     build_vocabulary,
-    read_records_binary,
     read_records_jsonl,
-    write_records_binary,
     write_records_jsonl,
 )
-from .srl_ingest import SchemaError, read_corpus
+from .srl_ingest import SchemaError, read_corpus, text_lines
 from .targets import (
     label_count_tables,
     soft_target,
@@ -93,7 +89,6 @@ class PipelineConfig:
     am: bool = False
     ms: bool = False
     norm_mode: str = "normalize"
-    format: str = "jsonl"
     min_count: int = 1
     balance: bool = False
     targets: str = "soft"
@@ -116,8 +111,6 @@ class PipelineConfig:
                 raise UsageError(f"{name} must lie in [0, 1], got {v}")
         if self.norm_mode not in ("normalize", "softmax"):
             raise UsageError(f"norm_mode must be 'normalize' or 'softmax', got {self.norm_mode!r}")
-        if self.format not in ("jsonl", "binary"):
-            raise UsageError(f"format must be 'jsonl' or 'binary', got {self.format!r}")
         if self.targets not in ("soft", "hard"):
             raise UsageError(f"targets must be 'soft' or 'hard', got {self.targets!r}")
         for name in ("min_count", "max_len", "d_model", "n_layers", "n_heads",
@@ -215,9 +208,8 @@ def config_echo(subcommand: str, cfg: PipelineConfig) -> list[str]:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    with open(args.input, encoding="utf-8") as fh:
-        reader = read_corpus(fh)
-        sentences = list(reader)
+    reader = read_corpus(text_lines(args.input))
+    sentences = list(reader)
     if args.strict and reader.records_skipped:
         line_no, msg = reader.errors[0]
         raise SchemaError(f"{args.input}:{line_no}: {msg}")
@@ -260,14 +252,10 @@ def _write_text(path: str | None, header_lines: list[str], lines: list[str]) -> 
 
 
 def _context_lookup(corpus_path: str) -> dict[tuple[str, int], tuple[tuple[str, ...], tuple[str, ...]]]:
-    lookup: dict[tuple[str, int], tuple[tuple[str, ...], tuple[str, ...]]] = {}
-    with open(corpus_path, encoding="utf-8") as fh:
-        for sentence in read_corpus(fh):
-            lookup[(sentence.doc_id, sentence.sent_index)] = (
-                sentence.left_context or (),
-                sentence.right_context or (),
-            )
-    return lookup
+    return {
+        (s.doc_id, s.sent_index): (s.left_context or (), s.right_context or ())
+        for s in read_corpus(text_lines(corpus_path))
+    }
 
 
 def cmd_build_dataset(args: argparse.Namespace) -> int:
@@ -318,20 +306,9 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     header = config_echo("build-dataset", cfg)
     vocab_path = args.vocab_out or args.output + ".vocab.tsv"
     _write_text(vocab_path, header, vocab.to_tsv_lines())
-    if cfg.format == "binary":
-        write_records_binary(args.output, records, header)
-    else:
-        write_records_jsonl(args.output, records, header)
+    write_records_jsonl(args.output, records, header)
     print(f"built {len(records)} records over a {len(vocab)}-token vocabulary")
     return EXIT_OK
-
-
-def _read_records(path: str) -> list[TrainingRecord]:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"TMDS":
-        return read_records_binary(path)
-    return read_records_jsonl(path)
 
 
 def _train_config(cfg: PipelineConfig) -> TrainConfig:
@@ -345,7 +322,7 @@ def _train_config(cfg: PipelineConfig) -> TrainConfig:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    records = _read_records(args.input)
+    records = read_records_jsonl(args.input)
     if not records:
         raise UsageError(f"no records in {args.input}")
     vocab = _read_vocab(args.vocab)
@@ -375,8 +352,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _read_vocab(path: str) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        return Vocabulary.from_tsv_lines(fh)
+    return Vocabulary.from_tsv_lines(text_lines(path), path)
 
 
 def _load_model(args: argparse.Namespace) -> tuple[dict, TrainConfig, Vocabulary]:
@@ -394,8 +370,7 @@ def _load_model(args: argparse.Namespace) -> tuple[dict, TrainConfig, Vocabulary
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    with open(args.input, encoding="utf-8") as fh:
-        instances = read_eval_instances(fh, args.input)
+    instances = read_eval_instances(text_lines(args.input), args.input)
     if not instances:
         raise UsageError(f"no evaluation instances in {args.input}")
     params, train_cfg, vocab = _load_model(args)
@@ -411,8 +386,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     header = config_echo("predict", cfg)
 
     if args.input:
-        with open(args.input, encoding="utf-8") as fh:
-            queries = read_queries(fh, args.input)
+        queries = read_queries(text_lines(args.input), args.input)
         lines = distribution_csv_lines(params, train_cfg, vocab, queries)
         _write_text(args.output, header, lines)
         return EXIT_OK
@@ -501,7 +475,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ms", action="store_true", default=None, help="include neighbor-sentence context around the event")
     p.add_argument("--norm-mode", dest="norm_mode", choices=("normalize", "softmax"),
                    help="soft-target normalization mode")
-    p.add_argument("--format", choices=("jsonl", "binary"), help="dataset file format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -541,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the encoder on a dataset",
                        epilog=_EXIT_CODE_HELP)
-    p.add_argument("--input", required=True, help="dataset file (jsonl or binary)")
+    p.add_argument("--input", required=True, help="dataset file (JSON Lines)")
     p.add_argument("--vocab", required=True, help="vocabulary TSV")
     p.add_argument("--output", required=True, help="checkpoint path to write")
     p.add_argument("--loss-log", dest="loss_log", help="loss CSV path (default: <output>.loss.csv)")
@@ -614,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
         name = exc.filename or exc
         print(f"ERROR code={EXIT_MISSING_FILE} missing input file: {name}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except (SchemaError, json.JSONDecodeError) as exc:
+    except SchemaError as exc:
         print(f"ERROR code={EXIT_SCHEMA} {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except DivergenceError as exc:

@@ -25,7 +25,7 @@ from .label_space import (
     label_space,
     nearest_unit,
 )
-from .srl_ingest import SrlFrame, SrlSentence, is_temporal_role
+from .srl_ingest import SrlFrame, SrlSentence, is_temporal_role, parse_json_lines, text_lines
 
 __all__ = [
     "TemporalTuple",
@@ -217,10 +217,7 @@ def _parse_period_seconds(lower: list[str], start: int) -> float | None:
     return None
 
 
-def extract_frequency(
-    arg_tokens: list[str] | tuple[str, ...],
-    triggers: frozenset[str] = DEFAULT_FREQUENCY_TRIGGERS,
-) -> str | None:
+def extract_frequency(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
     """Frequency rule: a trigger keyword plus a recoverable period.
 
     The result is the unit nearest to (period seconds / occurrence count):
@@ -230,7 +227,7 @@ def extract_frequency(
     lower = [t.lower() for t in arg_tokens]
     if "when" in lower:
         return None
-    trigger_idx = next((i for i, t in enumerate(lower) if t in triggers), None)
+    trigger_idx = next((i for i, t in enumerate(lower) if t in DEFAULT_FREQUENCY_TRIGGERS), None)
     if trigger_idx is None:
         return None
     trigger = lower[trigger_idx]
@@ -319,7 +316,6 @@ def classify_temporal_argument(
     frame: SrlFrame,
     span: tuple[int, int],
     frame_ordinal: int = 0,
-    triggers: frozenset[str] = DEFAULT_FREQUENCY_TRIGGERS,
 ) -> list[TemporalTuple]:
     """Classify one temporal argument; returns at most one tuple.
 
@@ -340,7 +336,7 @@ def classify_temporal_argument(
         dimension = TemporalDimension.HIERARCHY
         value, embedded = hierarchy
     else:
-        freq = extract_frequency(arg_tokens, triggers)
+        freq = extract_frequency(arg_tokens)
         if freq is not None:
             dimension, value = TemporalDimension.FREQUENCY, freq
         else:
@@ -388,27 +384,17 @@ def write_tuples_jsonl(
 
 
 def read_tuples_jsonl(path: str) -> list[TemporalTuple]:
-    tuples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tuples.append(TemporalTuple.from_json_dict(json.loads(line)))
-    return tuples
+    """Every tuple of a tuple file; a line with a missing key, a bad value
+    or bytes that are not UTF-8 raises SchemaError as ``path:line``."""
+    return parse_json_lines(text_lines(path), path, TemporalTuple.from_json_dict)
 
 
-def extract_sentence(
-    sentence: SrlSentence,
-    triggers: frozenset[str] = DEFAULT_FREQUENCY_TRIGGERS,
-) -> list[TemporalTuple]:
+def extract_sentence(sentence: SrlSentence) -> list[TemporalTuple]:
     """All tuples minable from one sentence, one candidate per
     (frame, temporal argument) pair, in frame-then-argument order."""
     tuples: list[TemporalTuple] = []
     for frame_ordinal, frame in enumerate(sentence.frames):
         for role, span in frame.arguments:
             if is_temporal_role(role):
-                tuples.extend(
-                    classify_temporal_argument(sentence, frame, span, frame_ordinal, triggers)
-                )
+                tuples.extend(classify_temporal_argument(sentence, frame, span, frame_ordinal))
     return tuples

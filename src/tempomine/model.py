@@ -56,6 +56,10 @@ __all__ = [
 DIVERGENCE_THRESHOLD = 1e3
 _LN_EPS = 1e-5
 _ATTN_NEG = -1e9
+# Adam's moment decay rates and denominator floor (the usual defaults).
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -70,9 +74,6 @@ class TrainConfig:
     ff_dim: int = 128
     max_len: int = MAX_SEQUENCE_LENGTH
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 32
     epochs: int = 5
     seed: int = 0
@@ -88,32 +89,33 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
 
 
-def init_params(cfg: TrainConfig, vocab_size: int) -> dict[str, np.ndarray]:
-    """Seeded parameter tensors; draw order is pinned by construction order."""
-    rng = stream_rng(cfg.seed, "init")
+def _param_shapes(cfg: TrainConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's shape, in the order init_params draws them."""
     D, F = cfg.d_model, cfg.ff_dim
-
-    def normal(*shape: int) -> np.ndarray:
-        return rng.normal(0.0, 0.02, size=shape)
-
-    params: dict[str, np.ndarray] = {
-        "tok_emb": normal(vocab_size, D),
-        "pos_emb": normal(cfg.max_len, D),
-        "out_bias": np.zeros(vocab_size),
-    }
+    shapes = {"tok_emb": (vocab_size, D), "pos_emb": (cfg.max_len, D), "out_bias": (vocab_size,)}
     for l in range(cfg.n_layers):
         p = f"layer{l}."
         for name in ("Wq", "Wk", "Wv", "Wo"):
-            params[p + name] = normal(D, D)
-            params[p + name.replace("W", "b")] = np.zeros(D)
-        params[p + "ln1_g"] = np.ones(D)
-        params[p + "ln1_b"] = np.zeros(D)
-        params[p + "W1"] = normal(D, F)
-        params[p + "b1"] = np.zeros(F)
-        params[p + "W2"] = normal(F, D)
-        params[p + "b2"] = np.zeros(D)
-        params[p + "ln2_g"] = np.ones(D)
-        params[p + "ln2_b"] = np.zeros(D)
+            shapes[p + name] = (D, D)
+            shapes[p + name.replace("W", "b")] = (D,)
+        shapes.update({
+            p + "ln1_g": (D,), p + "ln1_b": (D,),
+            p + "W1": (D, F), p + "b1": (F,), p + "W2": (F, D), p + "b2": (D,),
+            p + "ln2_g": (D,), p + "ln2_b": (D,),
+        })
+    return shapes
+
+
+def init_params(cfg: TrainConfig, vocab_size: int) -> dict[str, np.ndarray]:
+    """Seeded parameter tensors: matrices drawn N(0, 0.02^2) in
+    ``_param_shapes`` order, layer-norm gains one, other vectors zero."""
+    rng = stream_rng(cfg.seed, "init")
+    params: dict[str, np.ndarray] = {}
+    for key, shape in _param_shapes(cfg, vocab_size).items():
+        if len(shape) == 2:
+            params[key] = rng.normal(0.0, 0.02, size=shape)
+        else:
+            params[key] = np.ones(shape) if key.endswith("_g") else np.zeros(shape)
     return params
 
 
@@ -437,15 +439,15 @@ def adam_step(
     m, v = state.m, state.v
     g, tmp = state.work
     np.concatenate([grads[k].ravel() for k in keys], out=g)
-    m *= cfg.beta1
-    m += np.multiply(g, 1.0 - cfg.beta1, out=tmp)
+    m *= _ADAM_BETA1
+    m += np.multiply(g, 1.0 - _ADAM_BETA1, out=tmp)
     g *= g
-    v *= cfg.beta2
-    v += np.multiply(g, 1.0 - cfg.beta2, out=tmp)
-    denom = np.divide(v, 1.0 - cfg.beta2 ** t, out=tmp)
+    v *= _ADAM_BETA2
+    v += np.multiply(g, 1.0 - _ADAM_BETA2, out=tmp)
+    denom = np.divide(v, 1.0 - _ADAM_BETA2 ** t, out=tmp)
     np.sqrt(denom, out=denom)
-    denom += cfg.adam_eps
-    update = np.divide(m, 1.0 - cfg.beta1 ** t, out=g)
+    denom += _ADAM_EPS
+    update = np.divide(m, 1.0 - _ADAM_BETA1 ** t, out=g)
     update *= cfg.learning_rate
     update /= denom
     start = 0
@@ -697,8 +699,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig]:
-    """Parameters and config; a file whose length disagrees with its header
-    and param manifest raises SchemaError naming it."""
+    """Parameters and config. A param manifest that is not the model its
+    config line describes, or a file whose length disagrees with its header
+    and manifest, raises SchemaError naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     start = 4 + struct.calcsize("<HI")
@@ -721,8 +724,16 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig]:
                 for pair in body[len("config "):].split():
                     k, v = pair.split("=")
                     cfg_kwargs[k] = int(v)
-    except ValueError as exc:
+        cfg = TrainConfig(**cfg_kwargs)
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: bad checkpoint header: {exc}") from exc
+    manifest = dict(shapes)
+    vocab_size = (manifest.get("tok_emb") or manifest.get("out_bias") or (0,))[0]
+    model_shapes = _param_shapes(cfg, vocab_size)
+    for key in sorted(manifest.keys() | model_shapes.keys()):
+        if manifest.get(key) != model_shapes.get(key):
+            raise SchemaError(f"{path}: param {key} is {manifest.get(key, 'absent')}, but its "
+                              f"config line calls for {model_shapes.get(key, 'no such param')}")
     expected = off + 4 * sum(int(np.prod(shape)) for _, shape in shapes)
     if len(blob) != expected:
         raise SchemaError(f"{path}: {len(blob)} bytes, but its header and param "
@@ -733,5 +744,4 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig]:
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).astype(np.float64)
         params[key] = arr.reshape(shape)
         off += 4 * n
-    cfg = TrainConfig(**cfg_kwargs)
     return params, cfg

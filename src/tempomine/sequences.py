@@ -17,7 +17,6 @@ above the words. Random replacement draws word ids only.
 """
 
 import json
-import struct
 from dataclasses import dataclass
 from collections import Counter
 from collections.abc import Iterable, Sequence
@@ -26,7 +25,7 @@ import numpy as np
 
 from .extraction import TemporalTuple
 from .label_space import TemporalDimension, label_space
-from .srl_ingest import SchemaError, parse_json_lines
+from .srl_ingest import SchemaError, parse_json_lines, text_lines
 from .targets import (
     DEFAULT_SIGMA_CIRCULAR,
     DEFAULT_SIGMA_LOG,
@@ -43,7 +42,6 @@ __all__ = [
     "MaskingConfig", "MaskTarget", "TrainingRecord", "apply_masking",
     "record_to_json_dict", "record_from_json_dict",
     "write_records_jsonl", "read_records_jsonl",
-    "write_records_binary", "read_records_binary",
     "MAX_SEQUENCE_LENGTH",
 ]
 
@@ -109,23 +107,31 @@ class Vocabulary:
         return [f"{tok}\t{i}" for i, tok in enumerate(self.id_to_token)]
 
     @classmethod
-    def from_tsv_lines(cls, lines: Iterable[str]) -> "Vocabulary":
+    def from_tsv_lines(cls, lines: Iterable[str], source: str = "<vocabulary>") -> "Vocabulary":
+        """Parse ``token<TAB>id`` rows; a row out of id order raises
+        SchemaError as ``source:line``, any other defect naming ``source``."""
         id_to_token: list[str] = []
-        for line in lines:
+        for line_no, line in enumerate(lines, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             tok, _, idx = line.rpartition("\t")
-            if int(idx) != len(id_to_token):
-                raise ValueError(f"vocabulary ids must be dense, got {idx} at row {len(id_to_token)}")
+            if idx.strip() != str(len(id_to_token)):
+                raise SchemaError(f"{source}:{line_no}: vocabulary ids must be dense, "
+                                  f"expected {len(id_to_token)}, got {idx!r}")
             id_to_token.append(tok)
-        return cls._from_tokens(tuple(id_to_token))
+        try:
+            return cls._from_tokens(tuple(id_to_token))
+        except ValueError as exc:
+            raise SchemaError(f"{source}: {exc}") from exc
 
     @classmethod
     def _from_tokens(cls, id_to_token: tuple[str, ...]) -> "Vocabulary":
         token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
         if len(token_to_id) != len(id_to_token):
             raise ValueError("duplicate token in vocabulary")
+        if VERB_MARKER not in token_to_id:
+            raise ValueError(f"no {VERB_MARKER} token in vocabulary")
         word_start = SEP_ID + 1
         word_end = token_to_id[VERB_MARKER]
         return cls(id_to_token, token_to_id, word_start, word_end)
@@ -428,100 +434,7 @@ def write_records_jsonl(path: str, records: Iterable[TrainingRecord], header_lin
 
 
 def read_records_jsonl(path: str) -> list[TrainingRecord]:
-    """Every record of a JSONL dataset; a line with a missing key or a bad
-    value raises SchemaError as ``path:line``."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_json_lines(fh, path, record_from_json_dict)
+    """Every record of a JSONL dataset; a line with a missing key, a bad
+    value or bytes that are not UTF-8 raises SchemaError as ``path:line``."""
+    return parse_json_lines(text_lines(path), path, record_from_json_dict)
 
-
-_BINARY_MAGIC = b"TMDS"
-_BINARY_VERSION = 1
-
-
-def _pack_record(record: TrainingRecord) -> bytes:
-    parts = [struct.pack("<HdHH",
-                         _DIMENSIONS.index(record.dimension),
-                         record.weight,
-                         record.val_position,
-                         len(record.input_ids))]
-    parts.append(struct.pack(f"<{len(record.input_ids)}I", *record.input_ids))
-    parts.append(struct.pack("<H", len(record.targets)))
-    for t in record.targets:
-        soft = t.soft or ()
-        parts.append(struct.pack("<HIBH", t.position, t.token_id, 1 if t.soft is not None else 0, len(soft)))
-        if soft:
-            parts.append(struct.pack(f"<{len(soft)}d", *soft))
-    return b"".join(parts)
-
-
-def _unpack_record(payload: bytes) -> TrainingRecord:
-    off = 0
-    dim_idx, weight, val_position, n_ids = struct.unpack_from("<HdHH", payload, off)
-    off += struct.calcsize("<HdHH")
-    input_ids = struct.unpack_from(f"<{n_ids}I", payload, off)
-    off += 4 * n_ids
-    (n_targets,) = struct.unpack_from("<H", payload, off)
-    off += 2
-    targets = []
-    for _ in range(n_targets):
-        position, token_id, has_soft, n_soft = struct.unpack_from("<HIBH", payload, off)
-        off += struct.calcsize("<HIBH")
-        soft = None
-        if has_soft:
-            soft = struct.unpack_from(f"<{n_soft}d", payload, off)
-            off += 8 * n_soft
-        targets.append(MaskTarget(position, token_id, soft))
-    if off != len(payload):
-        raise ValueError(f"{len(payload) - off} bytes past its last target")
-    return TrainingRecord(
-        input_ids=tuple(input_ids),
-        targets=tuple(targets),
-        weight=weight,
-        dimension=_DIMENSIONS[dim_idx],
-        val_position=val_position,
-    )
-
-
-def write_records_binary(path: str, records: Iterable[TrainingRecord], header_lines: Sequence[str] = ()) -> None:
-    """Length-prefixed little-endian records behind a text header block."""
-    header = "".join(f"# {line}\n" for line in header_lines).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<HI", _BINARY_VERSION, len(header)))
-        fh.write(header)
-        for rec in records:
-            payload = _pack_record(rec)
-            fh.write(struct.pack("<I", len(payload)))
-            fh.write(payload)
-
-
-def read_records_binary(path: str) -> list[TrainingRecord]:
-    """Every record of a binary dataset; a damaged file raises SchemaError
-    naming the file and, past the header, the record (counted from 1)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    off = 4 + struct.calcsize("<HI")
-    if blob[:4] != _BINARY_MAGIC or len(blob) < off:
-        raise SchemaError(f"{path}: not a dataset file (bad magic)")
-    version, header_len = struct.unpack_from("<HI", blob, 4)
-    if version != _BINARY_VERSION:
-        raise SchemaError(f"{path}: unsupported dataset version {version}")
-    off += header_len
-    if off > len(blob):
-        raise SchemaError(f"{path}: header cut short")
-    records = []
-    while off < len(blob):
-        ordinal = len(records) + 1
-        if off + 4 > len(blob):
-            raise SchemaError(f"{path}: record {ordinal}: length prefix cut short")
-        (length,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if off + length > len(blob):
-            raise SchemaError(f"{path}: record {ordinal}: {len(blob) - off} of its "
-                              f"{length} bytes present")
-        try:
-            records.append(_unpack_record(blob[off:off + length]))
-        except (struct.error, IndexError, ValueError) as exc:
-            raise SchemaError(f"{path}: record {ordinal}: {exc}") from exc
-        off += length
-    return records

@@ -15,9 +15,8 @@ numbers; they are never silently dropped.
 
 import json
 import logging
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import IO, Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -25,6 +24,7 @@ __all__ = [
     "SrlFrame",
     "SrlSentence",
     "SchemaError",
+    "text_lines",
     "parse_json_lines",
     "CorpusReader",
     "read_corpus",
@@ -57,6 +57,26 @@ class SrlSentence:
 
 class SchemaError(ValueError):
     """A record violates the input schema."""
+
+
+def text_lines(path: str) -> Iterator[str]:
+    """Lines of the UTF-8 text file ``path``; bytes that are not UTF-8
+    raise SchemaError as ``path:line``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+            return
+        except UnicodeDecodeError as exc:
+            error = exc
+    # The decoder works in chunks, so find the offending line again.
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise SchemaError(f"{path}:{line_no}: not UTF-8 text: byte "
+                                  f"0x{raw[exc.start]:02x} ({exc.reason})") from None
+    raise SchemaError(f"{path}: not UTF-8 text: {error.reason}")
 
 
 def parse_json_lines(lines: Iterable[str], source: str, parse) -> list:
@@ -150,7 +170,7 @@ class CorpusReader:
     records seen.
     """
 
-    stream: IO[str]
+    stream: Iterable[str]
     records_read: int = 0
     records_skipped: int = 0
     errors: list[tuple[int, str]] = field(default_factory=list)
@@ -172,7 +192,7 @@ class CorpusReader:
             yield sentence
 
 
-def read_corpus(stream: IO[str]) -> CorpusReader:
+def read_corpus(stream: Iterable[str]) -> CorpusReader:
     """Stream SRL sentences from ``stream`` in file order."""
     return CorpusReader(stream)
 

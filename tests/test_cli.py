@@ -1,14 +1,19 @@
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import tempomine
 from tempomine import cli
 from tempomine.evaluation import eval_instance_to_json_dict
-from tempomine.sequences import Vocabulary, read_records_binary, read_records_jsonl
+from tempomine.label_space import TemporalDimension
+from tempomine.model import load_checkpoint, save_checkpoint
+from tempomine.sequences import Vocabulary, read_records_jsonl
 from tempomine.srl_ingest import sentence_to_json_dict
 from tempomine.synthetic import generate_corpus, planted_eval_instances
 
@@ -182,6 +187,21 @@ def test_config_file_workers_key_exit_2(tmp_path, capsys):
     assert f"{cfg}:1: unknown config key 'workers'" in capsys.readouterr().err
 
 
+def test_format_flag_removed_exit_2(tmp_path, fixture_corpus_path, capsys):
+    with pytest.raises(SystemExit) as ei:
+        run(["build-dataset", "--input", fixture_corpus_path,
+             "--output", str(tmp_path / "ds.jsonl"), "--format", "jsonl"])
+    assert ei.value.code == 2
+    assert capsys.readouterr().err.startswith("ERROR code=2 ")
+
+
+def test_config_file_format_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=jsonl\n")
+    assert run(["manifest", "--config", str(cfg)]) == 2
+    assert f"{cfg}:1: unknown config key 'format'" in capsys.readouterr().err
+
+
 def test_config_file_switches_hold_without_flags(pipeline, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("am=true\nms=true\nbalance=true\n")
@@ -254,16 +274,19 @@ def test_build_dataset_jsonl(pipeline):
     assert len(vocab) > 71
 
 
-def test_build_dataset_binary_agrees(pipeline, tmp_path):
-    out = tmp_path / "ds.bin"
-    assert run(["build-dataset", "--input", str(pipeline["tuples"]),
-                "--output", str(out), "--seed", "21",
-                "--format", "binary"]) == 0
-    binary_records = read_records_binary(str(out))
-    jsonl_records = read_records_jsonl(str(pipeline["dataset"]))
-    assert binary_records == jsonl_records
-    with open(out, "rb") as f:
-        assert f.read(4) == b"TMDS"
+@pytest.mark.parametrize("command", ["build-dataset", "stats"])
+def test_tuple_missing_key_exit_4(pipeline, tmp_path, capsys, command):
+    lines = pipeline["tuples"].read_text().splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    tup = json.loads(lines[first + 1])
+    del tup["value"]
+    lines[first + 1] = json.dumps(tup) + "\n"
+    tuples = tmp_path / "t.jsonl"
+    tuples.write_text("".join(lines))
+    argv = [command, "--input", str(tuples), "--output", str(tmp_path / "out")]
+    assert run(argv) == 4
+    assert capsys.readouterr().err.startswith(
+        f"ERROR code=4 {tuples}:{first + 2}: missing key 'value'")
 
 
 def test_build_dataset_deterministic(pipeline, tmp_path):
@@ -351,21 +374,6 @@ def test_train_val_fraction_rows(pipeline, tmp_path):
     assert [r[1] for r in rows] == ["train", "val", "train", "val"]
     val_rows = [r for r in rows if r[1] == "val"]
     assert all(r[3] != "" for r in val_rows)
-
-
-def test_train_truncated_binary_dataset_exit_4(pipeline, tmp_path, capsys):
-    dataset = tmp_path / "ds.bin"
-    vocab = tmp_path / "ds.vocab.tsv"
-    assert run(["build-dataset", "--input", str(pipeline["tuples"]),
-                "--output", str(dataset), "--vocab-out", str(vocab),
-                "--seed", "21", "--format", "binary"]) == 0
-    n_records = len(read_records_binary(str(dataset)))
-    dataset.write_bytes(dataset.read_bytes()[:-7])
-    capsys.readouterr()
-    assert run(["train", "--input", str(dataset), "--vocab", str(vocab),
-                "--output", str(tmp_path / "m.ckpt")]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith(f"ERROR code=4 {dataset}: record {n_records}: ")
 
 
 def test_train_record_missing_key_exit_4(pipeline, tmp_path, capsys):
@@ -523,6 +531,115 @@ def test_predict_unknown_dimension_exit_2(pipeline, capsys):
                 "--vocab", str(pipeline["vocab"]),
                 "--event", "they met", "--verb-index", "1",
                 "--dimension", "bogus"]) == 2
+
+
+# ----------------------------------------------------------- input bytes
+
+def _with_latin1_last_line(src, dst):
+    """Copy ``src`` to ``dst`` with a Latin-1 0xe9 byte in its last line;
+    returns that line's number."""
+    lines = src.read_bytes().splitlines(keepends=True)
+    lines[-1] = lines[-1].replace(b"e", b"\xe9", 1)
+    dst.write_bytes(b"".join(lines))
+    return len(lines)
+
+
+@pytest.mark.parametrize("command, source", [
+    ("extract", "corpus"),
+    ("build-dataset", "tuples"),
+    ("build-dataset --ms", "corpus"),
+    ("stats", "tuples"),
+    ("train", "dataset"),
+    ("train", "vocab"),
+    ("eval", "instances"),
+    ("predict --input", "instances"),
+    ("predict --event", "vocab"),
+])
+def test_input_that_is_not_utf8_names_file_and_line(pipeline, tmp_path, capsys,
+                                                    command, source):
+    bad = tmp_path / f"latin1-{source}"
+    line_no = _with_latin1_last_line(pipeline[source], bad)
+    files = {key: str(bad if key == source else pipeline[key])
+             for key in ("corpus", "tuples", "dataset", "vocab", "model", "instances")}
+    out = str(tmp_path / "out")
+    argv = {
+        "extract": ["extract", "--input", files["corpus"], "--output", out],
+        "build-dataset": ["build-dataset", "--input", files["tuples"], "--output", out],
+        "build-dataset --ms": ["build-dataset", "--input", files["tuples"], "--ms",
+                               "--corpus", files["corpus"], "--output", out],
+        "stats": ["stats", "--input", files["tuples"], "--output", out],
+        "train": ["train", "--input", files["dataset"], "--vocab", files["vocab"],
+                  "--output", out],
+        "eval": ["eval", "--input", files["instances"], "--model", files["model"],
+                 "--vocab", files["vocab"], "--output", out],
+        "predict --input": ["predict", "--input", files["instances"], "--model",
+                            files["model"], "--vocab", files["vocab"], "--output", out],
+        "predict --event": ["predict", "--event", "they met", "--verb-index", "1",
+                            "--dimension", "duration", "--model", files["model"],
+                            "--vocab", files["vocab"], "--output", out],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 4
+    assert capsys.readouterr().err.startswith(
+        f"ERROR code=4 {bad}:{line_no}: not UTF-8 text: byte 0xe9")
+
+
+def _write_legacy_binary_dataset(path, records):
+    """The length-prefixed binary dataset encoding of earlier releases."""
+    dims = list(TemporalDimension)
+    blobs = [b"TMDS", struct.pack("<HI", 1, 0)]
+    for rec in records:
+        payload = struct.pack("<HdHH", dims.index(rec.dimension), rec.weight,
+                              rec.val_position, len(rec.input_ids))
+        payload += struct.pack(f"<{len(rec.input_ids)}I", *rec.input_ids)
+        payload += struct.pack("<H", len(rec.targets))
+        for t in rec.targets:
+            soft = t.soft or ()
+            payload += struct.pack("<HIBH", t.position, t.token_id, t.soft is not None, len(soft))
+            payload += struct.pack(f"<{len(soft)}d", *soft)
+        blobs += [struct.pack("<I", len(payload)), payload]
+    path.write_bytes(b"".join(blobs))
+
+
+def test_train_on_legacy_binary_dataset_exit_4(pipeline, tmp_path, capsys):
+    dataset = tmp_path / "ds.bin"
+    _write_legacy_binary_dataset(dataset, read_records_jsonl(str(pipeline["dataset"])))
+    assert run(["train", "--input", str(dataset), "--vocab", str(pipeline["vocab"]),
+                "--output", str(tmp_path / "m.ckpt")]) == 4
+    assert capsys.readouterr().err.startswith(f"ERROR code=4 {dataset}:1: not UTF-8 text")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_vocab_row_out_of_order_names_file_and_line(pipeline, tmp_path, capsys):
+    lines = pipeline["vocab"].read_text().splitlines(keepends=True)
+    row = lines.index(next(line for line in lines if line.endswith("\t4\n")))
+    del lines[row]
+    vocab = tmp_path / "v.tsv"
+    vocab.write_text("".join(lines))
+    assert run(["predict", "--model", str(pipeline["model"]), "--vocab", str(vocab),
+                "--event", "they met", "--verb-index", "1",
+                "--dimension", "duration"]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"ERROR code=4 {vocab}:{row + 1}: vocabulary ids must be dense, expected 4, got '5'")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.pop("tok_emb"),
+     r"param tok_emb is absent, but its config line calls for \(\d+, 32\)"),
+    (lambda p: p.update({"layer0.Wq": np.zeros((16, 8))}),
+     r"param layer0.Wq is \(16, 8\), but its config line calls for \(32, 32\)"),
+], ids=["no-tok_emb", "wq-shape"])
+def test_predict_checkpoint_manifest_must_match_config_exit_4(pipeline, tmp_path, capsys,
+                                                             edit, message):
+    params, train_cfg = load_checkpoint(str(pipeline["model"]))
+    edit(params)
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(str(ckpt), params, train_cfg)
+    assert run(["predict", "--model", str(ckpt), "--vocab", str(pipeline["vocab"]),
+                "--event", "they met", "--verb-index", "1",
+                "--dimension", "duration"]) == 4
+    assert re.match(rf"ERROR code=4 {re.escape(str(ckpt))}: {message}",
+                    capsys.readouterr().err)
 
 
 # ----------------------------------------------------------- small commands

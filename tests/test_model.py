@@ -312,7 +312,7 @@ def test_gradient_check_default_configs():
 # ---------------------------------------------------------------- adam
 
 def test_adam_step_hand_computed():
-    cfg = TrainConfig(learning_rate=0.1, beta1=0.9, beta2=0.999, adam_eps=1e-8)
+    cfg = TrainConfig(learning_rate=0.1)
     params = {"w": np.array([1.0, 2.0])}
     grads = {"w": np.array([0.5, -0.5])}
     state = AdamState.for_params(params)
@@ -634,6 +634,23 @@ def test_checkpoint_cut_inside_header_names_file(tmp_path):
     save_checkpoint(str(path), init_params(cfg, len(vocab)), cfg)
     path.write_bytes(path.read_bytes()[:40])
     with pytest.raises(SchemaError, match=r"m\.ckpt: "):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.update({"layer1.Wq": np.zeros((8, 8))}),
+     r"param layer1\.Wq is \(8, 8\), but its config line calls for no such param"),
+    (lambda p: p.update(out_bias=np.zeros(3)),
+     r"param out_bias is \(3,\), but its config line calls for \(\d+,\)"),
+], ids=["extra-layer", "out_bias-size"])
+def test_checkpoint_manifest_must_match_config(tmp_path, edit, message):
+    vocab = _training_vocab()
+    cfg = TrainConfig(d_model=8, n_layers=1, n_heads=1, ff_dim=16, max_len=16)
+    params = init_params(cfg, len(vocab))
+    edit(params)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), params, cfg)
+    with pytest.raises(SchemaError, match=rf"m\.ckpt: .*{message}"):
         load_checkpoint(str(path))
 
 

@@ -1,5 +1,4 @@
 import json
-import struct
 
 import numpy as np
 import pytest
@@ -21,14 +20,11 @@ from tempomine.sequences import (
     build_sequence,
     build_vocabulary,
     dim_token,
-    read_records_binary,
     read_records_jsonl,
     record_from_json_dict,
     record_to_json_dict,
     val_token,
-    write_records_binary,
     write_records_jsonl,
-    _pack_record,
 )
 from tempomine.srl_ingest import SchemaError
 
@@ -114,6 +110,12 @@ def test_tsv_round_trip(vocab):
 def test_tsv_rejects_sparse_ids():
     with pytest.raises(ValueError, match="dense"):
         Vocabulary.from_tsv_lines(["[PAD]\t0", "[UNK]\t2"])
+
+
+def test_tsv_bad_row_names_source_and_line():
+    with pytest.raises(SchemaError, match=r"v\.tsv:3: vocabulary ids must be dense, "
+                                          r"expected 1, got '2'"):
+        Vocabulary.from_tsv_lines(["# header", "[PAD]\t0", "[UNK]\t2"], "v.tsv")
 
 
 # ---------------------------------------------------------------- sequences
@@ -468,56 +470,6 @@ def test_records_jsonl_bad_line_names_file_and_line(tmp_path, vocab, edit, messa
     path.write_text("".join(lines))
     with pytest.raises(SchemaError, match=rf"ds\.jsonl:3: {message}"):
         read_records_jsonl(str(path))
-
-
-def test_records_binary_round_trip(tmp_path, vocab):
-    records = _sample_records(vocab)
-    path = str(tmp_path / "ds.bin")
-    write_records_binary(path, records, header_lines=["made by tests"])
-    back = read_records_binary(path)
-    assert back == records
-    with open(path, "rb") as f:
-        assert f.read(4) == b"TMDS"
-
-
-def test_binary_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        read_records_binary(str(path))
-
-
-def _reprefixed(blob, payload_len, new_len):
-    """blob of one record whose u32 length prefix now says new_len."""
-    at = len(blob) - payload_len - 4
-    return blob[:at] + struct.pack("<I", new_len) + blob[at + 4:]
-
-
-@pytest.mark.parametrize("damage, message", [
-    (lambda blob, n: blob[:-7], r"record 1: \d+ of its \d+ bytes present"),
-    (lambda blob, n: blob + b"\x05\x00", "record 2: length prefix cut short"),
-    (lambda blob, n: _reprefixed(blob, n, 20)[:len(blob) - n + 20], "record 1: unpack_from"),
-    (lambda blob, n: _reprefixed(blob, n, n + 3) + b"\x00" * 3,
-     "record 1: 3 bytes past its last target"),
-    (lambda blob, n: blob[:12], "header cut short"),
-], ids=["cut-payload", "cut-prefix", "short-payload", "overlong-payload", "cut-header"])
-def test_binary_damage_names_file_and_record(tmp_path, vocab, damage, message):
-    record = _sample_records(vocab, n=1)[0]
-    n = len(_pack_record(record))
-    path = tmp_path / "ds.bin"
-    write_records_binary(str(path), [record], header_lines=["made by tests"])
-    path.write_bytes(damage(path.read_bytes(), n))
-    with pytest.raises(SchemaError, match=rf"ds\.bin: {message}"):
-        read_records_binary(str(path))
-
-
-def test_binary_and_jsonl_agree(tmp_path, vocab):
-    records = _sample_records(vocab)
-    p1 = str(tmp_path / "a.jsonl")
-    p2 = str(tmp_path / "a.bin")
-    write_records_jsonl(p1, records)
-    write_records_binary(p2, records)
-    assert read_records_jsonl(p1) == read_records_binary(p2)
 
 
 def test_training_record_is_frozen(vocab):

@@ -12,6 +12,7 @@ from tempomine.srl_ingest import (
     parse_sentence,
     read_corpus,
     sentence_to_json_dict,
+    text_lines,
 )
 
 
@@ -143,3 +144,16 @@ def test_dataclasses_are_frozen():
     with pytest.raises(AttributeError):
         f.verb_index = 2
     assert isinstance(s, SrlSentence)
+
+
+def test_text_lines_names_the_line_that_is_not_utf8(tmp_path):
+    # Far past the decoder's first chunk, so the line is found by a rescan.
+    path = tmp_path / "in.txt"
+    lines = [f"line {i}\n".encode() for i in range(3000)]
+    lines[2500] = b"caf\xe9\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(SchemaError, match=r"in\.txt:2501: not UTF-8 text: byte 0xe9 "
+                                          r"\(invalid continuation byte\)"):
+        list(text_lines(str(path)))
+    path.write_bytes(b"".join(lines[:2500]))
+    assert list(text_lines(str(path))) == [line.decode() for line in lines[:2500]]
