@@ -154,21 +154,25 @@ def _coerce(name: str, raw: str):
 def load_config_file(path: str) -> dict:
     """Flat key=value lines; '#' comments and blank lines are ignored.
 
-    Unknown keys are rejected rather than silently dropped.
+    Unknown keys are rejected rather than silently dropped. Every defect,
+    bytes that are not UTF-8 included, raises UsageError.
     """
+    try:
+        lines = list(text_lines(path))
+    except SchemaError as exc:  # a damaged config file is a usage error
+        raise UsageError(str(exc)) from None
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise UsageError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_FIELDS:
-                raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw.strip())
+    for line_no, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise UsageError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
+        key, _, raw = stripped.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_FIELDS:
+            raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
+        values[key] = _coerce(key, raw.strip())
     return values
 
 
@@ -322,10 +326,10 @@ def _train_config(cfg: PipelineConfig) -> TrainConfig:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    records = read_records_jsonl(args.input)
+    vocab = _read_vocab(args.vocab)
+    records = read_records_jsonl(args.input, len(vocab))
     if not records:
         raise UsageError(f"no records in {args.input}")
-    vocab = _read_vocab(args.vocab)
 
     if cfg.val_fraction > 0.0:
         train_records, val_records = [], []

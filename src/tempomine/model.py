@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .label_space import TemporalDimension, Topology, label_space, rank_distance
 from .extraction import TemporalTuple
@@ -198,6 +197,9 @@ def _block_tail(params, p: str, x: np.ndarray, ctx: np.ndarray):
     x1, ln1_cache = _layer_norm(x + ctx @ params[p + "Wo"] + params[p + "bo"],
                                 params[p + "ln1_g"], params[p + "ln1_b"])
     h = x1 @ params[p + "W1"] + params[p + "b1"]
+    # Imported here, not at module level: scipy.special is about half of
+    # a cold `import tempomine`, and only a forward pass needs it.
+    from scipy.special import ndtr
     cdf = ndtr(h)  # standard normal CDF, 0.5 * (1 + erf(h / sqrt 2))
     g = h * cdf
     out, ln2_cache = _layer_norm(x1 + g @ params[p + "W2"] + params[p + "b2"],

@@ -433,8 +433,36 @@ def write_records_jsonl(path: str, records: Iterable[TrainingRecord], header_lin
             fh.write("\n")
 
 
-def read_records_jsonl(path: str) -> list[TrainingRecord]:
-    """Every record of a JSONL dataset; a line with a missing key, a bad
-    value or bytes that are not UTF-8 raises SchemaError as ``path:line``."""
-    return parse_json_lines(text_lines(path), path, record_from_json_dict)
+def _check_record(record: TrainingRecord, vocab_size: int) -> TrainingRecord:
+    """``record`` itself if its ids fit a ``vocab_size``-token vocabulary,
+    its slots fit the record and each soft target covers its dimension's
+    labels; otherwise ValueError naming the first defect."""
+    length = len(record.input_ids)
+    for token_id in record.input_ids:
+        if not 0 <= token_id < vocab_size:
+            raise ValueError(f"input id {token_id} outside the {vocab_size}-token vocabulary")
+    if not 0 <= record.val_position < length:
+        raise ValueError(f"val_position {record.val_position} outside the record's {length} ids")
+    labels = len(label_space(record.dimension).labels)
+    for t in record.targets:
+        if not 0 <= t.position < length:
+            raise ValueError(f"target position {t.position} outside the record's {length} ids")
+        if not 0 <= t.token_id < vocab_size:
+            raise ValueError(f"target token_id {t.token_id} outside the "
+                             f"{vocab_size}-token vocabulary")
+        if t.soft is not None and len(t.soft) != labels:
+            raise ValueError(f"soft target has {len(t.soft)} entries, but "
+                             f"{record.dimension.value} has {labels} labels")
+    return record
+
+
+def read_records_jsonl(path: str, vocab_size: int) -> list[TrainingRecord]:
+    """Every record of a JSONL dataset for a ``vocab_size``-token vocabulary.
+
+    A line with a missing key, a bad value, an id outside the vocabulary,
+    a slot outside its record, a soft target of the wrong length or bytes
+    that are not UTF-8 raises SchemaError as ``path:line``.
+    """
+    return parse_json_lines(text_lines(path), path,
+                            lambda obj: _check_record(record_from_json_dict(obj), vocab_size))
 

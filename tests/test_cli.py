@@ -11,10 +11,10 @@ import pytest
 import tempomine
 from tempomine import cli
 from tempomine.evaluation import eval_instance_to_json_dict
-from tempomine.label_space import TemporalDimension
+from tempomine.label_space import TemporalDimension, label_space
 from tempomine.model import load_checkpoint, save_checkpoint
 from tempomine.sequences import Vocabulary, read_records_jsonl
-from tempomine.srl_ingest import sentence_to_json_dict
+from tempomine.srl_ingest import sentence_to_json_dict, text_lines
 from tempomine.synthetic import generate_corpus, planted_eval_instances
 
 
@@ -30,6 +30,13 @@ def non_comment_lines(path):
 def header_lines(path):
     with open(path, encoding="utf-8") as f:
         return [line.rstrip("\n") for line in f if line.startswith("#")]
+
+
+def read_dataset(path):
+    """The records of the dataset ``path``, read against its vocabulary
+    ``<path>.vocab.tsv``."""
+    vocab = Vocabulary.from_tsv_lines(text_lines(f"{path}.vocab.tsv"))
+    return read_records_jsonl(str(path), len(vocab))
 
 
 @pytest.fixture(scope="session")
@@ -166,6 +173,14 @@ def test_config_file_bad_value_exit_2(tmp_path, capsys):
     assert run(["manifest", "--config", str(cfg)]) == 2
 
 
+def test_config_file_not_utf8_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed=1\n# caf\xe9\n")
+    assert run(["manifest", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"ERROR code=2 {cfg}:2: not UTF-8 text: byte 0xe9")
+
+
 def test_invalid_knob_combination_exit_2(tmp_path, capsys):
     out = tmp_path / "t.csv"
     assert run(["dump-target", "duration", "hour", "--output", str(out),
@@ -266,7 +281,7 @@ def test_stats_to_stdout(pipeline, capsys):
 # ------------------------------------------------------------ build-dataset
 
 def test_build_dataset_jsonl(pipeline):
-    records = read_records_jsonl(str(pipeline["dataset"]))
+    records = read_dataset(pipeline["dataset"])
     tuples = non_comment_lines(pipeline["tuples"])
     assert len(records) == len(tuples) == 150
     with open(pipeline["vocab"], encoding="utf-8") as f:
@@ -304,7 +319,7 @@ def test_build_dataset_balance(pipeline, tmp_path):
     out = tmp_path / "bal.jsonl"
     assert run(["build-dataset", "--input", str(pipeline["tuples"]),
                 "--output", str(out), "--seed", "21", "--balance"]) == 0
-    balanced = read_records_jsonl(str(out))
+    balanced = read_dataset(out)
     assert 0 < len(balanced) <= 150
     assert "# balance=true" in header_lines(out)
 
@@ -313,7 +328,7 @@ def test_build_dataset_hard_targets(pipeline, tmp_path):
     out = tmp_path / "hard.jsonl"
     assert run(["build-dataset", "--input", str(pipeline["tuples"]),
                 "--output", str(out), "--seed", "21", "--targets", "hard"]) == 0
-    for rec in read_records_jsonl(str(out)):
+    for rec in read_dataset(out):
         for t in rec.targets:
             if t.soft is not None:
                 assert sorted(set(t.soft)) == [0.0, 1.0]
@@ -388,6 +403,58 @@ def test_train_record_missing_key_exit_4(pipeline, tmp_path, capsys):
                 "--output", str(tmp_path / "m.ckpt")]) == 4
     assert capsys.readouterr().err.startswith(
         f"ERROR code=4 {dataset}:{first + 2}: missing key 'weight'")
+
+
+def _hard_target(record):
+    return next(t for t in record["targets"] if t["soft"] is None)
+
+
+def _soft_target(record):
+    return next(t for t in record["targets"] if t["soft"] is not None)
+
+
+# (which records qualify, the damage, the start of the message)
+_RECORD_DEFECTS = {
+    "input-id": (lambda r: True,
+                 lambda r: r["input_ids"].__setitem__(0, 9999),
+                 "input id 9999 outside the "),
+    "negative-input-id": (lambda r: True,
+                          lambda r: r["input_ids"].__setitem__(0, -1),
+                          "input id -1 outside the "),
+    "hard-token-id": (lambda r: any(t["soft"] is None for t in r["targets"]),
+                      lambda r: _hard_target(r).update(token_id=9999),
+                      "target token_id 9999 outside the "),
+    "target-position": (lambda r: r["targets"],
+                        lambda r: r["targets"][0].update(position=len(r["input_ids"])),
+                        "target position {n} outside the record's {n} ids"),
+    "val-position": (lambda r: True,
+                     lambda r: r.update(val_position=len(r["input_ids"])),
+                     "val_position {n} outside the record's {n} ids"),
+    "soft-length": (lambda r: any(t["soft"] is not None for t in r["targets"]),
+                    lambda r: _soft_target(r)["soft"].pop(),
+                    "soft target has {short} entries, but {dimension} has {labels} labels"),
+}
+
+
+@pytest.mark.parametrize("defect", list(_RECORD_DEFECTS))
+def test_train_record_out_of_range_exit_4(pipeline, tmp_path, capsys, defect):
+    qualifies, damage, message = _RECORD_DEFECTS[defect]
+    lines = pipeline["dataset"].read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines)
+               if not line.startswith("#") and qualifies(json.loads(line)))
+    record = json.loads(lines[row])
+    labels = len(label_space(TemporalDimension(record["dimension"])).labels)
+    damage(record)
+    lines[row] = json.dumps(record) + "\n"
+    dataset = tmp_path / "ds.jsonl"
+    dataset.write_text("".join(lines))
+    assert run(["train", "--input", str(dataset), "--vocab", str(pipeline["vocab"]),
+                "--output", str(tmp_path / "m.ckpt"), "--epochs", "1"]) == 4
+    message = message.format(n=len(record["input_ids"]), short=labels - 1,
+                             dimension=record["dimension"], labels=labels)
+    assert capsys.readouterr().err.startswith(
+        f"ERROR code=4 {dataset}:{row + 1}: {message}")
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_train_divergence_exit_5(pipeline, tmp_path, capsys):
@@ -603,7 +670,7 @@ def _write_legacy_binary_dataset(path, records):
 
 def test_train_on_legacy_binary_dataset_exit_4(pipeline, tmp_path, capsys):
     dataset = tmp_path / "ds.bin"
-    _write_legacy_binary_dataset(dataset, read_records_jsonl(str(pipeline["dataset"])))
+    _write_legacy_binary_dataset(dataset, read_dataset(pipeline["dataset"]))
     assert run(["train", "--input", str(dataset), "--vocab", str(pipeline["vocab"]),
                 "--output", str(tmp_path / "m.ckpt")]) == 4
     assert capsys.readouterr().err.startswith(f"ERROR code=4 {dataset}:1: not UTF-8 text")
@@ -673,15 +740,37 @@ def test_manifest_lists_every_dimension(capsys):
         assert f"[{name}]" in out
 
 
-def test_module_entry_point():
-    # The child finds the package where this process imported it from,
-    # whether or not the caller set PYTHONPATH.
+def _fresh_python(*args):
+    """Run ``python *args`` in a new process. The child finds the package
+    where this process imported it from, whether or not the caller set
+    PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(tempomine.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tempomine.cli", "manifest"],
-        capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = _fresh_python("-m", "tempomine.cli", "manifest")
     assert proc.returncode == 0
     assert "[duration]" in proc.stdout
+
+
+def test_cold_start_leaves_scipy_to_the_first_forward(pipeline):
+    # scipy.special is most of a cold import; only the GELU needs it.
+    proc = _fresh_python("-c", (
+        "import sys, tempomine, tempomine.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "assert tempomine.cli.main(['manifest']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'manifest'\n"))
+    assert proc.returncode == 0, proc.stderr
+    proc = _fresh_python("-m", "tempomine.cli", "predict", "--model", str(pipeline["model"]),
+                         "--vocab", str(pipeline["vocab"]), "--event", "they met",
+                         "--verb-index", "1", "--dimension", "duration")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(",") for line in proc.stdout.splitlines()
+            if not line.startswith("#")][1:]
+    assert len(rows) == len(label_space(TemporalDimension.DURATION).labels)
+    assert sum(float(p) for _, p in rows) == pytest.approx(1.0, abs=1e-9)

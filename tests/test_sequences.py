@@ -447,7 +447,7 @@ def test_records_jsonl_round_trip(tmp_path, vocab):
     records = _sample_records(vocab)
     path = str(tmp_path / "ds.jsonl")
     write_records_jsonl(path, records, header_lines=["made by tests"])
-    back = read_records_jsonl(path)
+    back = read_records_jsonl(path, len(vocab))
     assert back == records
     with open(path) as f:
         assert f.readline() == "# made by tests\n"
@@ -469,7 +469,7 @@ def test_records_jsonl_bad_line_names_file_and_line(tmp_path, vocab, edit, messa
     lines[2] = json.dumps(obj) + "\n"
     path.write_text("".join(lines))
     with pytest.raises(SchemaError, match=rf"ds\.jsonl:3: {message}"):
-        read_records_jsonl(str(path))
+        read_records_jsonl(str(path), len(vocab))
 
 
 def test_training_record_is_frozen(vocab):
