@@ -1,9 +1,9 @@
 """Command-line pipeline: mine tuples, build datasets, train, evaluate.
 
 Every subcommand is a pure function of its inputs, flags, and seed.
-Output files start with a '#'-commented echo of the effective
-configuration (no timestamps), so any artifact can be reproduced from
-its own header. Environment variables are never consulted.
+Output files start with a '#'-commented echo of the seed and the
+settings the subcommand read (no timestamps), so any artifact can be
+reproduced from its own header. Environment variables are never consulted.
 
 Exit codes:
     0  success
@@ -78,84 +78,108 @@ class UsageError(ValueError):
 class PipelineConfig:
     """Every tunable knob, loadable from a flat key=value file.
 
-    Flags override file values; the am preset forces p_event to 0.6
-    unless an explicit p_event flag is given.
+    Flags override file values. A knob that MaskingConfig or TrainConfig
+    holds takes its default and its check from that class.
     """
 
-    seed: int = 0
-    p_mask: float = 0.6
-    p_dim: float = 0.1
-    p_event: float = 0.15
-    am: bool = False
+    seed: int = TrainConfig.seed
+    p_mask: float = MaskingConfig.p_mask
+    p_dim: float = MaskingConfig.p_dim
+    p_event: float = MaskingConfig.p_event
     ms: bool = False
-    norm_mode: str = "normalize"
+    norm_mode: str = MaskingConfig.norm_mode
     min_count: int = 1
     balance: bool = False
     targets: str = "soft"
-    sigma_log: float = 4.0
-    sigma_circular: float = 0.5
-    max_len: int = 128
-    d_model: int = 64
-    n_layers: int = 2
-    n_heads: int = 4
-    ff_dim: int = 128
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    epochs: int = 5
+    sigma_log: float = MaskingConfig.sigma_log
+    sigma_circular: float = MaskingConfig.sigma_circular
+    max_len: int = TrainConfig.max_len
+    d_model: int = TrainConfig.d_model
+    n_layers: int = TrainConfig.n_layers
+    n_heads: int = TrainConfig.n_heads
+    ff_dim: int = TrainConfig.ff_dim
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
     val_fraction: float = 0.0
 
+    def _shared(self, cls) -> dict:
+        """This config's values of the fields ``cls`` also has."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(cls)
+                if f.name in _CONFIG_FIELDS}
+
+    def masking_config(self) -> MaskingConfig:
+        return MaskingConfig(**self._shared(MaskingConfig), hard_targets=self.targets == "hard")
+
+    def train_config(self) -> TrainConfig:
+        return TrainConfig(**self._shared(TrainConfig))
+
     def validate(self) -> None:
-        for name in ("p_mask", "p_dim", "p_event", "val_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise UsageError(f"{name} must lie in [0, 1], got {v}")
-        if self.norm_mode not in ("normalize", "softmax"):
-            raise UsageError(f"norm_mode must be 'normalize' or 'softmax', got {self.norm_mode!r}")
+        if not 0.0 <= self.val_fraction <= 1.0:
+            raise UsageError(f"val_fraction must lie in [0, 1], got {self.val_fraction}")
         if self.targets not in ("soft", "hard"):
             raise UsageError(f"targets must be 'soft' or 'hard', got {self.targets!r}")
-        for name in ("min_count", "max_len", "d_model", "n_layers", "n_heads",
-                     "ff_dim", "batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise UsageError(f"{name} must be positive")
-        if self.learning_rate <= 0 or self.sigma_log <= 0 or self.sigma_circular <= 0:
-            raise UsageError("learning_rate and sigmas must be positive")
-        if self.d_model % self.n_heads != 0:
-            raise UsageError("d_model must be divisible by n_heads")
+        if self.min_count < 1:
+            raise UsageError("min_count must be positive")
+        try:
+            self.masking_config()
+            self.train_config()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
 
-_CONFIG_FIELDS = {
-    f.name: (f.type if isinstance(f.type, str) else f.type.__name__)
-    for f in dataclasses.fields(PipelineConfig)
+# The PipelineConfig fields each subcommand reads besides seed. A
+# subcommand takes flags for these fields only and echoes them only, so
+# a header states what made its artifact; a config file may set any
+# field, so one file can serve a whole pipeline.
+READS = {
+    "extract": (),
+    "stats": (),
+    "build-dataset": ("balance", "min_count", "targets", "max_len", "ms", "p_mask",
+                      "p_dim", "p_event", "norm_mode", "sigma_log", "sigma_circular"),
+    "train": ("epochs", "batch_size", "learning_rate", "val_fraction", "d_model",
+              "n_layers", "n_heads", "ff_dim", "max_len"),
+    "eval": (),
+    "predict": (),
+    "grad-check": (),
+    "dump-target": ("norm_mode", "sigma_log", "sigma_circular"),
+    "manifest": (),
 }
 
+# The sigmas have no flag; a config file sets them.
+_CONFIG_ONLY = ("sigma_log", "sigma_circular")
+_FLAG_HELP = {
+    "balance": "subsample so non-frequency dimensions match the smallest one",
+    "min_count": "vocabulary frequency cutoff",
+    "targets": "value-slot target kind: soft or hard",
+    "max_len": "maximum sequence length",
+    "ms": "include neighbor-sentence context around the event (needs --corpus)",
+    "p_mask": "value-slot masking probability",
+    "p_dim": "dimension-slot masking probability",
+    "p_event": "per-event-token masking probability",
+    "norm_mode": "soft-target normalization: normalize or softmax",
+    "val_fraction": "held-out fraction logged each epoch",
+}
 
-def _coerce(name: str, raw: str):
-    kind = _CONFIG_FIELDS[name]
-    if kind == "bool":
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
+_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+
+
+def _coerce(kind: type, raw: str):
+    """``raw`` as a ``kind`` value; ValueError if it is not one."""
+    if kind is bool:
+        if raw.lower() in ("true", "1", "yes", "on"):
             return True
-        if low in ("false", "0", "no", "off"):
+        if raw.lower() in ("false", "0", "no", "off"):
             return False
-        raise UsageError(f"config key {name} expects a boolean, got {raw!r}")
-    if kind == "int":
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise UsageError(f"config key {name} expects an integer, got {raw!r}") from exc
-    if kind == "float":
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise UsageError(f"config key {name} expects a number, got {raw!r}") from exc
-    return raw
+        raise ValueError(raw)
+    return kind(raw)
 
 
 def load_config_file(path: str) -> dict:
     """Flat key=value lines; '#' comments and blank lines are ignored.
 
     Unknown keys are rejected rather than silently dropped. Every defect,
-    bytes that are not UTF-8 included, raises UsageError.
+    bytes that are not UTF-8 included, raises UsageError as path:line.
     """
     try:
         lines = list(text_lines(path))
@@ -169,44 +193,45 @@ def load_config_file(path: str) -> dict:
         if "=" not in stripped:
             raise UsageError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
-        key = key.strip()
+        key, raw = key.strip(), raw.strip()
         if key not in _CONFIG_FIELDS:
             raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-        values[key] = _coerce(key, raw.strip())
+        kind = _CONFIG_FIELDS[key]
+        try:
+            values[key] = _coerce(kind, raw)
+        except ValueError:
+            raise UsageError(f"{path}:{line_no}: config key {key} expects "
+                             f"{kind.__name__}, got {raw!r}") from None
     return values
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """defaults < config file < flags; --am preset applied before --p-event."""
-    cfg = PipelineConfig()
-    if getattr(args, "config", None):
-        for key, value in load_config_file(args.config).items():
-            setattr(cfg, key, value)
+    """defaults < config file < flags, validated."""
+    values = load_config_file(args.config) if args.config else {}
     # Every flag shares its config field's name and is None unless given.
     for name in _CONFIG_FIELDS:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    if cfg.am and getattr(args, "p_event", None) is None:
-        cfg.p_event = 0.6
+        if getattr(args, name, None) is not None:
+            values[name] = getattr(args, name)
+    cfg = PipelineConfig(**values)
     cfg.validate()
     return cfg
 
 
 def config_echo(subcommand: str, cfg: PipelineConfig) -> list[str]:
-    """Header lines reproducing the run: subcommand plus sorted knobs.
+    """Header lines reproducing the run: the subcommand, then seed and
+    the fields it reads (``READS``), sorted.
 
     Paths are deliberately not echoed, so an artifact's bytes do not
     depend on where its inputs happened to live.
     """
     lines = [f"tempomine {subcommand}"]
-    for f in sorted(dataclasses.fields(cfg), key=lambda f: f.name):
-        value = getattr(cfg, f.name)
+    for name in sorted(("seed", *READS[subcommand])):
+        value = getattr(cfg, name)
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, float):
             value = repr(value)
-        lines.append(f"{f.name}={value}")
+        lines.append(f"{name}={value}")
     return lines
 
 
@@ -264,8 +289,9 @@ def _context_lookup(corpus_path: str) -> dict[tuple[str, int], tuple[tuple[str, 
 
 def cmd_build_dataset(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    if cfg.ms and not args.corpus:
-        raise UsageError("--ms needs --corpus to resolve neighbor sentences")
+    if cfg.ms != bool(args.corpus):
+        raise UsageError("--ms needs --corpus to resolve neighbor sentences" if cfg.ms
+                         else "--corpus is read only with --ms")
     tuples = read_tuples_jsonl(args.input)
     if not tuples:
         raise UsageError(f"no tuples in {args.input}; nothing to build")
@@ -294,11 +320,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     tables = label_count_tables(kept_tuples)
     weights = {dim: weight_table(counts) for dim, counts in tables.items()}
 
-    mask_cfg = MaskingConfig(
-        p_mask=cfg.p_mask, p_dim=cfg.p_dim, p_event=cfg.p_event,
-        sigma_log=cfg.sigma_log, sigma_circular=cfg.sigma_circular,
-        norm_mode=cfg.norm_mode, hard_targets=(cfg.targets == "hard"),
-    )
+    mask_cfg = cfg.masking_config()
 
     records = []
     for ordinal, t in kept:
@@ -315,21 +337,16 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _train_config(cfg: PipelineConfig) -> TrainConfig:
-    return TrainConfig(
-        d_model=cfg.d_model, n_layers=cfg.n_layers, n_heads=cfg.n_heads,
-        ff_dim=cfg.ff_dim, max_len=cfg.max_len,
-        learning_rate=cfg.learning_rate, batch_size=cfg.batch_size,
-        epochs=cfg.epochs, seed=cfg.seed,
-    )
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     vocab = _read_vocab(args.vocab)
     records = read_records_jsonl(args.input, len(vocab))
     if not records:
         raise UsageError(f"no records in {args.input}")
+    for number, rec in enumerate(records, start=1):
+        if len(rec.input_ids) > cfg.max_len:
+            raise UsageError(f"--max-len {cfg.max_len} is shorter than record {number} "
+                             f"of {args.input}, which has {len(rec.input_ids)} ids")
 
     if cfg.val_fraction > 0.0:
         train_records, val_records = [], []
@@ -343,7 +360,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not train_records:
         raise UsageError("validation split consumed every record")
 
-    train_cfg = _train_config(cfg)
+    train_cfg = cfg.train_config()
     params, log = train(train_records, train_cfg, vocab, val_records)
 
     header = config_echo("train", cfg)
@@ -469,18 +486,6 @@ _EXIT_CODE_HELP = (
 )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file; flags win over it")
-    p.add_argument("--seed", type=int, help="root seed for all named random streams")
-    p.add_argument("--p-mask", dest="p_mask", type=float, help="value-slot masking probability")
-    p.add_argument("--p-dim", dest="p_dim", type=float, help="dimension-slot masking probability")
-    p.add_argument("--p-event", dest="p_event", type=float, help="per-event-token masking probability")
-    p.add_argument("--am", action="store_true", default=None, help="all-event masking preset: p-event 0.6 unless --p-event is given")
-    p.add_argument("--ms", action="store_true", default=None, help="include neighbor-sentence context around the event")
-    p.add_argument("--norm-mode", dest="norm_mode", choices=("normalize", "softmax"),
-                   help="soft-target normalization mode")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tempomine", description=__doc__.splitlines()[0],
                      epilog=_EXIT_CODE_HELP)
@@ -492,14 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="tuple file to write (JSON Lines)")
     p.add_argument("--strict", action="store_true",
                    help="fail with exit 4 on the first malformed record instead of skipping")
-    _add_common(p)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("stats", help="per-dimension label counts and instance weights",
                        epilog=_EXIT_CODE_HELP)
     p.add_argument("--input", required=True, help="tuple file")
     p.add_argument("--output", help="CSV path (default: stdout)")
-    _add_common(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("build-dataset", help="masked training records from tuples",
@@ -508,12 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="dataset file to write")
     p.add_argument("--corpus", help="source corpus, for --ms context lookup")
     p.add_argument("--vocab-out", dest="vocab_out", help="vocabulary TSV path (default: <output>.vocab.tsv)")
-    p.add_argument("--balance", action="store_true", default=None,
-                   help="subsample so non-frequency dimensions match the smallest one")
-    p.add_argument("--min-count", dest="min_count", type=int, help="vocabulary frequency cutoff")
-    p.add_argument("--targets", choices=("soft", "hard"), help="value-slot target kind")
-    p.add_argument("--max-len", dest="max_len", type=int, help="maximum sequence length")
-    _add_common(p)
     p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("train", help="train the encoder on a dataset",
@@ -522,17 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True, help="vocabulary TSV")
     p.add_argument("--output", required=True, help="checkpoint path to write")
     p.add_argument("--loss-log", dest="loss_log", help="loss CSV path (default: <output>.loss.csv)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float,
-                   help="held-out fraction logged each epoch")
-    p.add_argument("--d-model", dest="d_model", type=int)
-    p.add_argument("--n-layers", dest="n_layers", type=int)
-    p.add_argument("--n-heads", dest="n_heads", type=int)
-    p.add_argument("--ff-dim", dest="ff_dim", type=int)
-    p.add_argument("--max-len", dest="max_len", type=int)
-    _add_common(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="rank-distance report on gold-labeled events",
@@ -541,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--vocab", required=True, help="vocabulary TSV")
     p.add_argument("--output", help="report CSV path (default: stdout)")
-    _add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="value distribution for an event",
@@ -553,13 +538,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verb-index", dest="verb_index", type=int, help="verb position in --event")
     p.add_argument("--dimension", help="dimension to query")
     p.add_argument("--output", help="CSV path (default: stdout)")
-    _add_common(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("grad-check", help="analytic vs finite-difference gradients",
                        epilog=_EXIT_CODE_HELP)
     p.add_argument("--coords", type=int, default=40, help="coordinates probed per config")
-    _add_common(p)
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("dump-target", help="soft target distribution for one label",
@@ -567,15 +550,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dimension", help="dimension name")
     p.add_argument("label", help="gold label")
     p.add_argument("--output", help="CSV path (default: stdout)")
-    _add_common(p)
     p.set_defaults(func=cmd_dump_target)
 
     p = sub.add_parser("manifest", help="print every dimension's label inventory",
                        epilog=_EXIT_CODE_HELP)
     p.add_argument("--output", help="path (default: stdout)")
-    _add_common(p)
     p.set_defaults(func=cmd_manifest)
 
+    for name, p in sub.choices.items():
+        p.add_argument("--config", help="flat key=value config file; flags win over it")
+        p.add_argument("--seed", type=int, help="root seed for all named random streams")
+        for field in READS[name]:
+            if field in _CONFIG_ONLY:
+                continue
+            kind = _CONFIG_FIELDS[field]
+            flag = "--" + field.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, action="store_true", default=None, help=_FLAG_HELP.get(field))
+            else:
+                p.add_argument(flag, type=kind, help=_FLAG_HELP.get(field))
     return parser
 
 

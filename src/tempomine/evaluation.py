@@ -14,7 +14,7 @@ import numpy as np
 from .label_space import TemporalDimension, Topology, label_space, rank_distance
 from .model import TrainConfig, predict_value_distribution
 from .sequences import Vocabulary
-from .srl_ingest import parse_json_lines
+from .srl_ingest import _as_token_list, parse_json_lines
 
 __all__ = [
     "EvalInstance",
@@ -60,13 +60,11 @@ Query = tuple[tuple[str, ...], int, TemporalDimension]
 
 def _parse_query(obj: dict) -> Query:
     """The event_tokens / verb_index / dimension fields of one JSON line."""
-    tokens = obj["event_tokens"]
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise ValueError("event_tokens must be a list of strings")
+    tokens = _as_token_list(obj["event_tokens"], "event_tokens")
     verb_index = int(obj["verb_index"])
     if not 0 <= verb_index < len(tokens):
         raise ValueError(f"verb_index {verb_index} out of bounds for {len(tokens)} tokens")
-    return tuple(tokens), verb_index, TemporalDimension(obj["dimension"])
+    return tokens, verb_index, TemporalDimension(obj["dimension"])
 
 
 def read_queries(lines: Iterable[str], source: str = "<queries>") -> list[Query]:

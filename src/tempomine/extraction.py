@@ -25,7 +25,8 @@ from .label_space import (
     label_space,
     nearest_unit,
 )
-from .srl_ingest import SrlFrame, SrlSentence, is_temporal_role, parse_json_lines, text_lines
+from .srl_ingest import (SrlFrame, SrlSentence, _as_token_list, is_temporal_role,
+                         parse_json_lines, text_lines)
 
 __all__ = [
     "TemporalTuple",
@@ -49,7 +50,8 @@ class TemporalTuple:
 
     ``arg_tmp_event_tokens`` carries the embedded event phrase and is
     non-empty exactly for hierarchy tuples. ``provenance`` is
-    (doc_id, sent_index, frame_ordinal).
+    (doc_id, sent_index, frame_ordinal). A verb index outside the event
+    tokens or a value outside the dimension's labels raises ValueError.
     """
 
     event_tokens: tuple[str, ...]
@@ -58,6 +60,13 @@ class TemporalTuple:
     value: str
     arg_tmp_event_tokens: tuple[str, ...] = ()
     provenance: tuple[str, int, int] = ("", 0, 0)
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.verb_index < len(self.event_tokens):
+            raise ValueError(f"verb_index {self.verb_index} out of bounds for "
+                             f"{len(self.event_tokens)} event tokens")
+        if self.value not in label_space(self.dimension):
+            raise ValueError(f"label {self.value!r} not in the {self.dimension.value} space")
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,11 +83,12 @@ class TemporalTuple:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TemporalTuple":
         return cls(
-            event_tokens=tuple(obj["event_tokens"]),
+            event_tokens=_as_token_list(obj["event_tokens"], "event_tokens"),
             verb_index=int(obj["verb_index"]),
             dimension=TemporalDimension(obj["dimension"]),
             value=obj["value"],
-            arg_tmp_event_tokens=tuple(obj.get("arg_tmp_event_tokens", ())),
+            arg_tmp_event_tokens=_as_token_list(obj.get("arg_tmp_event_tokens", []),
+                                                "arg_tmp_event_tokens"),
             provenance=(obj.get("doc_id", ""), int(obj.get("sent_index", 0)), int(obj.get("frame_ordinal", 0))),
         )
 

@@ -78,12 +78,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
         for name in ("d_model", "n_layers", "n_heads", "ff_dim", "max_len",
                      "batch_size", "epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.d_model % self.n_heads != 0:
+            raise ValueError("d_model must be divisible by n_heads")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 

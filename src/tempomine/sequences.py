@@ -217,15 +217,6 @@ def build_sequence(
     farthest from the verb. The verb, its marker, and the tail block are
     never dropped.
     """
-    if not tup.event_tokens:
-        raise ValueError("cannot build a sequence from an empty event")
-    if not 0 <= tup.verb_index < len(tup.event_tokens):
-        raise ValueError("verb index outside event tokens")
-
-    space = label_space(tup.dimension)
-    if tup.value not in space:
-        raise ValueError(f"label {tup.value!r} not in {tup.dimension.value} space")
-
     tail_words = list(tup.arg_tmp_event_tokens)
     # [SEP] [Vrb] [Dim] [Val] plus the embedded phrase
     tail_len = 4 + len(tail_words)
@@ -302,6 +293,10 @@ class MaskingConfig:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
+        if self.sigma_log <= 0 or self.sigma_circular <= 0:
+            raise ValueError("sigma_log and sigma_circular must be positive")
+        if self.norm_mode not in ("normalize", "softmax"):
+            raise ValueError(f"norm_mode must be 'normalize' or 'softmax', got {self.norm_mode!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import os
+import subprocess
 import sys
 
 import pytest
@@ -16,6 +17,25 @@ def fixture_corpus_path() -> str:
 @pytest.fixture(scope="session")
 def golden_tuples_path() -> str:
     return os.path.join(FIXTURES, "golden_tuples.jsonl")
+
+
+@pytest.fixture(scope="session")
+def fresh_python():
+    """Runs ``python *args`` in a new process. The child finds the package
+    where this process imported it from, whether or not the caller set
+    PYTHONPATH."""
+    import tempomine
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tempomine.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args], capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,11 @@
+import argparse
 import json
-import os
 import re
 import struct
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import tempomine
 from tempomine import cli
 from tempomine.evaluation import eval_instance_to_json_dict
 from tempomine.label_space import TemporalDimension, label_space
@@ -169,8 +166,10 @@ def test_config_file_unknown_key_exit_2(tmp_path, capsys):
 
 def test_config_file_bad_value_exit_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed=often\n")
+    cfg.write_text("# a comment\nseed=often\n")
     assert run(["manifest", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"ERROR code=2 {cfg}:2: config key seed expects int, got 'often'")
 
 
 def test_config_file_not_utf8_exit_2(tmp_path, capsys):
@@ -181,10 +180,12 @@ def test_config_file_not_utf8_exit_2(tmp_path, capsys):
         f"ERROR code=2 {cfg}:2: not UTF-8 text: byte 0xe9")
 
 
-def test_invalid_knob_combination_exit_2(tmp_path, capsys):
-    out = tmp_path / "t.csv"
-    assert run(["dump-target", "duration", "hour", "--output", str(out),
+def test_invalid_knob_combination_exit_2(pipeline, tmp_path, capsys):
+    out = tmp_path / "ds.jsonl"
+    assert run(["build-dataset", "--input", str(pipeline["tuples"]), "--output", str(out),
                 "--p-mask", "1.5"]) == 2
+    assert capsys.readouterr().err.startswith("ERROR code=2 p_mask must lie in [0, 1]")
+    assert not out.exists()
 
 
 def test_workers_flag_removed_exit_2(tmp_path, fixture_corpus_path, capsys):
@@ -219,34 +220,66 @@ def test_config_file_format_key_exit_2(tmp_path, capsys):
 
 def test_config_file_switches_hold_without_flags(pipeline, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("am=true\nms=true\nbalance=true\n")
+    cfg.write_text("ms=true\nbalance=true\n")
     out = tmp_path / "ds.jsonl"
     assert run(["build-dataset", "--config", str(cfg),
                 "--input", str(pipeline["tuples"]),
                 "--corpus", str(pipeline["corpus"]),
                 "--output", str(out), "--seed", "21"]) == 0
     header = header_lines(out)
-    for key in ("am", "ms", "balance"):
+    for key in ("ms", "balance"):
         assert f"# {key}=true" in header
-    assert "# p_event=0.6" in header
 
 
-def test_am_preset_sets_p_event(tmp_path):
-    out = tmp_path / "t.csv"
-    assert run(["dump-target", "duration", "hour", "--am",
-                "--output", str(out)]) == 0
-    header = header_lines(out)
-    assert "# am=true" in header
-    assert "# p_event=0.6" in header
+def test_config_file_am_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("am=true\np_event=0.3\n")
+    assert run(["manifest", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"ERROR code=2 {cfg}:1: unknown config key 'am'")
 
 
-def test_am_with_explicit_p_event(tmp_path):
-    out = tmp_path / "t.csv"
-    assert run(["dump-target", "duration", "hour", "--am", "--p-event", "0.25",
-                "--output", str(out)]) == 0
-    header = header_lines(out)
-    assert "# am=true" in header
-    assert "# p_event=0.25" in header
+@pytest.mark.parametrize("flag", [["--am"], ["--ms"], ["--p-mask", "0.3"],
+                                  ["--norm-mode", "softmax"]], ids=lambda f: f[0])
+def test_train_rejects_build_dataset_flags_exit_2(pipeline, tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as ei:
+        run(["train", "--input", str(pipeline["dataset"]), "--vocab", str(pipeline["vocab"]),
+             "--output", str(tmp_path / "m.ckpt"), "--epochs", "1", *flag])
+    assert ei.value.code == 2
+    assert capsys.readouterr().err.startswith("ERROR code=2 ")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_each_subcommand_takes_and_echoes_only_what_it_reads(pipeline, tmp_path):
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subparsers) == set(cli.READS)
+    for name, subparser in subparsers.items():
+        knob_flags = {a.dest for a in subparser._actions
+                      if a.dest in cli.PipelineConfig.__annotations__}
+        assert knob_flags == {"seed", *cli.READS[name]} - set(cli._CONFIG_ONLY), name
+
+    model = ["--model", str(pipeline["model"]), "--vocab", str(pipeline["vocab"])]
+    written = {
+        "extract": pipeline["tuples"],
+        "build-dataset": pipeline["dataset"],
+        "train": pipeline["root"] / "model.ckpt.loss.csv",
+    }
+    for name, argv in {
+        "stats": ["--input", str(pipeline["tuples"])],
+        "eval": ["--input", str(pipeline["instances"]), *model],
+        "predict": ["--event", "they met", "--verb-index", "1", "--dimension", "duration",
+                    *model],
+        "dump-target": ["duration", "hour"],
+        "manifest": [],
+    }.items():
+        written[name] = tmp_path / f"{name}.out"
+        assert run([name, *argv, "--output", str(written[name])]) == 0
+    assert set(written) == set(cli.READS) - {"grad-check"}  # grad-check writes no file
+    for name, path in written.items():
+        header = [line[2:] for line in header_lines(path)]
+        assert header[0] == f"tempomine {name}"
+        keys = [line.partition("=")[0] for line in header[1:]]
+        assert keys == sorted({"seed", *cli.READS[name]}), name
 
 
 # ----------------------------------------------------------------- stats
@@ -338,6 +371,48 @@ def test_build_dataset_ms_without_corpus_exit_2(pipeline, capsys):
     assert run(["build-dataset", "--input", str(pipeline["tuples"]),
                 "--output", "/tmp/never-written.jsonl", "--ms"]) == 2
     assert "--corpus" in capsys.readouterr().err
+
+
+def test_build_dataset_corpus_without_ms_exit_2(pipeline, tmp_path, capsys):
+    out = tmp_path / "ds.jsonl"
+    assert run(["build-dataset", "--input", str(pipeline["tuples"]), "--output", str(out),
+                "--corpus", str(tmp_path / "nonexistent" / "corpus.jsonl")]) == 2
+    assert capsys.readouterr().err == "ERROR code=2 --corpus is read only with --ms\n"
+    assert not out.exists()
+
+
+# (the damage to a tuple line, the start of the message)
+_TUPLE_DEFECTS = {
+    "string-tokens": (lambda t: t.update(event_tokens=" ".join(t["event_tokens"])),
+                      "event_tokens must be a list of strings"),
+    "integer-tokens": (lambda t: t.update(event_tokens=list(range(len(t["event_tokens"])))),
+                       "event_tokens must be a list of strings"),
+    "integer-embedded": (lambda t: t.update(arg_tmp_event_tokens=[7]),
+                         "arg_tmp_event_tokens must be a list of strings"),
+    "unknown-value": (lambda t: t.update(value="fortnight"),
+                      "label 'fortnight' not in the {dimension} space"),
+    "verb-index": (lambda t: t.update(verb_index=99),
+                   "verb_index 99 out of bounds for {n} event tokens"),
+    "empty-event": (lambda t: t.update(event_tokens=[], verb_index=0),
+                    "verb_index 0 out of bounds for 0 event tokens"),
+}
+
+
+@pytest.mark.parametrize("defect", list(_TUPLE_DEFECTS))
+def test_tuple_line_checked_where_read_exit_4(pipeline, tmp_path, capsys, defect):
+    damage, message = _TUPLE_DEFECTS[defect]
+    lines = pipeline["tuples"].read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    tup = json.loads(lines[row])
+    message = message.format(dimension=tup["dimension"], n=len(tup["event_tokens"]))
+    damage(tup)
+    lines[row] = json.dumps(tup) + "\n"
+    tuples = tmp_path / "t.jsonl"
+    tuples.write_text("".join(lines))
+    out = tmp_path / "ds.jsonl"
+    assert run(["build-dataset", "--input", str(tuples), "--output", str(out)]) == 4
+    assert capsys.readouterr().err.startswith(f"ERROR code=4 {tuples}:{row + 1}: {message}")
+    assert not out.exists()
 
 
 def test_build_dataset_vocab_out_flag(pipeline, tmp_path):
@@ -455,6 +530,19 @@ def test_train_record_out_of_range_exit_4(pipeline, tmp_path, capsys, defect):
     assert capsys.readouterr().err.startswith(
         f"ERROR code=4 {dataset}:{row + 1}: {message}")
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_max_len_shorter_than_a_record_exit_2(pipeline, tmp_path, capsys):
+    records = read_dataset(pipeline["dataset"])
+    max_len = max(len(rec.input_ids) for rec in records) - 1
+    first = next(i for i, rec in enumerate(records, start=1) if len(rec.input_ids) > max_len)
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--input", str(pipeline["dataset"]), "--vocab", str(pipeline["vocab"]),
+                "--output", str(ckpt), "--max-len", str(max_len)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR code=2 --max-len {max_len} is shorter than record {first} of "
+        f"{pipeline['dataset']}, which has {len(records[first - 1].input_ids)} ids\n")
+    assert not ckpt.exists()
 
 
 def test_train_divergence_exit_5(pipeline, tmp_path, capsys):
@@ -740,33 +828,21 @@ def test_manifest_lists_every_dimension(capsys):
         assert f"[{name}]" in out
 
 
-def _fresh_python(*args):
-    """Run ``python *args`` in a new process. The child finds the package
-    where this process imported it from, whether or not the caller set
-    PYTHONPATH."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tempomine.__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-
-
-def test_module_entry_point():
-    proc = _fresh_python("-m", "tempomine.cli", "manifest")
+def test_module_entry_point(fresh_python):
+    proc = fresh_python("-m", "tempomine.cli", "manifest")
     assert proc.returncode == 0
     assert "[duration]" in proc.stdout
 
 
-def test_cold_start_leaves_scipy_to_the_first_forward(pipeline):
+def test_cold_start_leaves_scipy_to_the_first_forward(pipeline, fresh_python):
     # scipy.special is most of a cold import; only the GELU needs it.
-    proc = _fresh_python("-c", (
+    proc = fresh_python("-c", (
         "import sys, tempomine, tempomine.cli\n"
         "assert 'scipy' not in sys.modules, 'import'\n"
         "assert tempomine.cli.main(['manifest']) == 0\n"
         "assert 'scipy' not in sys.modules, 'manifest'\n"))
     assert proc.returncode == 0, proc.stderr
-    proc = _fresh_python("-m", "tempomine.cli", "predict", "--model", str(pipeline["model"]),
+    proc = fresh_python("-m", "tempomine.cli", "predict", "--model", str(pipeline["model"]),
                          "--vocab", str(pipeline["vocab"]), "--event", "they met",
                          "--verb-index", "1", "--dimension", "duration")
     assert proc.returncode == 0, proc.stderr

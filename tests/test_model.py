@@ -50,6 +50,8 @@ def test_train_config_validation():
         TrainConfig(learning_rate=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="n_heads must be positive"):
+        TrainConfig(n_heads=0)
 
 
 def test_init_params_shapes_and_determinism():

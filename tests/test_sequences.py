@@ -302,6 +302,10 @@ def test_masking_config_validation():
         MaskingConfig(p_mask=1.5)
     with pytest.raises(ValueError):
         MaskingConfig(p_event=-0.1)
+    with pytest.raises(ValueError, match="sigma_log and sigma_circular must be positive"):
+        MaskingConfig(sigma_circular=0.0)
+    with pytest.raises(ValueError, match="norm_mode must be 'normalize' or 'softmax'"):
+        MaskingConfig(norm_mode="bogus")
     cfg = MaskingConfig()
     assert (cfg.p_mask, cfg.p_dim, cfg.p_event) == (0.6, 0.1, 0.15)
 
