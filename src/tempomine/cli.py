@@ -45,6 +45,7 @@ from .model import (
 )
 from .seeding import stream_rng
 from .sequences import (
+    MIN_SEQUENCE_LENGTH,
     MaskingConfig,
     Vocabulary,
     apply_masking,
@@ -121,6 +122,9 @@ class PipelineConfig:
             raise UsageError(f"targets must be 'soft' or 'hard', got {self.targets!r}")
         if self.min_count < 1:
             raise UsageError("min_count must be positive")
+        if self.max_len < MIN_SEQUENCE_LENGTH:
+            raise UsageError(f"--max-len must be at least {MIN_SEQUENCE_LENGTH} to hold [Vrb], one "
+                             f"event word and [SEP] [Vrb] [Dim] [Val], got {self.max_len}")
         try:
             self.masking_config()
             self.train_config()

@@ -14,7 +14,7 @@ import numpy as np
 from .label_space import TemporalDimension, Topology, label_space, rank_distance
 from .model import TrainConfig, predict_value_distribution
 from .sequences import Vocabulary
-from .srl_ingest import _as_token_list, parse_json_lines
+from .srl_ingest import _as_int, _as_token_list, parse_json_lines
 
 __all__ = [
     "EvalInstance",
@@ -61,7 +61,7 @@ Query = tuple[tuple[str, ...], int, TemporalDimension]
 def _parse_query(obj: dict) -> Query:
     """The event_tokens / verb_index / dimension fields of one JSON line."""
     tokens = _as_token_list(obj["event_tokens"], "event_tokens")
-    verb_index = int(obj["verb_index"])
+    verb_index = _as_int(obj["verb_index"], "verb_index")
     if not 0 <= verb_index < len(tokens):
         raise ValueError(f"verb_index {verb_index} out of bounds for {len(tokens)} tokens")
     return tokens, verb_index, TemporalDimension(obj["dimension"])

@@ -25,7 +25,7 @@ from .label_space import (
     label_space,
     nearest_unit,
 )
-from .srl_ingest import (SrlFrame, SrlSentence, _as_token_list, is_temporal_role,
+from .srl_ingest import (SrlFrame, SrlSentence, _as_int, _as_token_list, is_temporal_role,
                          parse_json_lines, text_lines)
 
 __all__ = [
@@ -84,7 +84,7 @@ class TemporalTuple:
     def from_json_dict(cls, obj: dict) -> "TemporalTuple":
         return cls(
             event_tokens=_as_token_list(obj["event_tokens"], "event_tokens"),
-            verb_index=int(obj["verb_index"]),
+            verb_index=_as_int(obj["verb_index"], "verb_index"),
             dimension=TemporalDimension(obj["dimension"]),
             value=obj["value"],
             arg_tmp_event_tokens=_as_token_list(obj.get("arg_tmp_event_tokens", []),

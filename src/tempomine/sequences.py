@@ -42,7 +42,7 @@ __all__ = [
     "MaskingConfig", "MaskTarget", "TrainingRecord", "apply_masking",
     "record_to_json_dict", "record_from_json_dict",
     "write_records_jsonl", "read_records_jsonl",
-    "MAX_SEQUENCE_LENGTH",
+    "MAX_SEQUENCE_LENGTH", "MIN_SEQUENCE_LENGTH",
 ]
 
 PAD_TOKEN = "[PAD]"
@@ -57,6 +57,8 @@ MASK_ID = 2
 SEP_ID = 3
 
 MAX_SEQUENCE_LENGTH = 128
+# The shortest template: [Vrb], one event word, then [SEP] [Vrb] [Dim] [Val].
+MIN_SEQUENCE_LENGTH = 6
 
 _DIMENSIONS = tuple(TemporalDimension)
 
@@ -217,6 +219,9 @@ def build_sequence(
     farthest from the verb. The verb, its marker, and the tail block are
     never dropped.
     """
+    if max_length < MIN_SEQUENCE_LENGTH:
+        raise ValueError(f"maximum sequence length {max_length} cannot hold the template "
+                         f"(at least {MIN_SEQUENCE_LENGTH})")
     tail_words = list(tup.arg_tmp_event_tokens)
     # [SEP] [Vrb] [Dim] [Val] plus the embedded phrase
     tail_len = 4 + len(tail_words)
@@ -235,10 +240,9 @@ def build_sequence(
         left.pop(0)
     event_budget = max_length - tail_len - 1
     if event_budget < 1:
-        # Trim the embedded tail from its right before giving up.
+        # Trim the embedded tail from its right; MIN_SEQUENCE_LENGTH
+        # guarantees that dropping all of it is enough.
         overflow = tail_len - (max_length - 2)
-        if overflow > len(tail_words):
-            raise ValueError("maximum sequence length cannot hold the template")
         tail_words = tail_words[: len(tail_words) - overflow]
         tail_len = 4 + len(tail_words)
         event_budget = max_length - tail_len - 1

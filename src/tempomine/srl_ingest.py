@@ -105,12 +105,20 @@ def _as_token_list(value, what: str) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _as_int(value, what: str) -> int:
+    # A JSON float, string or bool is no index: int() would truncate 2.9
+    # and accept "2", and bool is an int subclass.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _parse_frame(obj, n_tokens: int) -> SrlFrame:
     if not isinstance(obj, dict):
         raise SchemaError("frame must be an object")
-    verb_index = obj.get("verb_index")
-    if not isinstance(verb_index, int) or not 0 <= verb_index < n_tokens:
-        raise SchemaError(f"verb_index {verb_index!r} out of bounds for {n_tokens} tokens")
+    verb_index = _as_int(obj.get("verb_index"), "verb_index")
+    if not 0 <= verb_index < n_tokens:
+        raise SchemaError(f"verb_index {verb_index} out of bounds for {n_tokens} tokens")
     args = obj.get("args", [])
     if not isinstance(args, list):
         raise SchemaError("args must be a list")

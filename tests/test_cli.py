@@ -395,6 +395,12 @@ _TUPLE_DEFECTS = {
                    "verb_index 99 out of bounds for {n} event tokens"),
     "empty-event": (lambda t: t.update(event_tokens=[], verb_index=0),
                     "verb_index 0 out of bounds for 0 event tokens"),
+    "fractional-verb-index": (lambda t: t.update(verb_index=2.9),
+                              "verb_index must be an integer, got 2.9"),
+    "string-verb-index": (lambda t: t.update(verb_index="2"),
+                          'verb_index must be an integer, got "2"'),
+    "bool-verb-index": (lambda t: t.update(verb_index=True),
+                        "verb_index must be an integer, got true"),
 }
 
 
@@ -413,6 +419,27 @@ def test_tuple_line_checked_where_read_exit_4(pipeline, tmp_path, capsys, defect
     assert run(["build-dataset", "--input", str(tuples), "--output", str(out)]) == 4
     assert capsys.readouterr().err.startswith(f"ERROR code=4 {tuples}:{row + 1}: {message}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build-dataset", "train"])
+def test_max_len_below_template_exit_2(pipeline, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    source = pipeline["tuples"] if command == "build-dataset" else pipeline["dataset"]
+    argv = [command, "--input", str(source), "--output", str(out), "--max-len", "5"]
+    if command == "train":
+        argv += ["--vocab", str(pipeline["vocab"])]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "ERROR code=2 --max-len must be at least 6 to hold [Vrb], one event word "
+        "and [SEP] [Vrb] [Dim] [Val], got 5\n")
+    assert not out.exists()
+
+
+def test_build_dataset_shortest_template(pipeline, tmp_path):
+    out = tmp_path / "ds.jsonl"
+    assert run(["build-dataset", "--input", str(pipeline["tuples"]), "--output", str(out),
+                "--max-len", "6"]) == 0
+    assert {len(rec.input_ids) for rec in read_dataset(out)} == {6}
 
 
 def test_build_dataset_vocab_out_flag(pipeline, tmp_path):
@@ -596,6 +623,20 @@ def test_eval_instance_missing_key_exit_4(pipeline, tmp_path, capsys):
         f"ERROR code=4 {instances}:1: missing key 'verb_index'")
 
 
+@pytest.mark.parametrize("verb_index, shown", [(2.9, "2.9"), ("2", '"2"'), (True, "true")])
+def test_eval_instance_verb_index_not_an_integer_exit_4(pipeline, tmp_path, capsys,
+                                                        verb_index, shown):
+    instances = tmp_path / "gold.jsonl"
+    instances.write_text(json.dumps({"event_tokens": ["they", "met", "up"],
+                                     "verb_index": verb_index, "dimension": "duration",
+                                     "gold_label": "hour"}) + "\n")
+    assert run(["eval", "--input", str(instances),
+                "--model", str(pipeline["model"]),
+                "--vocab", str(pipeline["vocab"])]) == 4
+    assert capsys.readouterr().err.startswith(
+        f"ERROR code=4 {instances}:1: verb_index must be an integer, got {shown}")
+
+
 @pytest.fixture(scope="module")
 def other_vocab(pipeline, tmp_path_factory):
     """The vocabulary of another build-dataset run, smaller than the model's."""
@@ -666,6 +707,12 @@ def test_predict_query_file(pipeline, tmp_path):
      "missing key 'verb_index'"),
     ({"event_tokens": ["they", "met"], "verb_index": 1, "dimension": "bogus"},
      "'bogus' is not a valid TemporalDimension"),
+    ({"event_tokens": ["they", "met", "up"], "verb_index": 2.9, "dimension": "duration"},
+     "verb_index must be an integer, got 2.9"),
+    ({"event_tokens": ["they", "met", "up"], "verb_index": "2", "dimension": "duration"},
+     'verb_index must be an integer, got "2"'),
+    ({"event_tokens": ["they", "met"], "verb_index": True, "dimension": "duration"},
+     "verb_index must be an integer, got true"),
 ])
 def test_predict_query_file_bad_line_exit_4(pipeline, tmp_path, capsys, query, message):
     queries = tmp_path / "q.jsonl"

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from tempomine.seeding import stream_rng, stream_seed_sequence
 
@@ -47,3 +48,60 @@ def test_frozen_first_draw():
     # as loud failures rather than silent dataset drift.
     got = stream_rng(0, "masking", 0).random()
     assert got == 0.024217875111165243
+
+
+# First draws computed when the entropy words went to numpy as a Python
+# list; the uint32 array must give the same. Every stream name the package
+# uses, at seeds SEEDS (one row of five each) and ordinals ORDINALS (across
+# a row).
+SEEDS = (0, 11, 2**33 + 5)
+ORDINALS = (None, 0, 1, 5409, 2**32 - 1)
+GOLDEN_FIRST_DRAWS = {
+    "masking": (
+        0.8282844047221108, 0.024217875111165243, 0.8344195838087997, 0.33789849509556336, 0.4043192390521302,
+        0.8531308217649405, 0.5666231150722806, 0.44125150298401783, 0.09075878151120254, 0.292979418281739,
+        0.4863415406269469, 0.7118616738603546, 0.4061074971915708, 0.857838803725728, 0.01289103813220438,
+    ),
+    "sampling": (
+        0.21336031792588084, 0.7032765581778241, 0.6318084680484841, 0.7697013338265468, 0.2683438709041732,
+        0.14877080401677045, 0.5113203526304553, 0.10049706068054165, 0.024728853950514273, 0.5962448188693228,
+        0.5128993714242719, 0.5039565674695875, 0.5269029138338213, 0.07688474376839782, 0.5250323551830084,
+    ),
+    "init": (
+        0.9814582147396209, 0.2654905704488536, 0.4711976271766606, 0.06262789852539274, 0.7138568329503441,
+        0.16710943942349687, 0.6876394129885819, 0.5302010689198839, 0.24789580902478936, 0.030498724083100948,
+        0.7381905910285819, 0.9425030174514057, 0.7233539921119403, 0.9073326165189584, 0.08564034342428595,
+    ),
+    "shuffle": (
+        0.19044719695261425, 0.8557601582638305, 0.9962971311857285, 0.9209176406920606, 0.034205621636044126,
+        0.8093140688260232, 0.8804171574163714, 0.46990467788585466, 0.6782390921046719, 0.608633077262976,
+        0.7696465309965064, 0.9300705363080706, 0.7664538260170203, 0.3853257138757561, 0.9911244727137469,
+    ),
+    "split": (
+        0.8067571247606506, 0.22962121046001505, 0.2768944475993055, 0.3608529830459839, 0.8124886805886808,
+        0.8827426994472195, 0.29479328575210384, 0.9199824560366735, 0.30819184115055154, 0.9728613378101363,
+        0.8345320991111854, 0.3614432270659733, 0.1545398418350432, 0.8196354512813179, 0.10210905194871012,
+    ),
+    "synthetic": (
+        0.6327370905117315, 0.8463170498621724, 0.7240073789266702, 0.27410920567781716, 0.3541764963996188,
+        0.3442017408516087, 0.8357296224459817, 0.7372550141107378, 0.4118373985358421, 0.007669881883920371,
+        0.26167516476520425, 0.33949454621499664, 0.31619901266260764, 0.591371908509037, 0.6471170314669643,
+    ),
+    "gradcheck": (
+        0.41822374510038196, 0.3743626554779924, 0.8931778259534691, 0.08415680503779033, 0.2360713911644885,
+        0.9737130202405656, 0.036853113300102436, 0.05412080490745197, 0.3939446345445383, 0.3693523503619518,
+        0.46575368049068544, 0.8348544339023793, 0.9508811334858841, 0.9018811611486871, 0.31925082605002464,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FIRST_DRAWS))
+def test_golden_first_draws(name):
+    got = tuple(stream_rng(seed, name, ordinal).random() for seed in SEEDS for ordinal in ORDINALS)
+    assert got == GOLDEN_FIRST_DRAWS[name]
+
+
+@pytest.mark.parametrize("ordinal", [-1, 2**32])
+def test_ordinal_outside_32_bits_is_rejected(ordinal):
+    with pytest.raises(ValueError, match=str(ordinal)):
+        stream_rng(0, "masking", ordinal)

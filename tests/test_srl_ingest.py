@@ -61,6 +61,8 @@ def test_parse_contexts():
         {"frames": [{"verb_index": 1, "args": [{"role": 5, "span": [2, 5]}]}]},
         {"frames": [{"verb_index": 1, "args": [{"role": "ARGM-TMP", "span": [2]}]}]},
         {"left_context": [1, 2]},
+        {"frames": [{"verb_index": True}]},
+        {"frames": [{"verb_index": 1.0}]},
     ],
 )
 def test_parse_rejects_schema_violations(mutation):
