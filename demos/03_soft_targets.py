@@ -22,7 +22,7 @@ def show(dimension: TemporalDimension, gold: str, **kwargs) -> None:
 def main() -> None:
     show(TemporalDimension.DURATION, "day")
     show(TemporalDimension.TYPICAL_WEEK, "Sunday")  # mass wraps to Saturday
-    show(TemporalDimension.DURATION, "day", mode="softmax")  # flatter, same argmax
+    show(TemporalDimension.DURATION, "day", sigma_log=8.0)  # flatter, same argmax
     show(TemporalDimension.HIERARCHY, "before")  # categorical stays one-hot
 
     print("inverse-frequency instance weights (clipped to [0.1, 10]):")

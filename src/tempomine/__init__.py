@@ -31,7 +31,6 @@ from .srl_ingest import (
     read_corpus,
     parse_sentence,
     sentence_to_json_dict,
-    has_temporal_argument,
 )
 from .extraction import (
     TemporalTuple,
@@ -52,7 +51,6 @@ from .targets import (
     instance_weight,
     weight_table,
     label_count_tables,
-    instance_weights,
     balance_keep_probabilities,
     subsample_tuples,
 )

@@ -18,6 +18,7 @@ On failure a single machine-readable line is printed to stderr:
 
 import argparse
 import dataclasses
+import logging
 import sys
 from dataclasses import dataclass
 
@@ -64,6 +65,8 @@ from .targets import (
 
 __all__ = ["main", "PipelineConfig", "load_config_file"]
 
+logger = logging.getLogger(__name__)
+
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
@@ -88,7 +91,6 @@ class PipelineConfig:
     p_dim: float = MaskingConfig.p_dim
     p_event: float = MaskingConfig.p_event
     ms: bool = False
-    norm_mode: str = MaskingConfig.norm_mode
     min_count: int = 1
     balance: bool = False
     targets: str = "soft"
@@ -140,13 +142,13 @@ READS = {
     "extract": (),
     "stats": (),
     "build-dataset": ("balance", "min_count", "targets", "max_len", "ms", "p_mask",
-                      "p_dim", "p_event", "norm_mode", "sigma_log", "sigma_circular"),
+                      "p_dim", "p_event", "sigma_log", "sigma_circular"),
     "train": ("epochs", "batch_size", "learning_rate", "val_fraction", "d_model",
               "n_layers", "n_heads", "ff_dim", "max_len"),
     "eval": (),
     "predict": (),
     "grad-check": (),
-    "dump-target": ("norm_mode", "sigma_log", "sigma_circular"),
+    "dump-target": ("sigma_log", "sigma_circular"),
     "manifest": (),
 }
 
@@ -161,7 +163,6 @@ _FLAG_HELP = {
     "p_mask": "value-slot masking probability",
     "p_dim": "dimension-slot masking probability",
     "p_event": "per-event-token masking probability",
-    "norm_mode": "soft-target normalization: normalize or softmax",
     "val_fraction": "held-out fraction logged each epoch",
 }
 
@@ -243,9 +244,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     reader = read_corpus(text_lines(args.input))
     sentences = list(reader)
-    if args.strict and reader.records_skipped:
-        line_no, msg = reader.errors[0]
-        raise SchemaError(f"{args.input}:{line_no}: {msg}")
+    for line_no, msg in reader.errors:
+        if args.strict:
+            raise SchemaError(f"{args.input}:{line_no}: {msg}")
+        logger.warning("skipping malformed record at %s:%d: %s", args.input, line_no, msg)
 
     tuples = [t for sentence in sentences for t in extract_sentence(sentence)]
 
@@ -313,7 +315,11 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     if cfg.ms:
         contexts = _context_lookup(args.corpus)
         for t in kept_tuples:
-            left, right = contexts.get((t.provenance[0], t.provenance[1]), ((), ()))
+            key = t.provenance[:2]
+            if key not in contexts:
+                raise SchemaError(f"{args.input}: a tuple's sentence (doc_id, sent_index) "
+                                  f"= {key} is not in {args.corpus}")
+            left, right = contexts[key]
             if left:
                 token_streams.append(left)
             if right:
@@ -328,7 +334,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
 
     records = []
     for ordinal, t in kept:
-        left, right = contexts.get((t.provenance[0], t.provenance[1]), ((), ()))
+        left, right = contexts.get(t.provenance[:2], ((), ()))
         built = build_sequence(t, vocab, left, right, max_length=cfg.max_len)
         rng = stream_rng(cfg.seed, "masking", ordinal)
         records.append(apply_masking(built, mask_cfg, vocab, rng, weights[t.dimension][t.value]))
@@ -458,11 +464,8 @@ def cmd_dump_target(args: argparse.Namespace) -> int:
     space = label_space(dimension)
     if args.label not in space:
         raise UsageError(f"label {args.label!r} not in the {dimension.value} space")
-    y = soft_target(
-        dimension, args.label,
-        sigma_log=cfg.sigma_log, sigma_circular=cfg.sigma_circular,
-        mode=cfg.norm_mode,
-    )
+    y = soft_target(dimension, args.label,
+                    sigma_log=cfg.sigma_log, sigma_circular=cfg.sigma_circular)
     header = config_echo("dump-target", cfg)
     lines = ["label,probability"]
     for label, prob in zip(space.labels, y):

@@ -17,6 +17,7 @@ above the words. Random replacement draws word ids only.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from collections import Counter
 from collections.abc import Iterable, Sequence
@@ -110,12 +111,14 @@ class Vocabulary:
 
     @classmethod
     def from_tsv_lines(cls, lines: Iterable[str], source: str = "<vocabulary>") -> "Vocabulary":
-        """Parse ``token<TAB>id`` rows; a row out of id order raises
-        SchemaError as ``source:line``, any other defect naming ``source``."""
+        """Parse ``token<TAB>id`` rows after an optional '#' header; a row
+        out of id order raises SchemaError as ``source:line``, any other
+        defect naming ``source``."""
         id_to_token: list[str] = []
         for line_no, line in enumerate(lines, start=1):
             line = line.rstrip("\n")
-            if not line or line.startswith("#"):
+            # A word may start with '#', so only lines above the first row are header.
+            if not line or (line.startswith("#") and not id_to_token):
                 continue
             tok, _, idx = line.rpartition("\t")
             if idx.strip() != str(len(id_to_token)):
@@ -153,15 +156,17 @@ def build_vocabulary(
 ) -> Vocabulary:
     """Count corpus words and lay out the full id space.
 
-    Words ordered by (-count, token); bracketed surfaces that collide
-    with the special-token format are dropped from the word list.
+    Words ordered by (-count, token). Bracketed surfaces that collide
+    with the special-token format, and tokens holding a line break, which
+    no vocabulary TSV row can carry, are dropped from the word list.
     """
     counts: Counter[str] = Counter()
     for seq in token_sequences:
         counts.update(seq)
     words = sorted(
         (tok for tok, c in counts.items()
-         if c >= min_count and not (tok.startswith("[") and tok.endswith("]"))),
+         if c >= min_count and not (tok.startswith("[") and tok.endswith("]"))
+         and "\n" not in tok and "\r" not in tok),
         key=lambda tok: (-counts[tok], tok),
     )
     id_to_token = [PAD_TOKEN, UNK_TOKEN, MASK_TOKEN, SEP_TOKEN]
@@ -287,7 +292,6 @@ class MaskingConfig:
     p_event: float = 0.15
     sigma_log: float = DEFAULT_SIGMA_LOG
     sigma_circular: float = DEFAULT_SIGMA_CIRCULAR
-    norm_mode: str = "normalize"
     # One-hot [Val] targets instead of smoothed ones; the masking draws
     # are identical either way, so paired runs differ only in targets.
     hard_targets: bool = False
@@ -299,8 +303,6 @@ class MaskingConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
         if self.sigma_log <= 0 or self.sigma_circular <= 0:
             raise ValueError("sigma_log and sigma_circular must be positive")
-        if self.norm_mode not in ("normalize", "softmax"):
-            raise ValueError(f"norm_mode must be 'normalize' or 'softmax', got {self.norm_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -362,7 +364,6 @@ def apply_masking(
                 soft = soft_target(
                     built.dimension, built.gold_label,
                     sigma_log=cfg.sigma_log, sigma_circular=cfg.sigma_circular,
-                    mode=cfg.norm_mode,
                 )
             target = MaskTarget(pos, original, tuple(float(v) for v in soft))
         else:
@@ -434,8 +435,11 @@ def write_records_jsonl(path: str, records: Iterable[TrainingRecord], header_lin
 
 def _check_record(record: TrainingRecord, vocab_size: int) -> TrainingRecord:
     """``record`` itself if its ids fit a ``vocab_size``-token vocabulary,
-    its slots fit the record and each soft target covers its dimension's
-    labels; otherwise ValueError naming the first defect."""
+    its slots fit the record, each soft target is a distribution over its
+    dimension's labels and its weight is finite and non-negative;
+    otherwise ValueError naming the first defect."""
+    if not math.isfinite(record.weight) or record.weight < 0:
+        raise ValueError(f"weight must be finite and non-negative, got {record.weight}")
     length = len(record.input_ids)
     for token_id in record.input_ids:
         if not 0 <= token_id < vocab_size:
@@ -449,9 +453,16 @@ def _check_record(record: TrainingRecord, vocab_size: int) -> TrainingRecord:
         if not 0 <= t.token_id < vocab_size:
             raise ValueError(f"target token_id {t.token_id} outside the "
                              f"{vocab_size}-token vocabulary")
-        if t.soft is not None and len(t.soft) != labels:
+        if t.soft is None:
+            continue
+        if len(t.soft) != labels:
             raise ValueError(f"soft target has {len(t.soft)} entries, but "
                              f"{record.dimension.value} has {labels} labels")
+        if not all(math.isfinite(p) and p >= 0 for p in t.soft):
+            raise ValueError("soft target entries must be finite and non-negative")
+        # The tolerance soft_ce_loss applies to every target row.
+        if abs(sum(t.soft) - 1.0) > 1e-6:
+            raise ValueError(f"soft target sums to {sum(t.soft)!r}, not 1")
     return record
 
 
@@ -459,7 +470,8 @@ def read_records_jsonl(path: str, vocab_size: int) -> list[TrainingRecord]:
     """Every record of a JSONL dataset for a ``vocab_size``-token vocabulary.
 
     A line with a missing key, a bad value, an id outside the vocabulary,
-    a slot outside its record, a soft target of the wrong length or bytes
+    a slot outside its record, a soft target that is not a distribution
+    over its dimension's labels, a negative or non-finite weight or bytes
     that are not UTF-8 raises SchemaError as ``path:line``.
     """
     return parse_json_lines(text_lines(path), path,

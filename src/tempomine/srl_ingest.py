@@ -9,16 +9,13 @@ One record per line:
      "left_context": ["..."], "right_context": ["..."]}
 
 ``left_context``/``right_context`` are optional neighbor-sentence token
-lists. Malformed records are skipped, counted, and logged with their line
-numbers; they are never silently dropped.
+lists. The reader skips malformed records and counts them with their line
+numbers and messages; the caller decides whether to report or refuse them.
 """
 
 import json
-import logging
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "SrlFrame",
@@ -30,7 +27,6 @@ __all__ = [
     "read_corpus",
     "parse_sentence",
     "sentence_to_json_dict",
-    "has_temporal_argument",
     "is_temporal_role",
     "TEMPORAL_ROLES",
 ]
@@ -194,7 +190,6 @@ class CorpusReader:
             except (json.JSONDecodeError, SchemaError) as exc:
                 self.records_skipped += 1
                 self.errors.append((line_no, str(exc)))
-                logger.warning("skipping malformed record at line %d: %s", line_no, exc)
                 continue
             self.records_read += 1
             yield sentence
@@ -228,12 +223,3 @@ def sentence_to_json_dict(sentence: SrlSentence) -> dict:
 
 def is_temporal_role(role: str) -> bool:
     return role.upper() in TEMPORAL_ROLES
-
-
-def has_temporal_argument(sentence: SrlSentence) -> bool:
-    """True iff any frame carries an ARG-TMP/ARGM-TMP argument."""
-    return any(
-        is_temporal_role(role)
-        for frame in sentence.frames
-        for role, _ in frame.arguments
-    )

@@ -26,7 +26,6 @@ __all__ = [
     "instance_weight",
     "weight_table",
     "label_count_tables",
-    "instance_weights",
     "balance_keep_probabilities",
     "subsample_tuples",
     "DEFAULT_SIGMA_LOG",
@@ -40,8 +39,6 @@ DEFAULT_SIGMA_CIRCULAR = 0.5
 
 WEIGHT_CLIP_LOW = 0.1
 WEIGHT_CLIP_HIGH = 10.0
-
-NORMALIZATION_MODES = ("normalize", "softmax")
 
 
 def hard_target(dimension: TemporalDimension, gold_label: str) -> np.ndarray:
@@ -57,17 +54,12 @@ def soft_target(
     gold_label: str,
     sigma_log: float = DEFAULT_SIGMA_LOG,
     sigma_circular: float = DEFAULT_SIGMA_CIRCULAR,
-    mode: str = "normalize",
 ) -> np.ndarray:
     """Distribution over the dimension's labels, peaked at the gold label.
 
-    mode "normalize" divides the Gaussian densities by their sum; mode
-    "softmax" exponentiates the densities once more before normalizing,
-    which flattens but preserves the argmax and the decay shape.
-    Categorical dimensions are one-hot under both modes.
+    The Gaussian densities divided by their sum; a larger sigma gives a
+    flatter target with the same argmax. Categorical dimensions are one-hot.
     """
-    if mode not in NORMALIZATION_MODES:
-        raise ValueError(f"unknown normalization mode: {mode!r}")
     space = label_space(dimension)
     gold_idx = space.index(gold_label)
 
@@ -83,31 +75,21 @@ def soft_target(
         raw = np.abs(np.arange(n) - gold_idx)
         d = np.minimum(raw, n - raw).astype(np.float64)
         scores = np.exp(-(d * d) / (2.0 * sigma_circular * sigma_circular))
-
-    if mode == "softmax":
-        e = np.exp(scores - scores.max())
-        return e / e.sum()
     return scores / scores.sum()
 
 
-def instance_weight(
-    label_count: int,
-    total_count: int,
-    num_labels: int,
-    clip_low: float = WEIGHT_CLIP_LOW,
-    clip_high: float = WEIGHT_CLIP_HIGH,
-) -> float:
+def instance_weight(label_count: int, total_count: int, num_labels: int) -> float:
     """Inverse-prevalence weight total / (num_labels * count), clipped.
 
     A label at exactly the uniform share weighs 1.0; rare labels weigh
-    more, frequent ones less, never outside [clip_low, clip_high].
+    more, frequent ones less, never outside [WEIGHT_CLIP_LOW, WEIGHT_CLIP_HIGH].
     """
     if label_count <= 0:
         raise ValueError("label count must be positive to weight an instance")
     if total_count <= 0 or num_labels <= 0:
         raise ValueError("weight table requires positive totals")
     w = total_count / (num_labels * label_count)
-    return float(min(max(w, clip_low), clip_high))
+    return float(min(max(w, WEIGHT_CLIP_LOW), WEIGHT_CLIP_HIGH))
 
 
 def weight_table(counts: Mapping[str, int]) -> dict[str, float]:
@@ -131,13 +113,6 @@ def label_count_tables(
         space = label_space(dim)
         tables[dim] = {lab: raw[dim][lab] for lab in space.labels if raw[dim][lab] > 0}
     return tables
-
-
-def instance_weights(tuples: Sequence[TemporalTuple]) -> np.ndarray:
-    """Weight per tuple, from per-dimension tables over these same tuples."""
-    tables = label_count_tables(tuples)
-    weights = {dim: weight_table(counts) for dim, counts in tables.items()}
-    return np.array([weights[t.dimension][t.value] for t in tuples], dtype=np.float64)
 
 
 def balance_keep_probabilities(

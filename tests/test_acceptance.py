@@ -85,8 +85,10 @@ def test_acceptance_3_soft_targets():
             space = label_space(dim)
             n = len(space)
             for gi, gold in enumerate(space.labels):
-                for mode in ("normalize", "softmax"):
-                    y = tm.soft_target(dim, gold, mode=mode)
+                # the default sigmas, then doubled ones for a flatter target
+                for sigma_log, sigma_circular in ((4.0, 0.5), (8.0, 1.0)):
+                    y = tm.soft_target(dim, gold, sigma_log=sigma_log,
+                                       sigma_circular=sigma_circular)
                     assert abs(y.sum() - 1.0) < 1e-9
                     assert int(np.argmax(y)) == gi
 

@@ -121,6 +121,21 @@ def test_extract_strict_schema_exit_4(tmp_path, capsys):
     assert err.startswith("ERROR code=4 ")
 
 
+@pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
+def test_extract_logs_only_the_records_it_skips(tmp_path, caplog, strict):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text('{"doc_id": "d", "sent_index": 0, "tokens": ["a", "b"], '
+                      '"frames": [{"verb_index": 99}]}\n')
+    argv = ["extract", "--input", str(corpus), "--output", str(tmp_path / "t.jsonl")]
+    assert run(argv + ["--strict"] * strict) == (4 if strict else 0)
+    skips = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+    if strict:
+        assert skips == []
+    else:
+        assert skips == [f"skipping malformed record at {corpus}:1: "
+                         "verb_index 99 out of bounds for 2 tokens"]
+
+
 def test_missing_input_exit_3(tmp_path, capsys):
     out = tmp_path / "t.jsonl"
     assert run(["extract", "--input", str(tmp_path / "absent.jsonl"),
@@ -216,6 +231,23 @@ def test_config_file_format_key_exit_2(tmp_path, capsys):
     cfg.write_text("format=jsonl\n")
     assert run(["manifest", "--config", str(cfg)]) == 2
     assert f"{cfg}:1: unknown config key 'format'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", [["build-dataset", "--input", "t.jsonl", "--output", "d.jsonl"],
+                                        ["dump-target", "duration", "day"]], ids=lambda a: a[0])
+def test_norm_mode_flag_removed_exit_2(capsys, subcommand):
+    with pytest.raises(SystemExit) as ei:
+        run([*subcommand, "--norm-mode", "softmax"])
+    assert ei.value.code == 2
+    assert capsys.readouterr().err.startswith("ERROR code=2 ")
+
+
+def test_config_file_norm_mode_key_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("norm_mode=softmax\n")
+    assert run(["dump-target", "duration", "day", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"ERROR code=2 {cfg}:1: unknown config key 'norm_mode'")
 
 
 def test_config_file_switches_hold_without_flags(pipeline, tmp_path):
@@ -371,6 +403,22 @@ def test_build_dataset_ms_without_corpus_exit_2(pipeline, capsys):
     assert run(["build-dataset", "--input", str(pipeline["tuples"]),
                 "--output", "/tmp/never-written.jsonl", "--ms"]) == 2
     assert "--corpus" in capsys.readouterr().err
+
+
+def test_build_dataset_ms_corpus_without_the_sentence_exit_4(pipeline, tmp_path, capsys):
+    corpus = tmp_path / "other.jsonl"
+    lines = pipeline["corpus"].read_text().splitlines(keepends=True)
+    corpus.write_text("".join(line.replace('"doc_id": "', '"doc_id": "other-')
+                              for line in lines))
+    first = json.loads(next(line for line in pipeline["tuples"].read_text().splitlines()
+                            if not line.startswith("#")))
+    out = tmp_path / "ds.jsonl"
+    assert run(["build-dataset", "--input", str(pipeline["tuples"]), "--output", str(out),
+                "--ms", "--corpus", str(corpus)]) == 4
+    assert capsys.readouterr().err == (
+        f"ERROR code=4 {pipeline['tuples']}: a tuple's sentence (doc_id, sent_index) = "
+        f"{(first['doc_id'], first['sent_index'])} is not in {corpus}\n")
+    assert not out.exists()
 
 
 def test_build_dataset_corpus_without_ms_exit_2(pipeline, tmp_path, capsys):
@@ -535,6 +583,21 @@ _RECORD_DEFECTS = {
     "soft-length": (lambda r: any(t["soft"] is not None for t in r["targets"]),
                     lambda r: _soft_target(r)["soft"].pop(),
                     "soft target has {short} entries, but {dimension} has {labels} labels"),
+    "soft-negative": (lambda r: any(t["soft"] is not None for t in r["targets"]),
+                      lambda r: _soft_target(r)["soft"].__setitem__(0, -0.5),
+                      "soft target entries must be finite and non-negative"),
+    "soft-not-finite": (lambda r: any(t["soft"] is not None for t in r["targets"]),
+                        lambda r: _soft_target(r)["soft"].__setitem__(0, float("nan")),
+                        "soft target entries must be finite and non-negative"),
+    "soft-sum": (lambda r: any(t["soft"] is not None for t in r["targets"]),
+                 lambda r: _soft_target(r).update(soft=[0.5] * len(_soft_target(r)["soft"])),
+                 "soft target sums to {half}, not 1"),
+    "weight-negative": (lambda r: True,
+                        lambda r: r.update(weight=-1.0),
+                        "weight must be finite and non-negative, got -1.0"),
+    "weight-not-finite": (lambda r: True,
+                          lambda r: r.update(weight=float("inf")),
+                          "weight must be finite and non-negative, got inf"),
 }
 
 
@@ -553,7 +616,7 @@ def test_train_record_out_of_range_exit_4(pipeline, tmp_path, capsys, defect):
     assert run(["train", "--input", str(dataset), "--vocab", str(pipeline["vocab"]),
                 "--output", str(tmp_path / "m.ckpt"), "--epochs", "1"]) == 4
     message = message.format(n=len(record["input_ids"]), short=labels - 1,
-                             dimension=record["dimension"], labels=labels)
+                             dimension=record["dimension"], labels=labels, half=labels / 2)
     assert capsys.readouterr().err.startswith(
         f"ERROR code=4 {dataset}:{row + 1}: {message}")
     assert not (tmp_path / "m.ckpt").exists()

@@ -7,7 +7,6 @@ from tempomine.srl_ingest import (
     SchemaError,
     SrlFrame,
     SrlSentence,
-    has_temporal_argument,
     is_temporal_role,
     parse_sentence,
     read_corpus,
@@ -108,13 +107,6 @@ def test_temporal_role_case_insensitive():
     assert is_temporal_role("argm-tmp")
     assert is_temporal_role("Arg-Tmp")
     assert not is_temporal_role("ARG1")
-
-
-def test_has_temporal_argument():
-    assert has_temporal_argument(parse_sentence(make_record()))
-    plain = make_record(frames=[{"verb_index": 1,
-                                 "args": [{"role": "ARG1", "span": [2, 5]}]}])
-    assert not has_temporal_argument(parse_sentence(plain))
 
 
 def test_json_round_trip():

@@ -16,7 +16,6 @@ from tempomine.targets import (
     balance_keep_probabilities,
     hard_target,
     instance_weight,
-    instance_weights,
     label_count_tables,
     soft_target,
     subsample_tuples,
@@ -62,10 +61,14 @@ def test_soft_target_matches_naive_oracle(dim, gold):
     assert np.max(np.abs(got - want)) < 1e-10
 
 
-@pytest.mark.parametrize("mode", ["normalize", "softmax"])
+# Each pair runs at the default sigmas and at doubled sigmas, a flatter
+# target with the same argmax. The ids keep the item names from when a
+# normalization mode, not a wider sigma, made the flatter target.
+@pytest.mark.parametrize("widen", [1.0, 2.0], ids=["normalize", "softmax"])
 @pytest.mark.parametrize("dim,gold", list(all_dim_gold_pairs()))
-def test_soft_target_sums_to_one_and_peaks_at_gold(dim, gold, mode):
-    y = soft_target(dim, gold, mode=mode)
+def test_soft_target_sums_to_one_and_peaks_at_gold(dim, gold, widen):
+    y = soft_target(dim, gold, sigma_log=widen * DEFAULT_SIGMA_LOG,
+                    sigma_circular=widen * DEFAULT_SIGMA_CIRCULAR)
     space = label_space(dim)
     assert y.shape == (len(space),)
     assert abs(y.sum() - 1.0) < 1e-9
@@ -104,19 +107,21 @@ def test_circular_target_mirrors_around_gold():
                 assert left == pytest.approx(right, abs=1e-12)
 
 
-def test_softmax_mode_flatter_but_same_order():
-    y_norm = soft_target(TemporalDimension.DURATION, "day", mode="normalize")
-    y_soft = soft_target(TemporalDimension.DURATION, "day", mode="softmax")
-    assert np.argmax(y_soft) == np.argmax(y_norm)
-    assert np.array_equal(np.argsort(y_soft), np.argsort(y_norm))
-    assert y_soft.max() < y_norm.max()
+def test_larger_sigma_flatter_but_same_order():
+    y = soft_target(TemporalDimension.DURATION, "day")
+    y_wide = soft_target(TemporalDimension.DURATION, "day", sigma_log=2 * DEFAULT_SIGMA_LOG)
+    assert np.argmax(y_wide) == np.argmax(y)
+    assert np.array_equal(np.argsort(y_wide), np.argsort(y))
+    assert y_wide.max() < y.max()
+    assert y_wide.min() > y.min()
 
 
-def test_hierarchy_one_hot_under_both_modes():
-    for mode in ("normalize", "softmax"):
-        y = soft_target(TemporalDimension.HIERARCHY, "during", mode=mode)
-        want = np.zeros(4)
-        want[2] = 1.0
+def test_hierarchy_one_hot_at_any_sigma():
+    want = np.zeros(4)
+    want[2] = 1.0
+    for sigma in (0.5, DEFAULT_SIGMA_LOG, 8.0):
+        y = soft_target(TemporalDimension.HIERARCHY, "during",
+                        sigma_log=sigma, sigma_circular=sigma)
         assert np.array_equal(y, want)
 
 
@@ -124,11 +129,6 @@ def test_soft_target_sigma_controls_spread():
     tight = soft_target(TemporalDimension.DURATION, "day", sigma_log=1.0)
     wide = soft_target(TemporalDimension.DURATION, "day", sigma_log=8.0)
     assert tight.max() > wide.max()
-
-
-def test_soft_target_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        soft_target(TemporalDimension.DURATION, "day", mode="scale")
 
 
 def test_soft_target_rejects_unknown_label():
@@ -188,16 +188,6 @@ def test_label_count_tables_order_and_content():
     # labels appear in label-space order, not insertion order
     assert list(tables[TemporalDimension.DURATION]) == ["minute", "hour"]
     assert tables[TemporalDimension.TYPICAL_WEEK] == {"Friday": 1}
-
-
-def test_instance_weights_vector():
-    tuples = (
-        [_tuple(TemporalDimension.DURATION, "hour")] * 3
-        + [_tuple(TemporalDimension.DURATION, "minute")] * 1
-    )
-    w = instance_weights(tuples)
-    # duration table: total 4, 2 labels; hour 4/(2*3)=2/3, minute 4/(2*1)=2
-    assert w == pytest.approx([2 / 3, 2 / 3, 2 / 3, 2.0])
 
 
 # ---------------------------------------------------------------- balancing
