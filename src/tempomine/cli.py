@@ -326,6 +326,9 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
                 token_streams.append(right)
 
     vocab = build_vocabulary(token_streams, min_count=cfg.min_count)
+    if vocab.word_id_end <= vocab.word_id_start:
+        raise UsageError(f"--min-count {cfg.min_count} leaves no word of {args.input} "
+                         f"in the vocabulary")
 
     tables = label_count_tables(kept_tuples)
     weights = {dim: weight_table(counts) for dim, counts in tables.items()}
@@ -353,6 +356,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     records = read_records_jsonl(args.input, len(vocab))
     if not records:
         raise UsageError(f"no records in {args.input}")
+    if not any(rec.targets for rec in records):
+        raise SchemaError(f"{args.input}: no record has a supervised slot")
     for number, rec in enumerate(records, start=1):
         if len(rec.input_ids) > cfg.max_len:
             raise UsageError(f"--max-len {cfg.max_len} is shorter than record {number} "
@@ -369,6 +374,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         train_records, val_records = records, []
     if not train_records:
         raise UsageError("validation split consumed every record")
+    for share, part in (("training", train_records), ("validation", val_records)):
+        if part and not any(rec.targets for rec in part):
+            raise UsageError(f"--val-fraction {cfg.val_fraction} leaves no supervised slot "
+                             f"in the {share} share of {args.input}")
 
     train_cfg = cfg.train_config()
     params, log = train(train_records, train_cfg, vocab, val_records)
@@ -448,6 +457,8 @@ def _parse_dimension(name: str) -> TemporalDimension:
 
 def cmd_grad_check(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
+    if args.coords < 1:
+        raise UsageError(f"--coords must be positive, got {args.coords}")
     results = gradient_check(seed=cfg.seed, coords_per_config=args.coords)
     worst = max(results, key=lambda r: r.rel_error)
     print(f"checked {len(results)} coordinates; worst relative error "

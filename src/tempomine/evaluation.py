@@ -113,19 +113,6 @@ class DimensionReport:
     accuracy_at_0: float
 
 
-def _predict_label(
-    params: Mapping[str, np.ndarray],
-    cfg: TrainConfig,
-    vocab: Vocabulary,
-    inst: EvalInstance,
-) -> str:
-    dist = predict_value_distribution(
-        params, cfg, vocab, inst.event_tokens, inst.verb_index, inst.dimension
-    )
-    # np.argmax takes the first maximum, so ties break toward lower index.
-    return label_space(inst.dimension).labels[int(np.argmax(dist))]
-
-
 def evaluate(
     params: Mapping[str, np.ndarray],
     cfg: TrainConfig,
@@ -137,7 +124,11 @@ def evaluate(
         raise ValueError("evaluation requires at least one instance")
     by_dim: dict[TemporalDimension, list[tuple[str, str]]] = {}
     for inst in instances:
-        pred = _predict_label(params, cfg, vocab, inst)
+        dist = predict_value_distribution(
+            params, cfg, vocab, inst.event_tokens, inst.verb_index, inst.dimension
+        )
+        # np.argmax takes the first maximum, so ties break toward lower index.
+        pred = label_space(inst.dimension).labels[int(np.argmax(dist))]
         by_dim.setdefault(inst.dimension, []).append((pred, inst.gold_label))
 
     reports = []

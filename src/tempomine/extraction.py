@@ -15,6 +15,7 @@ lemmatization.
 """
 
 import json
+import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 from typing import NamedTuple
@@ -40,7 +41,6 @@ __all__ = [
     "extract_sentence",
     "write_tuples_jsonl",
     "read_tuples_jsonl",
-    "DEFAULT_FREQUENCY_TRIGGERS",
 ]
 
 
@@ -111,15 +111,13 @@ for _name in ("second", "minute", "hour", "day", "week", "month", "year", "decad
 _UNIT_SURFACES["century"] = "century"
 _UNIT_SURFACES["centuries"] = "century"
 
-DEFAULT_FREQUENCY_TRIGGERS = frozenset(
-    {"every", "each", "per", "once", "twice", "times",
-     "annually", "monthly", "weekly", "daily", "hourly"}
-)
-
 _FREQ_ADVERB_PERIOD = {
     "annually": "year", "yearly": "year", "monthly": "month",
     "weekly": "week", "daily": "day", "hourly": "hour",
 }
+
+_FREQUENCY_TRIGGERS = frozenset({"every", "each", "per", "once", "twice", "times"}
+                                | _FREQ_ADVERB_PERIOD.keys())
 
 _INVALID_TYPICAL_PREPOSITIONS = frozenset({"until", "since", "following"})
 
@@ -162,7 +160,7 @@ _TYPICAL_CYCLE = {
 def parse_numeric(tokens: list[str] | tuple[str, ...], at: int) -> Numeric | None:
     """Parse a count at ``tokens[at]``: digit strings, one..twelve, a/an -> 1.
 
-    Returns the positive value and consumed token width, or None.
+    Returns the positive, finite value and consumed token width, or None.
     """
     if not 0 <= at < len(tokens):
         return None
@@ -175,7 +173,7 @@ def parse_numeric(tokens: list[str] | tuple[str, ...], at: int) -> Numeric | Non
         value = float(surface.replace(",", ""))
     except ValueError:
         return None
-    if value <= 0:
+    if not math.isfinite(value) or value <= 0:
         return None
     return Numeric(value, 1)
 
@@ -237,7 +235,7 @@ def extract_frequency(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
     lower = [t.lower() for t in arg_tokens]
     if "when" in lower:
         return None
-    trigger_idx = next((i for i, t in enumerate(lower) if t in DEFAULT_FREQUENCY_TRIGGERS), None)
+    trigger_idx = next((i for i, t in enumerate(lower) if t in _FREQUENCY_TRIGGERS), None)
     if trigger_idx is None:
         return None
     trigger = lower[trigger_idx]

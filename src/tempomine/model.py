@@ -336,16 +336,20 @@ class Batch:
     weights: np.ndarray        # (S,) instance weights
 
 
+def _pad_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """(len(rows), longest row) int64 ids, each row followed by [PAD]s."""
+    T = max(map(len, rows))
+    return np.array([[*row, *[PAD_ID] * (T - len(row))] for row in rows], dtype=np.int64)
+
+
 def assemble_batch(records: Sequence[TrainingRecord], vocab: Vocabulary) -> Batch:
     """Pad records to a common length and scatter targets onto vocab ids."""
     if not records:
         raise ValueError("cannot assemble an empty batch")
     V = len(vocab)
-    T = max(len(r.input_ids) for r in records)
-    ids = np.full((len(records), T), PAD_ID, dtype=np.int64)
+    ids = _pad_rows([r.input_ids for r in records])
     rows, cols, tgt_rows, weights = [], [], [], []
     for i, rec in enumerate(records):
-        ids[i, : len(rec.input_ids)] = rec.input_ids
         for t in rec.targets:
             row = np.zeros(V)
             if t.soft is not None:
@@ -480,32 +484,24 @@ def _record_gold_index(rec: TrainingRecord, vocab: Vocabulary) -> int:
     return rec.input_ids[rec.val_position] - start
 
 
-def _val_slot_distances(
+def _val_logits(
     params: Mapping[str, np.ndarray],
-    records: Sequence[TrainingRecord],
-    vocab: Vocabulary,
     cfg: TrainConfig,
-) -> list[int]:
-    """Rank distances of argmax [Val] predictions, ordinal dimensions only."""
-    distances: list[int] = []
-    for i in range(0, len(records), cfg.batch_size):
-        chunk = records[i : i + cfg.batch_size]
-        ids = np.full((len(chunk), max(len(r.input_ids) for r in chunk)), PAD_ID, dtype=np.int64)
-        cols = [rec.val_position for rec in chunk]
-        for j, rec in enumerate(chunk):
-            ids[j, : len(rec.input_ids)] = rec.input_ids
-        rows = np.arange(len(chunk))
-        ids[rows, cols] = MASK_ID
-        logits = forward(params, ids, cfg, slots=(rows, cols))
-        for j, rec in enumerate(chunk):
-            if label_space(rec.dimension).topology is Topology.CATEGORICAL:
-                continue
-            start, labels = vocab.val_block(rec.dimension)
-            block = logits[j, start : start + len(labels)]
-            pred = labels[int(np.argmax(block))]
-            gold = labels[_record_gold_index(rec, vocab)]
-            distances.append(rank_distance(pred, gold, rec.dimension))
-    return distances
+    vocab: Vocabulary,
+    items: Sequence[tuple[Sequence[int], int, TemporalDimension]],
+) -> list[np.ndarray]:
+    """Each (ids, [Val] position, dimension) item's [Val]-block logits with
+    that slot masked, scored in padded chunks of ``cfg.batch_size``."""
+    blocks: list[np.ndarray] = []
+    for i in range(0, len(items), cfg.batch_size):
+        chunk = items[i : i + cfg.batch_size]
+        ids = _pad_rows([(*row[:col], MASK_ID, *row[col + 1 :]) for row, col, _ in chunk])
+        cols = [col for _, col, _ in chunk]
+        logits = forward(params, ids, cfg, slots=(range(len(chunk)), cols))
+        for row_logits, (_, _, dimension) in zip(logits, chunk):
+            start, labels = vocab.val_block(dimension)
+            blocks.append(row_logits[start : start + len(labels)])
+    return blocks
 
 
 def train(
@@ -565,7 +561,15 @@ def train(
                 slot_logits = forward(params, batch.ids, cfg, slots=(batch.slot_rows, batch.slot_cols))
                 val_losses.append(soft_ce_loss(slot_logits, batch.targets, batch.weights) * batch.weights.sum())
                 val_weights.append(batch.weights.sum())
-            distances = _val_slot_distances(params, val_records, vocab, cfg)
+            blocks = _val_logits(params, cfg, vocab,
+                                 [(r.input_ids, r.val_position, r.dimension) for r in val_records])
+            distances = []
+            for rec, block in zip(val_records, blocks):
+                space = label_space(rec.dimension)
+                if space.topology is not Topology.CATEGORICAL:
+                    pred = space.labels[int(np.argmax(block))]
+                    gold = space.labels[_record_gold_index(rec, vocab)]
+                    distances.append(rank_distance(pred, gold, rec.dimension))
             mean_d = float(np.mean(distances)) if distances else None
             log.append(LogRow(epoch, "val", float(sum(val_losses) / sum(val_weights)), mean_d))
 
@@ -593,11 +597,7 @@ def predict_value_distribution(
         value=space.labels[0],
     )
     built = build_sequence(placeholder, vocab, max_length=cfg.max_len)
-    ids = np.array([built.ids], dtype=np.int64)
-    ids[0, built.val_position] = MASK_ID
-    logits = forward(params, ids, cfg, slots=((0,), (built.val_position,)))
-    start, labels = vocab.val_block(dimension)
-    block = logits[0, start : start + len(labels)]
+    (block,) = _val_logits(params, cfg, vocab, [(built.ids, built.val_position, dimension)])
     return _softmax(block[None, :])[0]
 
 

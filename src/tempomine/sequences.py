@@ -188,26 +188,14 @@ class BuiltSequence:
 
 
 def _truncate_event(tokens: list[str], verb_index: int, budget: int) -> tuple[list[str], int]:
-    """Drop event tokens farthest from the verb until len <= budget.
+    """Keep the ``budget`` (at least 1) event tokens nearest the verb, in order.
 
-    Equidistant candidates lose from the right. The verb survives.
+    Equidistant candidates lose from the right. The verb, at distance 0,
+    survives.
     """
-    keep = list(range(len(tokens)))
-    while len(keep) > budget:
-        best = None
-        best_dist = -1
-        for pos in keep:
-            if pos == verb_index:
-                continue
-            dist = abs(pos - verb_index)
-            if dist > best_dist or (dist == best_dist and pos > best):
-                best, best_dist = pos, dist
-        if best is None:
-            break
-        keep.remove(best)
-    new_tokens = [tokens[i] for i in keep]
-    new_verb = keep.index(verb_index)
-    return new_tokens, new_verb
+    nearest = sorted(range(len(tokens)), key=lambda i: (abs(i - verb_index), i))
+    keep = sorted(nearest[:budget])
+    return [tokens[i] for i in keep], keep.index(verb_index)
 
 
 def build_sequence(
@@ -436,10 +424,10 @@ def write_records_jsonl(path: str, records: Iterable[TrainingRecord], header_lin
 def _check_record(record: TrainingRecord, vocab_size: int) -> TrainingRecord:
     """``record`` itself if its ids fit a ``vocab_size``-token vocabulary,
     its slots fit the record, each soft target is a distribution over its
-    dimension's labels and its weight is finite and non-negative;
-    otherwise ValueError naming the first defect."""
-    if not math.isfinite(record.weight) or record.weight < 0:
-        raise ValueError(f"weight must be finite and non-negative, got {record.weight}")
+    dimension's labels and its weight is finite and positive; otherwise
+    ValueError naming the first defect."""
+    if not math.isfinite(record.weight) or record.weight <= 0:
+        raise ValueError(f"weight must be finite and positive, got {record.weight}")
     length = len(record.input_ids)
     for token_id in record.input_ids:
         if not 0 <= token_id < vocab_size:
@@ -471,8 +459,8 @@ def read_records_jsonl(path: str, vocab_size: int) -> list[TrainingRecord]:
 
     A line with a missing key, a bad value, an id outside the vocabulary,
     a slot outside its record, a soft target that is not a distribution
-    over its dimension's labels, a negative or non-finite weight or bytes
-    that are not UTF-8 raises SchemaError as ``path:line``.
+    over its dimension's labels, a weight that is not finite and positive
+    or bytes that are not UTF-8 raises SchemaError as ``path:line``.
     """
     return parse_json_lines(text_lines(path), path,
                             lambda obj: _check_record(record_from_json_dict(obj), vocab_size))

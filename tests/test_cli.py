@@ -10,6 +10,7 @@ from tempomine import cli
 from tempomine.evaluation import eval_instance_to_json_dict
 from tempomine.label_space import TemporalDimension, label_space
 from tempomine.model import load_checkpoint, save_checkpoint
+from tempomine.seeding import stream_rng
 from tempomine.sequences import Vocabulary, read_records_jsonl
 from tempomine.srl_ingest import sentence_to_json_dict, text_lines
 from tempomine.synthetic import generate_corpus, planted_eval_instances
@@ -134,6 +135,33 @@ def test_extract_logs_only_the_records_it_skips(tmp_path, caplog, strict):
     else:
         assert skips == [f"skipping malformed record at {corpus}:1: "
                          "verb_index 99 out of bounds for 2 tokens"]
+
+
+@pytest.mark.parametrize("count", ["nan", "inf"])
+def test_extract_count_that_is_not_finite_mines_nothing(tmp_path, capsys, count):
+    corpus = tmp_path / "c.jsonl"
+    sentence = {"doc_id": "d", "sent_index": 0,
+                "tokens": ["Jack", "rested", "for", count, "hours", "."],
+                "frames": [{"verb_index": 1,
+                            "args": [{"role": "ARGM-TMP", "span": [2, 5]}]}]}
+    corpus.write_text(json.dumps(sentence) + "\n")
+    out = tmp_path / "t.jsonl"
+    assert run(["extract", "--input", str(corpus), "--output", str(out)]) == 0
+    assert "extracted 0 tuples from 1 sentences" in capsys.readouterr().out
+    assert non_comment_lines(out) == []
+
+
+def test_extract_yearly_is_a_frequency(tmp_path):
+    corpus = tmp_path / "c.jsonl"
+    sentence = {"doc_id": "d", "sent_index": 0,
+                "tokens": ["She", "paid", "taxes", "yearly", "."],
+                "frames": [{"verb_index": 1,
+                            "args": [{"role": "ARGM-TMP", "span": [3, 4]}]}]}
+    corpus.write_text(json.dumps(sentence) + "\n")
+    out = tmp_path / "t.jsonl"
+    assert run(["extract", "--input", str(corpus), "--output", str(out)]) == 0
+    (line,) = non_comment_lines(out)
+    assert (json.loads(line)["dimension"], json.loads(line)["value"]) == ("frequency", "year")
 
 
 def test_missing_input_exit_3(tmp_path, capsys):
@@ -483,6 +511,16 @@ def test_max_len_below_template_exit_2(pipeline, tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_build_dataset_min_count_above_every_word_exit_2(pipeline, tmp_path, capsys):
+    out = tmp_path / "ds.jsonl"
+    assert run(["build-dataset", "--input", str(pipeline["tuples"]), "--output", str(out),
+                "--min-count", "1000000"]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR code=2 --min-count 1000000 leaves no word of {pipeline['tuples']} "
+        f"in the vocabulary\n")
+    assert not out.exists()
+
+
 def test_build_dataset_shortest_template(pipeline, tmp_path):
     out = tmp_path / "ds.jsonl"
     assert run(["build-dataset", "--input", str(pipeline["tuples"]), "--output", str(out),
@@ -594,10 +632,13 @@ _RECORD_DEFECTS = {
                  "soft target sums to {half}, not 1"),
     "weight-negative": (lambda r: True,
                         lambda r: r.update(weight=-1.0),
-                        "weight must be finite and non-negative, got -1.0"),
+                        "weight must be finite and positive, got -1.0"),
     "weight-not-finite": (lambda r: True,
                           lambda r: r.update(weight=float("inf")),
-                          "weight must be finite and non-negative, got inf"),
+                          "weight must be finite and positive, got inf"),
+    "weight-zero": (lambda r: True,
+                    lambda r: r.update(weight=0.0),
+                    "weight must be finite and positive, got 0.0"),
 }
 
 
@@ -633,6 +674,36 @@ def test_train_max_len_shorter_than_a_record_exit_2(pipeline, tmp_path, capsys):
         f"ERROR code=2 --max-len {max_len} is shorter than record {first} of "
         f"{pipeline['dataset']}, which has {len(records[first - 1].input_ids)} ids\n")
     assert not ckpt.exists()
+
+
+def test_train_dataset_without_a_supervised_slot_exit_4(pipeline, tmp_path, capsys):
+    dataset = tmp_path / "unmasked.jsonl"
+    assert run(["build-dataset", "--input", str(pipeline["tuples"]), "--output", str(dataset),
+                "--p-mask", "0", "--p-dim", "0", "--p-event", "0"]) == 0
+    assert run(["train", "--input", str(dataset), "--vocab", f"{dataset}.vocab.tsv",
+                "--output", str(tmp_path / "m.ckpt")]) == 4
+    assert capsys.readouterr().err == (
+        f"ERROR code=4 {dataset}: no record has a supervised slot\n")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_validation_share_without_a_supervised_slot_exit_2(pipeline, tmp_path, capsys):
+    # Strip the slots of exactly the records the 0.5 split sends to validation.
+    lines = pipeline["dataset"].read_text().splitlines(keepends=True)
+    records = [i for i, line in enumerate(lines) if not line.startswith("#")]
+    for number, row in enumerate(records):
+        if stream_rng(0, "split", number).random() < 0.5:
+            record = json.loads(lines[row])
+            record["targets"] = []
+            lines[row] = json.dumps(record) + "\n"
+    dataset = tmp_path / "ds.jsonl"
+    dataset.write_text("".join(lines))
+    assert run(["train", "--input", str(dataset), "--vocab", str(pipeline["vocab"]),
+                "--output", str(tmp_path / "m.ckpt"), "--val-fraction", "0.5"]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR code=2 --val-fraction 0.5 leaves no supervised slot in the validation "
+        f"share of {dataset}\n")
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_train_divergence_exit_5(pipeline, tmp_path, capsys):
@@ -913,6 +984,12 @@ def test_grad_check_command(capsys):
     assert run(["grad-check", "--coords", "5"]) == 0
     out = capsys.readouterr().out
     assert "worst relative error" in out
+
+
+@pytest.mark.parametrize("coords", ["0", "-3"])
+def test_grad_check_coords_not_positive_exit_2(capsys, coords):
+    assert run(["grad-check", "--coords", coords]) == 2
+    assert capsys.readouterr().err == f"ERROR code=2 --coords must be positive, got {coords}\n"
 
 
 def test_dump_target_stdout(capsys):

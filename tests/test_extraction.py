@@ -41,7 +41,8 @@ def test_parse_numeric_accepts(tokens, at, value, width):
     assert got.width == width
 
 
-@pytest.mark.parametrize("tokens", [["many"], ["-3"], ["0"], ["hello"], ["."]])
+@pytest.mark.parametrize("tokens", [["many"], ["-3"], ["0"], ["hello"], ["."],
+                                    ["nan"], ["inf"], ["-inf"], ["1e999"]])
 def test_parse_numeric_rejects(tokens):
     assert parse_numeric(tokens, 0) is None
 
@@ -87,6 +88,7 @@ def test_extract_duration(arg, expected):
         (["every", "few", "decades"], "decade"),
         (["when", "it", "rains"], None),
         (["sometimes"], None),
+        (["yearly"], "year"),
     ],
 )
 def test_extract_frequency(arg, expected):

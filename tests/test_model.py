@@ -382,7 +382,7 @@ def test_train_improves_loss_and_is_deterministic():
     assert train_rows[-1].loss < train_rows[0].loss
 
 
-def test_val_slot_distances_rank_masked_val_argmax(monkeypatch):
+def test_val_logits_read_the_masked_val_slot(monkeypatch):
     vocab = _training_vocab()
     records = _training_records(vocab, n=10)
     cfg = TrainConfig(d_model=16, n_layers=1, n_heads=2, ff_dim=32,
@@ -395,18 +395,18 @@ def test_val_slot_distances_rank_masked_val_argmax(monkeypatch):
         return forward(p, ids, c, **kwargs)
 
     monkeypatch.setattr(model_module, "forward", counting_forward)
-    got = model_module._val_slot_distances(params, records, vocab, cfg)
+    got = model_module._val_logits(
+        params, cfg, vocab, [(r.input_ids, r.val_position, r.dimension) for r in records])
     assert [len(ids) for ids in batches] == [4, 4, 2]
 
-    expected = []
-    for rec in records:
+    assert len(got) == len(records)
+    for rec, block in zip(records, got):
         ids = np.array([rec.input_ids], dtype=np.int64)
         ids[0, rec.val_position] = MASK_ID
         start, labels = vocab.val_block(rec.dimension)
-        block = forward(params, ids, cfg)[0, rec.val_position, start:start + len(labels)]
-        gold = labels[model_module._record_gold_index(rec, vocab)]
-        expected.append(rank_distance(labels[int(np.argmax(block))], gold, rec.dimension))
-    assert got == expected
+        expected = forward(params, ids, cfg)[0, rec.val_position, start:start + len(labels)]
+        np.testing.assert_allclose(block, expected, rtol=0, atol=1e-12)
+        assert int(np.argmax(block)) == int(np.argmax(expected))
 
 
 def test_train_validation_rows():
@@ -434,15 +434,25 @@ def _slotless(vocab):
     return rec
 
 
-def test_train_val_row_matches_full_forward():
+def test_train_val_row_matches_full_forward(monkeypatch):
     # The val pass reads its loss off gathered slot rows and its distances
-    # off gathered [Val] rows; both must match the full forward's rows.
+    # off the [Val] scorer's blocks; both must match the full forward's rows.
     vocab = _training_vocab()
     records = _training_records(vocab)
     cfg = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
                       max_len=16, batch_size=8, epochs=1, seed=3)
     train_records, val_records = records[:40], records[40:]
+    scored = []
+
+    def spying_val_logits(p, c, v, items):
+        scored.append(list(items))
+        return val_logits(p, c, v, items)
+
+    val_logits = model_module._val_logits
+    monkeypatch.setattr(model_module, "_val_logits", spying_val_logits)
     params, log = train(train_records, cfg, vocab, val_records=val_records)
+    # One scorer call per epoch, over every val record in order.
+    assert scored == [[(r.input_ids, r.val_position, r.dimension) for r in val_records]]
     val_row = log[-1]
     assert val_row.split == "val"
 
