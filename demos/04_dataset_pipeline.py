@@ -10,10 +10,11 @@ from tempomine import (
     MaskingConfig,
     TemporalDimension,
     TemporalTuple,
+    TrainConfig,
     apply_masking,
     build_sequence,
     build_vocabulary,
-    label_space,
+    soft_val_rows,
     stream_rng,
 )
 
@@ -43,12 +44,16 @@ def main() -> None:
     record = apply_masking(built, cfg, vocab, stream_rng(7, "masking", 0))
     print()
     print("after masking:", " ".join(names[i] for i in record.input_ids))
-    space = label_space(tup.dimension)
+    # The record stores only the label's id; train derives the [Val]
+    # slot's soft row from it, once per (dimension, label).
+    train_cfg = TrainConfig()
+    rows = soft_val_rows(train_cfg.sigma_log, train_cfg.sigma_circular)
+    start, labels = vocab.val_block(record.dimension)
     for target in record.targets:
         print(f"slot {target.position}: recover {names[target.token_id]}")
-        if target.soft is not None:
-            dist = np.asarray(target.soft)
-            print(f"  soft target argmax = {space.labels[int(np.argmax(dist))]},"
+        if target.position == record.val_position:
+            dist = rows(record.dimension, labels[target.token_id - start])
+            print(f"  soft target argmax = {labels[int(np.argmax(dist))]},"
                   f" sum = {dist.sum():.6f}")
 
 

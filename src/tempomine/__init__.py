@@ -63,6 +63,7 @@ from .sequences import (
     MaskTarget,
     TrainingRecord,
     apply_masking,
+    soft_val_rows,
     read_records_jsonl,
     write_records_jsonl,
 )

@@ -93,9 +93,9 @@ class PipelineConfig:
     ms: bool = False
     min_count: int = 1
     balance: bool = False
-    targets: str = "soft"
-    sigma_log: float = MaskingConfig.sigma_log
-    sigma_circular: float = MaskingConfig.sigma_circular
+    targets: str = TrainConfig.targets
+    sigma_log: float = TrainConfig.sigma_log
+    sigma_circular: float = TrainConfig.sigma_circular
     max_len: int = TrainConfig.max_len
     d_model: int = TrainConfig.d_model
     n_layers: int = TrainConfig.n_layers
@@ -112,7 +112,7 @@ class PipelineConfig:
                 if f.name in _CONFIG_FIELDS}
 
     def masking_config(self) -> MaskingConfig:
-        return MaskingConfig(**self._shared(MaskingConfig), hard_targets=self.targets == "hard")
+        return MaskingConfig(**self._shared(MaskingConfig))
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(**self._shared(TrainConfig))
@@ -120,8 +120,6 @@ class PipelineConfig:
     def validate(self) -> None:
         if not 0.0 <= self.val_fraction <= 1.0:
             raise UsageError(f"val_fraction must lie in [0, 1], got {self.val_fraction}")
-        if self.targets not in ("soft", "hard"):
-            raise UsageError(f"targets must be 'soft' or 'hard', got {self.targets!r}")
         if self.min_count < 1:
             raise UsageError("min_count must be positive")
         if self.max_len < MIN_SEQUENCE_LENGTH:
@@ -141,10 +139,10 @@ class PipelineConfig:
 READS = {
     "extract": (),
     "stats": (),
-    "build-dataset": ("balance", "min_count", "targets", "max_len", "ms", "p_mask",
-                      "p_dim", "p_event", "sigma_log", "sigma_circular"),
+    "build-dataset": ("balance", "min_count", "max_len", "ms", "p_mask", "p_dim", "p_event"),
     "train": ("epochs", "batch_size", "learning_rate", "val_fraction", "d_model",
-              "n_layers", "n_heads", "ff_dim", "max_len"),
+              "n_layers", "n_heads", "ff_dim", "max_len", "targets", "sigma_log",
+              "sigma_circular"),
     "eval": (),
     "predict": (),
     "grad-check": (),
@@ -353,7 +351,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     vocab = _read_vocab(args.vocab)
-    records = read_records_jsonl(args.input, len(vocab))
+    records = read_records_jsonl(args.input, vocab)
     if not records:
         raise UsageError(f"no records in {args.input}")
     if not any(rec.targets for rec in records):

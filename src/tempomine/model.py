@@ -16,7 +16,7 @@ same at the slots it reads (``forward(..., slots=...)``).
 
 import struct
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +31,9 @@ from .sequences import (
     TrainingRecord,
     Vocabulary,
     build_sequence,
+    soft_val_rows,
 )
+from .targets import DEFAULT_SIGMA_CIRCULAR, DEFAULT_SIGMA_LOG
 
 __all__ = [
     "TrainConfig",
@@ -76,12 +78,19 @@ class TrainConfig:
     batch_size: int = 32
     epochs: int = 5
     seed: int = 0
+    # The [Val] slot's target: "soft" spreads it over the dimension's
+    # labels with the sigmas below, "hard" is one-hot like every other slot.
+    targets: str = "soft"
+    sigma_log: float = DEFAULT_SIGMA_LOG
+    sigma_circular: float = DEFAULT_SIGMA_CIRCULAR
 
     def __post_init__(self) -> None:
         for name in ("d_model", "n_layers", "n_heads", "ff_dim", "max_len",
-                     "batch_size", "epochs"):
+                     "batch_size", "epochs", "sigma_log", "sigma_circular"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.targets not in ("soft", "hard"):
+            raise ValueError(f"targets must be 'soft' or 'hard', got {self.targets!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.learning_rate <= 0:
@@ -342,8 +351,17 @@ def _pad_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
     return np.array([[*row, *[PAD_ID] * (T - len(row))] for row in rows], dtype=np.int64)
 
 
-def assemble_batch(records: Sequence[TrainingRecord], vocab: Vocabulary) -> Batch:
-    """Pad records to a common length and scatter targets onto vocab ids."""
+def assemble_batch(
+    records: Sequence[TrainingRecord],
+    vocab: Vocabulary,
+    val_rows: Callable[[TemporalDimension, str], np.ndarray] | None = None,
+) -> Batch:
+    """Pad records to a common length and scatter targets onto vocab ids.
+
+    A slot's target is one-hot at its ``token_id``, except that with
+    ``val_rows`` (see ``soft_val_rows``) a [Val] slot's target is the row
+    of the label its ``token_id`` names, on the dimension's [Val] block.
+    """
     if not records:
         raise ValueError("cannot assemble an empty batch")
     V = len(vocab)
@@ -352,9 +370,10 @@ def assemble_batch(records: Sequence[TrainingRecord], vocab: Vocabulary) -> Batc
     for i, rec in enumerate(records):
         for t in rec.targets:
             row = np.zeros(V)
-            if t.soft is not None:
+            if val_rows is not None and t.position == rec.val_position:
                 start, labels = vocab.val_block(rec.dimension)
-                row[start : start + len(labels)] = t.soft
+                label = labels[t.token_id - start]
+                row[start : start + len(labels)] = val_rows(rec.dimension, label)
             else:
                 row[t.token_id] = 1.0
             rows.append(i)
@@ -475,15 +494,6 @@ class LogRow:
         return f"{self.epoch},{self.split},{float(self.loss)!r},{dist}"
 
 
-def _record_gold_index(rec: TrainingRecord, vocab: Vocabulary) -> int:
-    """Label index encoded in the record's [Val] slot (masked or not)."""
-    start, labels = vocab.val_block(rec.dimension)
-    for t in rec.targets:
-        if t.position == rec.val_position:
-            return t.token_id - start
-    return rec.input_ids[rec.val_position] - start
-
-
 def _val_logits(
     params: Mapping[str, np.ndarray],
     cfg: TrainConfig,
@@ -517,7 +527,8 @@ def train(
     train row per epoch and, when a validation set is given, one val row
     with the mean rank distance of masked-[Val] predictions. A batch with
     no supervised slot (a short trailing batch can draw none) is skipped:
-    no update and no share of the loss.
+    no update and no share of the loss. ``cfg.targets`` picks the [Val]
+    targets; soft rows come from one ``soft_val_rows`` memo per call.
     """
     if not records:
         raise ValueError("training requires a non-empty dataset")
@@ -528,6 +539,7 @@ def train(
     params = init_params(cfg, len(vocab))
     state = AdamState.for_params(params)
     log: list[LogRow] = []
+    val_rows = soft_val_rows(cfg.sigma_log, cfg.sigma_circular) if cfg.targets == "soft" else None
 
     for epoch in range(cfg.epochs):
         order = stream_rng(cfg.seed, "shuffle", epoch).permutation(len(records))
@@ -537,7 +549,7 @@ def train(
             chunk = [records[j] for j in order[i : i + cfg.batch_size]]
             if not any(r.targets for r in chunk):
                 continue  # nothing supervised: no step, no loss
-            batch = assemble_batch(chunk, vocab)
+            batch = assemble_batch(chunk, vocab, val_rows)
             loss, grads = loss_and_gradients(params, batch, cfg)
             if not np.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
                 raise DivergenceError(
@@ -557,7 +569,7 @@ def train(
                 chunk = list(val_records[i : i + cfg.batch_size])
                 if not any(r.targets for r in chunk):
                     continue
-                batch = assemble_batch(chunk, vocab)
+                batch = assemble_batch(chunk, vocab, val_rows)
                 slot_logits = forward(params, batch.ids, cfg, slots=(batch.slot_rows, batch.slot_cols))
                 val_losses.append(soft_ce_loss(slot_logits, batch.targets, batch.weights) * batch.weights.sum())
                 val_weights.append(batch.weights.sum())
@@ -568,7 +580,7 @@ def train(
                 space = label_space(rec.dimension)
                 if space.topology is not Topology.CATEGORICAL:
                     pred = space.labels[int(np.argmax(block))]
-                    gold = space.labels[_record_gold_index(rec, vocab)]
+                    gold = space.labels[rec.val_token_id - vocab.val_block(rec.dimension)[0]]
                     distances.append(rank_distance(pred, gold, rec.dimension))
             mean_d = float(np.mean(distances)) if distances else None
             log.append(LogRow(epoch, "val", float(sum(val_losses) / sum(val_weights)), mean_d))

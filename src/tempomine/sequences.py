@@ -19,20 +19,16 @@ above the words. Random replacement draws word ids only.
 import json
 import math
 from dataclasses import dataclass
+from functools import cache
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .extraction import TemporalTuple
 from .label_space import TemporalDimension, label_space
 from .srl_ingest import SchemaError, parse_json_lines, text_lines
-from .targets import (
-    DEFAULT_SIGMA_CIRCULAR,
-    DEFAULT_SIGMA_LOG,
-    hard_target,
-    soft_target,
-)
+from .targets import soft_target
 
 __all__ = [
     "PAD_TOKEN", "UNK_TOKEN", "MASK_TOKEN", "SEP_TOKEN", "VERB_MARKER",
@@ -40,7 +36,7 @@ __all__ = [
     "dim_token", "val_token",
     "Vocabulary", "build_vocabulary",
     "BuiltSequence", "build_sequence",
-    "MaskingConfig", "MaskTarget", "TrainingRecord", "apply_masking",
+    "MaskingConfig", "MaskTarget", "TrainingRecord", "apply_masking", "soft_val_rows",
     "record_to_json_dict", "record_from_json_dict",
     "write_records_jsonl", "read_records_jsonl",
     "MAX_SEQUENCE_LENGTH", "MIN_SEQUENCE_LENGTH",
@@ -184,7 +180,6 @@ class BuiltSequence:
     dim_position: int
     event_positions: tuple[int, ...]  # maskable event word slots, verb surface included
     dimension: TemporalDimension
-    gold_label: str
 
 
 def _truncate_event(tokens: list[str], verb_index: int, budget: int) -> tuple[list[str], int]:
@@ -269,7 +264,6 @@ def build_sequence(
         dim_position=dim_position,
         event_positions=tuple(event_positions),
         dimension=tup.dimension,
-        gold_label=tup.value,
     )
 
 
@@ -278,28 +272,20 @@ class MaskingConfig:
     p_mask: float = 0.6
     p_dim: float = 0.1
     p_event: float = 0.15
-    sigma_log: float = DEFAULT_SIGMA_LOG
-    sigma_circular: float = DEFAULT_SIGMA_CIRCULAR
-    # One-hot [Val] targets instead of smoothed ones; the masking draws
-    # are identical either way, so paired runs differ only in targets.
-    hard_targets: bool = False
 
     def __post_init__(self) -> None:
         for name in ("p_mask", "p_dim", "p_event"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {p}")
-        if self.sigma_log <= 0 or self.sigma_circular <= 0:
-            raise ValueError("sigma_log and sigma_circular must be positive")
 
 
 @dataclass(frozen=True)
 class MaskTarget:
-    """One selected slot: original id for restoration, soft vector if [Val]."""
+    """One selected slot and the original id it restores."""
 
     position: int
     token_id: int
-    soft: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -313,6 +299,29 @@ class TrainingRecord:
     @property
     def mask_positions(self) -> tuple[int, ...]:
         return tuple(t.position for t in self.targets)
+
+    @property
+    def val_token_id(self) -> int:
+        """The gold [Val] id: the slot's target if it has one, else its input id."""
+        for t in self.targets:
+            if t.position == self.val_position:
+                return t.token_id
+        return self.input_ids[self.val_position]
+
+
+def soft_val_rows(sigma_log: float,
+                  sigma_circular: float) -> Callable[[TemporalDimension, str], np.ndarray]:
+    """``rows(dimension, label)``: the label's ``soft_target`` at these
+    sigmas, computed once per (dimension, label) for the life of ``rows``
+    and shared read-only between calls."""
+
+    @cache
+    def rows(dimension: TemporalDimension, label: str) -> np.ndarray:
+        row = soft_target(dimension, label, sigma_log=sigma_log, sigma_circular=sigma_circular)
+        row.flags.writeable = False
+        return row
+
+    return rows
 
 
 def apply_masking(
@@ -344,19 +353,7 @@ def apply_masking(
     ids = list(built.ids)
     targets: list[MaskTarget] = []
     for pos in selected:
-        original = ids[pos]
-        if pos == built.val_position:
-            if cfg.hard_targets:
-                soft = hard_target(built.dimension, built.gold_label)
-            else:
-                soft = soft_target(
-                    built.dimension, built.gold_label,
-                    sigma_log=cfg.sigma_log, sigma_circular=cfg.sigma_circular,
-                )
-            target = MaskTarget(pos, original, tuple(float(v) for v in soft))
-        else:
-            target = MaskTarget(pos, original, None)
-        targets.append(target)
+        targets.append(MaskTarget(pos, ids[pos]))
         branch = rng.random()
         if branch < 0.8:
             ids[pos] = MASK_ID
@@ -379,33 +376,24 @@ def apply_masking(
 def record_to_json_dict(record: TrainingRecord) -> dict:
     return {
         "input_ids": list(record.input_ids),
-        "mask_positions": list(record.mask_positions),
-        "targets": [
-            {
-                "position": t.position,
-                "token_id": t.token_id,
-                "soft": list(t.soft) if t.soft is not None else None,
-            }
-            for t in record.targets
-        ],
+        "targets": [{"position": t.position, "token_id": t.token_id} for t in record.targets],
         "weight": record.weight,
         "dimension": record.dimension.value,
         "val_position": record.val_position,
     }
 
 
+def _target_from_json_dict(t: dict) -> MaskTarget:
+    if "soft" in t:
+        raise ValueError("target holds a stored soft row, which records no longer carry; "
+                         "rebuild the dataset with build-dataset")
+    return MaskTarget(position=int(t["position"]), token_id=int(t["token_id"]))
+
+
 def record_from_json_dict(obj: dict) -> TrainingRecord:
-    targets = tuple(
-        MaskTarget(
-            position=int(t["position"]),
-            token_id=int(t["token_id"]),
-            soft=tuple(float(x) for x in t["soft"]) if t.get("soft") is not None else None,
-        )
-        for t in obj["targets"]
-    )
     return TrainingRecord(
         input_ids=tuple(int(i) for i in obj["input_ids"]),
-        targets=targets,
+        targets=tuple(_target_from_json_dict(t) for t in obj["targets"]),
         weight=float(obj["weight"]),
         dimension=TemporalDimension(obj["dimension"]),
         val_position=int(obj["val_position"]),
@@ -421,47 +409,41 @@ def write_records_jsonl(path: str, records: Iterable[TrainingRecord], header_lin
             fh.write("\n")
 
 
-def _check_record(record: TrainingRecord, vocab_size: int) -> TrainingRecord:
-    """``record`` itself if its ids fit a ``vocab_size``-token vocabulary,
-    its slots fit the record, each soft target is a distribution over its
-    dimension's labels and its weight is finite and positive; otherwise
-    ValueError naming the first defect."""
+def _check_record(record: TrainingRecord, vocab: Vocabulary) -> TrainingRecord:
+    """``record`` itself if its ids fit ``vocab``, its slots fit the record,
+    its [Val] slot holds an id of its dimension's [Val] block and its
+    weight is finite and positive; otherwise ValueError naming the first
+    defect."""
     if not math.isfinite(record.weight) or record.weight <= 0:
         raise ValueError(f"weight must be finite and positive, got {record.weight}")
-    length = len(record.input_ids)
+    length, vocab_size = len(record.input_ids), len(vocab)
     for token_id in record.input_ids:
         if not 0 <= token_id < vocab_size:
             raise ValueError(f"input id {token_id} outside the {vocab_size}-token vocabulary")
     if not 0 <= record.val_position < length:
         raise ValueError(f"val_position {record.val_position} outside the record's {length} ids")
-    labels = len(label_space(record.dimension).labels)
     for t in record.targets:
         if not 0 <= t.position < length:
             raise ValueError(f"target position {t.position} outside the record's {length} ids")
         if not 0 <= t.token_id < vocab_size:
             raise ValueError(f"target token_id {t.token_id} outside the "
                              f"{vocab_size}-token vocabulary")
-        if t.soft is None:
-            continue
-        if len(t.soft) != labels:
-            raise ValueError(f"soft target has {len(t.soft)} entries, but "
-                             f"{record.dimension.value} has {labels} labels")
-        if not all(math.isfinite(p) and p >= 0 for p in t.soft):
-            raise ValueError("soft target entries must be finite and non-negative")
-        # The tolerance soft_ce_loss applies to every target row.
-        if abs(sum(t.soft) - 1.0) > 1e-6:
-            raise ValueError(f"soft target sums to {sum(t.soft)!r}, not 1")
+    start, labels = vocab.val_block(record.dimension)
+    if not start <= record.val_token_id < start + len(labels):
+        raise ValueError(f"[Val] slot {record.val_position} holds id {record.val_token_id}, "
+                         f"not a {record.dimension.value} [Val] id "
+                         f"({start}..{start + len(labels) - 1})")
     return record
 
 
-def read_records_jsonl(path: str, vocab_size: int) -> list[TrainingRecord]:
-    """Every record of a JSONL dataset for a ``vocab_size``-token vocabulary.
+def read_records_jsonl(path: str, vocab: Vocabulary) -> list[TrainingRecord]:
+    """Every record of a JSONL dataset for ``vocab``.
 
     A line with a missing key, a bad value, an id outside the vocabulary,
-    a slot outside its record, a soft target that is not a distribution
-    over its dimension's labels, a weight that is not finite and positive
-    or bytes that are not UTF-8 raises SchemaError as ``path:line``.
+    a slot outside its record, a [Val] slot without a [Val] id of its
+    dimension, a weight that is not finite and positive, a stored soft
+    row (a dataset of an earlier format) or bytes that are not UTF-8
+    raises SchemaError as ``path:line``.
     """
     return parse_json_lines(text_lines(path), path,
-                            lambda obj: _check_record(record_from_json_dict(obj), vocab_size))
-
+                            lambda obj: _check_record(record_from_json_dict(obj), vocab))

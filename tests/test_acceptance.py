@@ -343,26 +343,25 @@ def test_acceptance_8_planted_corpus_training():
         tables = tm.label_count_tables(tuples)
         weights = {d: tm.weight_table(c) for d, c in tables.items()}
 
-        def build_records(hard: bool):
-            cfg = MaskingConfig(hard_targets=hard)
-            records = []
-            for i, t in enumerate(tuples):
-                built = build_sequence(t, vocab)
-                rng = tm.stream_rng(seed, "masking", i)
-                records.append(apply_masking(built, cfg, vocab, rng,
-                                             weights[t.dimension][t.value]))
-            return records
+        # One record list serves both runs: the target kind is a training setting.
+        cfg = MaskingConfig()
+        records = []
+        for i, t in enumerate(tuples):
+            built = build_sequence(t, vocab)
+            rng = tm.stream_rng(seed, "masking", i)
+            records.append(apply_masking(built, cfg, vocab, rng, weights[t.dimension][t.value]))
 
         # gentle learning rate: at 1e-3 Adam oscillates once the loss
         # saturates and held-out argmaxes flip on razor-thin margins
-        train_cfg = tm.TrainConfig(epochs=16, seed=seed, learning_rate=5e-4)
-        params_soft, _ = tm.train(build_records(hard=False), train_cfg, vocab)
-        params_hard, _ = tm.train(build_records(hard=True), train_cfg, vocab)
+        train_cfg = tm.TrainConfig(epochs=16, seed=seed, learning_rate=5e-4, targets="soft")
+        hard_cfg = tm.TrainConfig(epochs=16, seed=seed, learning_rate=5e-4, targets="hard")
+        params_soft, _ = tm.train(records, train_cfg, vocab)
+        params_hard, _ = tm.train(records, hard_cfg, vocab)
 
         instances = tm.planted_eval_instances(test_s)
         assert len(instances) >= 300
         soft_d = _held_out_mean_distance(params_soft, train_cfg, vocab, instances)
-        hard_d = _held_out_mean_distance(params_hard, train_cfg, vocab, instances)
+        hard_d = _held_out_mean_distance(params_hard, hard_cfg, vocab, instances)
         assert soft_d < 1.0, f"soft held-out mean distance {soft_d}"
         assert soft_d <= hard_d, f"soft {soft_d} vs hard {hard_d}"
 

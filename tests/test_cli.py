@@ -34,7 +34,7 @@ def read_dataset(path):
     """The records of the dataset ``path``, read against its vocabulary
     ``<path>.vocab.tsv``."""
     vocab = Vocabulary.from_tsv_lines(text_lines(f"{path}.vocab.tsv"))
-    return read_records_jsonl(str(path), len(vocab))
+    return read_records_jsonl(str(path), vocab)
 
 
 @pytest.fixture(scope="session")
@@ -417,14 +417,35 @@ def test_build_dataset_balance(pipeline, tmp_path):
     assert "# balance=true" in header_lines(out)
 
 
-def test_build_dataset_hard_targets(pipeline, tmp_path):
-    out = tmp_path / "hard.jsonl"
-    assert run(["build-dataset", "--input", str(pipeline["tuples"]),
-                "--output", str(out), "--seed", "21", "--targets", "hard"]) == 0
-    for rec in read_dataset(out):
-        for t in rec.targets:
-            if t.soft is not None:
-                assert sorted(set(t.soft)) == [0.0, 1.0]
+def test_build_dataset_hard_targets(pipeline, tmp_path, capsys):
+    # The target kind is a train setting: build-dataset takes no --targets,
+    # and one dataset serves both kinds.
+    with pytest.raises(SystemExit) as ei:
+        run(["build-dataset", "--input", str(pipeline["tuples"]),
+             "--output", str(tmp_path / "hard.jsonl"), "--targets", "hard"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --targets hard" in capsys.readouterr().err
+    argv = ["train", "--input", str(pipeline["dataset"]), "--vocab", str(pipeline["vocab"]),
+            "--seed", "21", "--epochs", "1", "--d-model", "16", "--n-heads", "2"]
+    for kind in ("soft", "hard"):
+        assert run([*argv, "--output", str(tmp_path / f"{kind}.ckpt"), "--targets", kind]) == 0
+        assert f"# targets={kind}" in header_lines(tmp_path / f"{kind}.ckpt.loss.csv")
+    soft, _ = load_checkpoint(str(tmp_path / "soft.ckpt"))
+    hard, _ = load_checkpoint(str(tmp_path / "hard.ckpt"))
+    assert not np.array_equal(soft["tok_emb"], hard["tok_emb"])
+    capsys.readouterr()
+    assert run([*argv, "--output", str(tmp_path / "x.ckpt"), "--targets", "smooth"]) == 2
+    assert capsys.readouterr().err == (
+        "ERROR code=2 targets must be 'soft' or 'hard', got 'smooth'\n")
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_target_settings_are_echoed_by_train_not_build_dataset(pipeline):
+    build = header_lines(pipeline["dataset"])
+    train = header_lines(pipeline["root"] / "model.ckpt.loss.csv")
+    for line in ("# sigma_circular=0.5", "# sigma_log=4.0", "# targets=soft"):
+        assert line in train
+    assert not any(line.startswith(("# targets", "# sigma")) for line in build)
 
 
 def test_build_dataset_ms_without_corpus_exit_2(pipeline, capsys):
@@ -593,12 +614,17 @@ def test_train_record_missing_key_exit_4(pipeline, tmp_path, capsys):
         f"ERROR code=4 {dataset}:{first + 2}: missing key 'weight'")
 
 
-def _hard_target(record):
-    return next(t for t in record["targets"] if t["soft"] is None)
+def _token_target(record):
+    """The record's first target other than its [Val] slot's."""
+    return next(t for t in record["targets"] if t["position"] != record["val_position"])
 
 
-def _soft_target(record):
-    return next(t for t in record["targets"] if t["soft"] is not None)
+def _val_target(record):
+    return next((t for t in record["targets"] if t["position"] == record["val_position"]), None)
+
+
+def _labels(record):
+    return len(label_space(TemporalDimension(record["dimension"])).labels)
 
 
 # (which records qualify, the damage, the start of the message)
@@ -609,8 +635,8 @@ _RECORD_DEFECTS = {
     "negative-input-id": (lambda r: True,
                           lambda r: r["input_ids"].__setitem__(0, -1),
                           "input id -1 outside the "),
-    "hard-token-id": (lambda r: any(t["soft"] is None for t in r["targets"]),
-                      lambda r: _hard_target(r).update(token_id=9999),
+    "hard-token-id": (lambda r: any(t["position"] != r["val_position"] for t in r["targets"]),
+                      lambda r: _token_target(r).update(token_id=9999),
                       "target token_id 9999 outside the "),
     "target-position": (lambda r: r["targets"],
                         lambda r: r["targets"][0].update(position=len(r["input_ids"])),
@@ -618,18 +644,6 @@ _RECORD_DEFECTS = {
     "val-position": (lambda r: True,
                      lambda r: r.update(val_position=len(r["input_ids"])),
                      "val_position {n} outside the record's {n} ids"),
-    "soft-length": (lambda r: any(t["soft"] is not None for t in r["targets"]),
-                    lambda r: _soft_target(r)["soft"].pop(),
-                    "soft target has {short} entries, but {dimension} has {labels} labels"),
-    "soft-negative": (lambda r: any(t["soft"] is not None for t in r["targets"]),
-                      lambda r: _soft_target(r)["soft"].__setitem__(0, -0.5),
-                      "soft target entries must be finite and non-negative"),
-    "soft-not-finite": (lambda r: any(t["soft"] is not None for t in r["targets"]),
-                        lambda r: _soft_target(r)["soft"].__setitem__(0, float("nan")),
-                        "soft target entries must be finite and non-negative"),
-    "soft-sum": (lambda r: any(t["soft"] is not None for t in r["targets"]),
-                 lambda r: _soft_target(r).update(soft=[0.5] * len(_soft_target(r)["soft"])),
-                 "soft target sums to {half}, not 1"),
     "weight-negative": (lambda r: True,
                         lambda r: r.update(weight=-1.0),
                         "weight must be finite and positive, got -1.0"),
@@ -639,6 +653,19 @@ _RECORD_DEFECTS = {
     "weight-zero": (lambda r: True,
                     lambda r: r.update(weight=0.0),
                     "weight must be finite and positive, got 0.0"),
+    # The [Val] slot must name a label of the record's dimension: its
+    # target's token_id if it has one, else the id in place.
+    "val-slot-not-a-val-id": (lambda r: r["targets"] and r["targets"][0]["position"] > 0,
+                              lambda r: r.update(val_position=0),
+                              "[Val] slot 0 holds id {first}, not a {dimension} [Val] id "),
+    "val-target-outside-the-block": (
+        lambda r: _val_target(r) is not None,
+        lambda r: _val_target(r).update(token_id=_val_target(r)["token_id"] - _labels(r)),
+        "[Val] slot {val} holds id {val_id}, not a {dimension} [Val] id "),
+    "stored-soft-row": (lambda r: r["targets"],
+                        lambda r: r["targets"][0].update(soft=None),
+                        "target holds a stored soft row, which records no longer carry; "
+                        "rebuild the dataset with build-dataset"),
 }
 
 
@@ -649,15 +676,16 @@ def test_train_record_out_of_range_exit_4(pipeline, tmp_path, capsys, defect):
     row = next(i for i, line in enumerate(lines)
                if not line.startswith("#") and qualifies(json.loads(line)))
     record = json.loads(lines[row])
-    labels = len(label_space(TemporalDimension(record["dimension"])).labels)
     damage(record)
     lines[row] = json.dumps(record) + "\n"
     dataset = tmp_path / "ds.jsonl"
     dataset.write_text("".join(lines))
     assert run(["train", "--input", str(dataset), "--vocab", str(pipeline["vocab"]),
-                "--output", str(tmp_path / "m.ckpt"), "--epochs", "1"]) == 4
-    message = message.format(n=len(record["input_ids"]), short=labels - 1,
-                             dimension=record["dimension"], labels=labels, half=labels / 2)
+                "--output", str(tmp_path / "m.ckpt"), "--epochs", "1",
+                "--val-fraction", "0.3"]) == 4
+    message = message.format(n=len(record["input_ids"]), first=record["input_ids"][0],
+                             dimension=record["dimension"], val=record["val_position"],
+                             val_id=(_val_target(record) or {}).get("token_id"))
     assert capsys.readouterr().err.startswith(
         f"ERROR code=4 {dataset}:{row + 1}: {message}")
     assert not (tmp_path / "m.ckpt").exists()
@@ -688,12 +716,15 @@ def test_train_dataset_without_a_supervised_slot_exit_4(pipeline, tmp_path, caps
 
 
 def test_train_validation_share_without_a_supervised_slot_exit_2(pipeline, tmp_path, capsys):
-    # Strip the slots of exactly the records the 0.5 split sends to validation.
+    # Strip the slots of exactly the records the 0.5 split sends to validation,
+    # restoring each slot's id so that the [Val] slot still names its label.
     lines = pipeline["dataset"].read_text().splitlines(keepends=True)
     records = [i for i, line in enumerate(lines) if not line.startswith("#")]
     for number, row in enumerate(records):
         if stream_rng(0, "split", number).random() < 0.5:
             record = json.loads(lines[row])
+            for t in record["targets"]:
+                record["input_ids"][t["position"]] = t["token_id"]
             record["targets"] = []
             lines[row] = json.dumps(record) + "\n"
     dataset = tmp_path / "ds.jsonl"
@@ -930,9 +961,8 @@ def _write_legacy_binary_dataset(path, records):
         payload += struct.pack(f"<{len(rec.input_ids)}I", *rec.input_ids)
         payload += struct.pack("<H", len(rec.targets))
         for t in rec.targets:
-            soft = t.soft or ()
-            payload += struct.pack("<HIBH", t.position, t.token_id, t.soft is not None, len(soft))
-            payload += struct.pack(f"<{len(soft)}d", *soft)
+            # position, token_id, then an empty stored-row flag and length
+            payload += struct.pack("<HIBH", t.position, t.token_id, 0, 0)
         blobs += [struct.pack("<I", len(payload)), payload]
     path.write_bytes(b"".join(blobs))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from tempomine.extraction import TemporalTuple
 from tempomine import model as model_module
+from tempomine import sequences as sequences_module
 from tempomine.label_space import TemporalDimension, label_space, rank_distance
 from tempomine.model import (
     AdamState,
@@ -30,8 +32,10 @@ from tempomine.sequences import (
     apply_masking,
     build_sequence,
     build_vocabulary,
+    soft_val_rows,
 )
 from tempomine.srl_ingest import SchemaError
+from tempomine.targets import soft_target
 
 SMALL = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
                     max_len=16, batch_size=4, epochs=1, seed=0)
@@ -52,6 +56,14 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="n_heads must be positive"):
         TrainConfig(n_heads=0)
+    with pytest.raises(ValueError, match="sigma_circular must be positive"):
+        TrainConfig(sigma_circular=0.0)
+    with pytest.raises(ValueError, match="sigma_log must be positive"):
+        TrainConfig(sigma_log=-1.0)
+    with pytest.raises(ValueError, match="targets must be 'soft' or 'hard', got 'smooth'"):
+        TrainConfig(targets="smooth")
+    assert (TrainConfig().targets, TrainConfig().sigma_log, TrainConfig().sigma_circular) == (
+        "soft", 4.0, 0.5)
 
 
 def test_init_params_shapes_and_determinism():
@@ -458,7 +470,8 @@ def test_train_val_row_matches_full_forward(monkeypatch):
 
     wce = w = 0.0
     for i in range(0, len(val_records), cfg.batch_size):
-        batch = assemble_batch(val_records[i:i + cfg.batch_size], vocab)
+        batch = assemble_batch(val_records[i:i + cfg.batch_size], vocab,
+                               soft_val_rows(cfg.sigma_log, cfg.sigma_circular))
         logits = forward(params, batch.ids, cfg)[batch.slot_rows, batch.slot_cols]
         wce += soft_ce_loss(logits, batch.targets, batch.weights) * batch.weights.sum()
         w += batch.weights.sum()
@@ -470,7 +483,7 @@ def test_train_val_row_matches_full_forward(monkeypatch):
         ids[0, rec.val_position] = MASK_ID
         start, labels = vocab.val_block(rec.dimension)
         block = forward(params, ids, cfg)[0, rec.val_position, start:start + len(labels)]
-        gold = labels[model_module._record_gold_index(rec, vocab)]
+        gold = labels[rec.val_token_id - start]
         distances.append(rank_distance(labels[int(np.argmax(block))], gold, rec.dimension))
     assert val_row.mean_distance == pytest.approx(np.mean(distances), rel=0, abs=1e-12)
 
@@ -679,20 +692,62 @@ def test_checkpoint_starts_with_magic(tmp_path):
 # ---------------------------------------------------------------- batch
 
 def test_assemble_batch_scatters_soft_onto_val_block():
+    # With soft rows each [Val] row is soft_target's; without, every row is one-hot.
     vocab = _training_vocab()
-    tup = TemporalTuple(("they", "napped"), 1, TemporalDimension.DURATION, "hour")
-    built = build_sequence(tup, vocab)
-    rec = apply_masking(built, MaskingConfig(p_mask=1.0, p_dim=0.0), vocab,
-                        stream_rng(0, "masking", 0), weight=2.0)
-    batch = assemble_batch([rec], vocab)
-    assert batch.ids.shape == (1, len(rec.input_ids))
-    assert batch.weights.tolist() == [2.0]
-    start, labels = vocab.val_block(TemporalDimension.DURATION)
-    row = batch.targets[0]
-    assert row[start:start + len(labels)] == pytest.approx(
-        np.array(rec.targets[0].soft))
-    assert row[:start].sum() == 0.0
-    assert row[start + len(labels):].sum() == 0.0
+    cases = [(TemporalDimension.DURATION, "hour"), (TemporalDimension.TYPICAL_MONTH, "May"),
+             (TemporalDimension.HIERARCHY, "after")]
+    recs = []
+    for i, (dim, value) in enumerate(cases):
+        built = build_sequence(TemporalTuple(("they", "napped"), 1, dim, value), vocab)
+        recs.append(apply_masking(built, MaskingConfig(p_mask=1.0, p_dim=1.0), vocab,
+                                  stream_rng(0, "masking", i), weight=2.0))
+    rows = soft_val_rows(8.0, 1.0)
+    soft, hard = assemble_batch(recs, vocab, rows), assemble_batch(recs, vocab)
+    assert soft.ids.shape == (3, len(recs[0].input_ids))
+    assert soft.weights.tolist() == hard.weights.tolist() == [2.0] * 6
+    assert soft.slot_cols.tolist() == hard.slot_cols.tolist()
+    slot = 0
+    for rec, (dim, value) in zip(recs, cases):
+        for t in rec.targets:
+            one_hot = np.zeros(len(vocab))
+            one_hot[t.token_id] = 1.0
+            assert np.array_equal(hard.targets[slot], one_hot)
+            expected = one_hot
+            if t.position == rec.val_position:
+                start, labels = vocab.val_block(dim)
+                expected = np.zeros(len(vocab))
+                expected[start:start + len(labels)] = soft_target(
+                    dim, value, sigma_log=8.0, sigma_circular=1.0)
+            assert np.array_equal(soft.targets[slot], expected)
+            slot += 1
+    assert slot == 6
+
+
+def test_train_builds_each_soft_row_once_per_call(monkeypatch):
+    vocab = _training_vocab()
+    records = _training_records(vocab, n=30)
+    cfg = TrainConfig(d_model=8, n_layers=1, n_heads=1, ff_dim=16, max_len=16,
+                      batch_size=8, epochs=2, seed=1)
+    calls = []
+
+    def counting_soft_target(dimension, label, **kwargs):
+        calls.append((dimension, label, kwargs))
+        return soft_target(dimension, label, **kwargs)
+
+    monkeypatch.setattr(sequences_module, "soft_target", counting_soft_target)
+    train(records, cfg, vocab, val_records=records[:6])
+    gold = set()
+    for r in records:
+        if r.val_position in r.mask_positions:
+            start, labels = vocab.val_block(r.dimension)
+            gold.add((r.dimension, labels[r.val_token_id - start]))
+    assert len(calls) == len(gold)
+    assert {(d, label) for d, label, _ in calls} == gold
+    assert all(kw == {"sigma_log": 4.0, "sigma_circular": 0.5} for _, _, kw in calls)
+    train(records, cfg, vocab)
+    assert len(calls) == 2 * len(gold)  # a fresh memo per call
+    train(records, dataclasses.replace(cfg, targets="hard"), vocab)
+    assert len(calls) == 2 * len(gold)
 
 
 def test_assemble_batch_pads_to_longest():

@@ -156,7 +156,6 @@ def test_build_sequence_duration_template():
     # maskable event slots are the word tokens, marker excluded
     assert built.event_positions == (0, 2)
     assert built.dimension is TemporalDimension.DURATION
-    assert built.gold_label == "hour"
 
 
 def test_build_sequence_hierarchy_tail():
@@ -315,8 +314,6 @@ def test_masking_config_validation():
         MaskingConfig(p_mask=1.5)
     with pytest.raises(ValueError):
         MaskingConfig(p_event=-0.1)
-    with pytest.raises(ValueError, match="sigma_log and sigma_circular must be positive"):
-        MaskingConfig(sigma_circular=0.0)
     cfg = MaskingConfig()
     assert (cfg.p_mask, cfg.p_dim, cfg.p_event) == (0.6, 0.1, 0.15)
 
@@ -332,16 +329,17 @@ def test_val_always_selected_at_p_one(vocab):
 
 
 def test_exactly_one_val_target_with_soft(vocab):
+    # The [Val] target holds the gold label's id, which names the row a
+    # soft-target run builds; records store no distribution.
     built = _built(vocab)
     cfg = MaskingConfig(p_mask=1.0, p_dim=1.0)
     rec = apply_masking(built, cfg, vocab, stream_rng(0, "masking", 0))
     assert rec.mask_positions == (built.dim_position, built.val_position)
-    soft_targets = [t for t in rec.targets if t.soft is not None]
-    assert len(soft_targets) == 1
-    assert soft_targets[0].position == built.val_position
-    assert sum(soft_targets[0].soft) == pytest.approx(1.0, abs=1e-9)
+    val_targets = [t for t in rec.targets if t.position == rec.val_position]
+    assert len(val_targets) == 1
+    assert val_targets[0].token_id == vocab.val_id(TemporalDimension.DURATION, "hour")
+    assert rec.val_token_id == val_targets[0].token_id
     dim_target = next(t for t in rec.targets if t.position == built.dim_position)
-    assert dim_target.soft is None
     assert dim_target.token_id == vocab.dim_id(TemporalDimension.DURATION)
 
 
@@ -350,7 +348,7 @@ def test_event_masking_mutually_exclusive_with_slots(vocab):
     cfg = MaskingConfig(p_mask=0.0, p_dim=0.0, p_event=1.0)
     rec = apply_masking(built, cfg, vocab, stream_rng(0, "masking", 0))
     assert rec.mask_positions == built.event_positions
-    assert all(t.soft is None for t in rec.targets)
+    assert rec.val_token_id == built.ids[built.val_position]
 
 
 def test_no_selection_possible(vocab):
@@ -405,28 +403,6 @@ def test_masking_branch_proportions(vocab):
     assert randomized / n == pytest.approx(0.1, abs=0.02)
 
 
-def test_hard_targets_mode(vocab):
-    built = _built(vocab)
-    cfg = MaskingConfig(p_mask=1.0, p_dim=0.0, hard_targets=True)
-    rec = apply_masking(built, cfg, vocab, stream_rng(0, "masking", 0))
-    soft = rec.targets[0].soft
-    assert soft is not None
-    assert sorted(soft) == [0.0] * 8 + [1.0]
-    gold_idx = label_space(TemporalDimension.DURATION).index("hour")
-    assert soft[gold_idx] == 1.0
-
-
-def test_hard_and_soft_runs_share_masking_draws(vocab):
-    built = _built(vocab)
-    soft_cfg = MaskingConfig(p_mask=0.6, p_dim=0.1, p_event=0.15)
-    hard_cfg = MaskingConfig(p_mask=0.6, p_dim=0.1, p_event=0.15, hard_targets=True)
-    for i in range(100):
-        a = apply_masking(built, soft_cfg, vocab, stream_rng(3, "masking", i))
-        b = apply_masking(built, hard_cfg, vocab, stream_rng(3, "masking", i))
-        assert a.input_ids == b.input_ids
-        assert a.mask_positions == b.mask_positions
-
-
 def test_masking_weight_recorded(vocab):
     built = _built(vocab)
     rec = apply_masking(built, MaskingConfig(), vocab,
@@ -455,14 +431,17 @@ def _sample_records(vocab, n=20):
 
 def test_record_json_round_trip(vocab):
     for rec in _sample_records(vocab):
-        assert record_from_json_dict(record_to_json_dict(rec)) == rec
+        obj = record_to_json_dict(rec)
+        assert set(obj) == {"input_ids", "targets", "weight", "dimension", "val_position"}
+        assert all(set(t) == {"position", "token_id"} for t in obj["targets"])
+        assert record_from_json_dict(obj) == rec
 
 
 def test_records_jsonl_round_trip(tmp_path, vocab):
     records = _sample_records(vocab)
     path = str(tmp_path / "ds.jsonl")
     write_records_jsonl(path, records, header_lines=["made by tests"])
-    back = read_records_jsonl(path, len(vocab))
+    back = read_records_jsonl(path, vocab)
     assert back == records
     with open(path) as f:
         assert f.readline() == "# made by tests\n"
@@ -484,7 +463,7 @@ def test_records_jsonl_bad_line_names_file_and_line(tmp_path, vocab, edit, messa
     lines[2] = json.dumps(obj) + "\n"
     path.write_text("".join(lines))
     with pytest.raises(SchemaError, match=rf"ds\.jsonl:3: {message}"):
-        read_records_jsonl(str(path), len(vocab))
+        read_records_jsonl(str(path), vocab)
 
 
 def test_training_record_is_frozen(vocab):
