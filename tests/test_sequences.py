@@ -27,6 +27,7 @@ from tempomine.sequences import (
     write_records_jsonl,
 )
 from tempomine.srl_ingest import SchemaError, text_lines
+from tempomine.targets import hard_target
 
 
 @pytest.fixture()
@@ -401,6 +402,21 @@ def test_masking_branch_proportions(vocab):
     assert masked / n == pytest.approx(0.8, abs=0.02)
     assert unchanged / n == pytest.approx(0.1, abs=0.02)
     assert randomized / n == pytest.approx(0.1, abs=0.02)
+
+
+def test_hard_targets_mode(vocab):
+    # A masked [Val] slot names its gold label; the hard target is one-hot on it.
+    built = _built(vocab)
+    cfg = MaskingConfig(p_mask=1.0, p_dim=0.0)
+    rec = apply_masking(built, cfg, vocab, stream_rng(0, "masking", 0))
+    assert built.val_position in rec.mask_positions
+    start, labels = vocab.val_block(TemporalDimension.DURATION)
+    label = labels[rec.val_token_id - start]
+    assert label == "hour"
+    hard = hard_target(TemporalDimension.DURATION, label)
+    assert sorted(hard) == [0.0] * 8 + [1.0]
+    gold_idx = label_space(TemporalDimension.DURATION).index("hour")
+    assert hard[gold_idx] == 1.0
 
 
 def test_masking_weight_recorded(vocab):
