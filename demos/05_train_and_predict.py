@@ -50,9 +50,8 @@ def main() -> None:
 
     # query a planted event: "rehearsed" always carries duration=hour
     probe = next(t for t in tuples if "rehearsed" in t.event_tokens)
-    dist = predict_value_distribution(
-        params, cfg, vocab, probe.event_tokens, probe.verb_index,
-        probe.dimension)
+    (dist,) = predict_value_distribution(
+        params, cfg, vocab, [(probe.event_tokens, probe.verb_index, probe.dimension)])
     space = label_space(probe.dimension)
     print()
     print(f"p({probe.dimension.value} | {' '.join(probe.event_tokens)}):")

@@ -425,6 +425,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     if args.input:
         queries = read_queries(text_lines(args.input), args.input)
+        if not queries:
+            raise UsageError(f"no queries in {args.input}")
         lines = distribution_csv_lines(params, train_cfg, vocab, queries)
         _write_text(args.output, header, lines)
         return EXIT_OK
@@ -435,12 +437,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     tokens = args.event.split()
     if not 0 <= args.verb_index < len(tokens):
         raise UsageError("verb index outside the event tokens")
-    dist = predict_value_distribution(
-        params, train_cfg, vocab, tokens, args.verb_index, dimension
-    )
-    lines = ["label,probability"]
-    for label, prob in zip(label_space(dimension).labels, dist):
-        lines.append(f"{label},{float(prob)!r}")
+    (dist,) = predict_value_distribution(params, train_cfg, vocab,
+                                         [(tokens, args.verb_index, dimension)])
+    labels = label_space(dimension).labels
+    lines = ["label,probability", *(f"{label},{float(p)!r}" for label, p in zip(labels, dist))]
     _write_text(args.output, header, lines)
     return EXIT_OK
 

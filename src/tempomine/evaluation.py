@@ -11,8 +11,9 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .label_space import TemporalDimension, Topology, label_space, rank_distance
-from .model import TrainConfig, predict_value_distribution
+from .label_space import (DimensionReport, TemporalDimension, dimension_reports, label_space,
+                          rank_distance)
+from .model import Query, TrainConfig, predict_value_distribution
 from .sequences import Vocabulary
 from .srl_ingest import _as_int, _as_token_list, parse_json_lines
 
@@ -23,6 +24,7 @@ __all__ = [
     "normalized_mean_distance",
     "accuracy_at_zero",
     "DimensionReport",
+    "dimension_reports",
     "evaluate",
     "report_csv_lines",
     "distribution_csv_lines",
@@ -53,9 +55,6 @@ def eval_instance_to_json_dict(inst: EvalInstance) -> dict:
         "dimension": inst.dimension.value,
         "gold_label": inst.gold_label,
     }
-
-
-Query = tuple[tuple[str, ...], int, TemporalDimension]
 
 
 def _parse_query(obj: dict) -> Query:
@@ -104,15 +103,6 @@ def accuracy_at_zero(predictions: Sequence[str], golds: Sequence[str]) -> float:
     return float(np.mean([p == g for p, g in zip(predictions, golds)]))
 
 
-@dataclass(frozen=True)
-class DimensionReport:
-    dimension: TemporalDimension
-    count: int
-    mean_distance: float | None  # None for categorical dimensions
-    normalized: float | None
-    accuracy_at_0: float
-
-
 def evaluate(
     params: Mapping[str, np.ndarray],
     cfg: TrainConfig,
@@ -122,34 +112,10 @@ def evaluate(
     """Per-dimension reports in dimension declaration order."""
     if not instances:
         raise ValueError("evaluation requires at least one instance")
-    by_dim: dict[TemporalDimension, list[tuple[str, str]]] = {}
-    for inst in instances:
-        dist = predict_value_distribution(
-            params, cfg, vocab, inst.event_tokens, inst.verb_index, inst.dimension
-        )
-        # np.argmax takes the first maximum, so ties break toward lower index.
-        pred = label_space(inst.dimension).labels[int(np.argmax(dist))]
-        by_dim.setdefault(inst.dimension, []).append((pred, inst.gold_label))
-
-    reports = []
-    for dim in TemporalDimension:
-        if dim not in by_dim:
-            continue
-        preds = [p for p, _ in by_dim[dim]]
-        golds = [g for _, g in by_dim[dim]]
-        acc = accuracy_at_zero(preds, golds)
-        if label_space(dim).topology is Topology.CATEGORICAL:
-            reports.append(DimensionReport(dim, len(preds), None, None, acc))
-        else:
-            reports.append(
-                DimensionReport(
-                    dim, len(preds),
-                    mean_distance(preds, golds, dim),
-                    normalized_mean_distance(preds, golds, dim),
-                    acc,
-                )
-            )
-    return reports
+    dists = predict_value_distribution(
+        params, cfg, vocab, [(i.event_tokens, i.verb_index, i.dimension) for i in instances])
+    return dimension_reports(dists, [i.dimension for i in instances],
+                             [label_space(i.dimension).index(i.gold_label) for i in instances])
 
 
 def report_csv_lines(reports: Sequence[DimensionReport]) -> list[str]:
@@ -165,7 +131,7 @@ def distribution_csv_lines(
     params: Mapping[str, np.ndarray],
     cfg: TrainConfig,
     vocab: Vocabulary,
-    queries: Sequence[tuple[Sequence[str], int, TemporalDimension]],
+    queries: Sequence[Query],
 ) -> list[str]:
     """Rows (event id, dimension, label, probability) in query order.
 
@@ -173,8 +139,8 @@ def distribution_csv_lines(
     sum to 1.
     """
     lines = ["event_id,dimension,label,probability"]
-    for event_id, (tokens, verb_index, dimension) in enumerate(queries):
-        dist = predict_value_distribution(params, cfg, vocab, tokens, verb_index, dimension)
+    dists = predict_value_distribution(params, cfg, vocab, queries)
+    for event_id, ((_, _, dimension), dist) in enumerate(zip(queries, dists)):
         for label, prob in zip(label_space(dimension).labels, dist):
             lines.append(f"{event_id},{dimension.value},{label},{float(prob)!r}")
     return lines

@@ -7,8 +7,11 @@ live on rings; relative hierarchy is a plain categorical set.
 """
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 __all__ = [
     "TemporalDimension",
@@ -23,6 +26,8 @@ __all__ = [
     "circular_distance",
     "linear_distance",
     "rank_distance",
+    "DimensionReport",
+    "dimension_reports",
     "label_space",
     "all_label_spaces",
     "render_manifest",
@@ -183,6 +188,40 @@ def rank_distance(pred: str, gold: str, dimension: TemporalDimension) -> int:
     if space.topology is Topology.CIRCULAR:
         return circular_distance(pred, gold, space)
     return linear_distance(pred, gold, space)
+
+
+@dataclass(frozen=True)
+class DimensionReport:
+    dimension: TemporalDimension
+    count: int
+    mean_distance: float | None  # None for categorical dimensions
+    normalized: float | None
+    accuracy_at_0: float
+    distances: tuple[int, ...] = ()  # each item's rank distance; none when categorical
+
+
+def dimension_reports(
+    blocks: Iterable[Iterable[float]],
+    dimensions: Iterable[TemporalDimension],
+    gold_indices: Iterable[int],
+) -> list[DimensionReport]:
+    """Per-dimension reports, in declaration order, predicting each item as the argmax
+    of its label-block scores; np.argmax takes the first maximum, so ties go low."""
+    by_dim: dict[TemporalDimension, list[tuple[int, int]]] = {}
+    for block, dim, gold in zip(blocks, dimensions, gold_indices, strict=True):
+        by_dim.setdefault(dim, []).append((int(np.argmax(block)), gold))
+    reports = []
+    for dim in TemporalDimension:
+        if dim not in by_dim:
+            continue
+        pairs, space = by_dim[dim], _SPACES[dim]
+        acc = float(np.mean([p == g for p, g in pairs]))
+        distances = () if space.topology is Topology.CATEGORICAL else tuple(
+            rank_distance(space.labels[p], space.labels[g], dim) for p, g in pairs)
+        mean = float(np.mean(distances)) if distances else None
+        normalized = None if mean is None else mean / len(space)
+        reports.append(DimensionReport(dim, len(pairs), mean, normalized, acc, distances))
+    return reports
 
 
 def render_manifest() -> str:

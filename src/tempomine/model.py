@@ -20,7 +20,7 @@ from collections.abc import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .label_space import TemporalDimension, Topology, label_space, rank_distance
+from .label_space import TemporalDimension, dimension_reports, label_space
 from .extraction import TemporalTuple
 from .seeding import stream_rng
 from .srl_ingest import SchemaError
@@ -61,6 +61,7 @@ _ATTN_NEG = -1e9
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
+Query = tuple[Sequence[str], int, TemporalDimension]  # (event tokens, verb index, dimension)
 
 
 class DivergenceError(RuntimeError):
@@ -135,7 +136,7 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     # Means as sum / D: bitwise what ``.mean`` gives, without its Python
-    # wrapper, which a batch-1 query would pay 8 times.
+    # wrapper, which every forward would pay 8 times.
     D = x.shape[-1]
     xc = x - x.sum(axis=-1, keepdims=True) / D
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / D + _LN_EPS)
@@ -563,8 +564,7 @@ def train(
         log.append(LogRow(epoch, "train", float(total_wce / total_w), None))
 
         if val_records:
-            val_losses = []
-            val_weights = []
+            val_losses, val_weights = [], []
             for i in range(0, len(val_records), cfg.batch_size):
                 chunk = list(val_records[i : i + cfg.batch_size])
                 if not any(r.targets for r in chunk):
@@ -575,13 +575,11 @@ def train(
                 val_weights.append(batch.weights.sum())
             blocks = _val_logits(params, cfg, vocab,
                                  [(r.input_ids, r.val_position, r.dimension) for r in val_records])
-            distances = []
-            for rec, block in zip(val_records, blocks):
-                space = label_space(rec.dimension)
-                if space.topology is not Topology.CATEGORICAL:
-                    pred = space.labels[int(np.argmax(block))]
-                    gold = space.labels[rec.val_token_id - vocab.val_block(rec.dimension)[0]]
-                    distances.append(rank_distance(pred, gold, rec.dimension))
+            reports = dimension_reports(
+                blocks, [r.dimension for r in val_records],
+                [r.val_token_id - vocab.val_block(r.dimension)[0] for r in val_records])
+            # Rank distances are integers, so their mean is the same in any order.
+            distances = [d for r in reports for d in r.distances]
             mean_d = float(np.mean(distances)) if distances else None
             log.append(LogRow(epoch, "val", float(sum(val_losses) / sum(val_weights)), mean_d))
 
@@ -592,25 +590,21 @@ def predict_value_distribution(
     params: Mapping[str, np.ndarray],
     cfg: TrainConfig,
     vocab: Vocabulary,
-    event_tokens: Sequence[str],
-    verb_index: int,
-    dimension: TemporalDimension,
-) -> np.ndarray:
-    """Distribution over the dimension's labels for one event.
+    queries: Sequence[Query],
+) -> list[np.ndarray]:
+    """Distribution over its dimension's labels for each (event tokens,
+    verb index, dimension) query, in query order.
 
-    The query sequence carries a masked [Val] slot; logits are restricted
-    to the dimension's [Val] block and softmaxed over that block alone.
+    Each query sequence carries a masked [Val] slot; ``_val_logits``
+    scores them in chunks of ``cfg.batch_size``, and each query's
+    [Val]-block logits are softmaxed over that block alone.
     """
-    space = label_space(dimension)
-    placeholder = TemporalTuple(
-        event_tokens=tuple(event_tokens),
-        verb_index=verb_index,
-        dimension=dimension,
-        value=space.labels[0],
-    )
-    built = build_sequence(placeholder, vocab, max_length=cfg.max_len)
-    (block,) = _val_logits(params, cfg, vocab, [(built.ids, built.val_position, dimension)])
-    return _softmax(block[None, :])[0]
+    items = []
+    for tokens, verb_index, dimension in queries:
+        tup = TemporalTuple(tuple(tokens), verb_index, dimension, label_space(dimension).labels[0])
+        built = build_sequence(tup, vocab, max_length=cfg.max_len)
+        items.append((built.ids, built.val_position, dimension))
+    return [_softmax(block) for block in _val_logits(params, cfg, vocab, items)]
 
 
 @dataclass(frozen=True)

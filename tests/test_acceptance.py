@@ -287,12 +287,14 @@ def test_acceptance_7_balancing():
 
 # -------------------------------------------------------------- criterion 8
 
+def _queries(instances):
+    return [(inst.event_tokens, inst.verb_index, inst.dimension) for inst in instances]
+
+
 def _held_out_mean_distance(params, train_cfg, vocab, instances):
     distances = []
-    for inst in instances:
-        dist = tm.predict_value_distribution(
-            params, train_cfg, vocab,
-            inst.event_tokens, inst.verb_index, inst.dimension)
+    dists = tm.predict_value_distribution(params, train_cfg, vocab, _queries(instances))
+    for inst, dist in zip(instances, dists):
         space = label_space(inst.dimension)
         pred = space.labels[int(np.argmax(dist))]
         distances.append(tm.rank_distance(pred, inst.gold_label, inst.dimension))
@@ -369,11 +371,9 @@ def test_acceptance_8_planted_corpus_training():
         # held-out realizations of every rule (a bare two-token probe is not
         # something the model ever saw; real event contexts are)
         verbs_seen = set()
-        for inst in instances:
+        dists = tm.predict_value_distribution(params_soft, train_cfg, vocab, _queries(instances))
+        for inst, dist in zip(instances, dists):
             space = label_space(inst.dimension)
-            dist = tm.predict_value_distribution(
-                params_soft, train_cfg, vocab,
-                inst.event_tokens, inst.verb_index, inst.dimension)
             _assert_unimodal(dist, space, space.index(inst.gold_label))
             verbs_seen.add(inst.event_tokens[inst.verb_index])
         assert verbs_seen == {r.verb for r in tm.PLANTED_RULES}

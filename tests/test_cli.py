@@ -888,6 +888,18 @@ def test_predict_query_file_bad_line_exit_4(pipeline, tmp_path, capsys, query, m
     assert capsys.readouterr().err.startswith(f"ERROR code=4 {queries}:2: {message}")
 
 
+@pytest.mark.parametrize("command, what", [("eval", "evaluation instances"),
+                                           ("predict", "queries")])
+def test_query_file_without_queries_exit_2(pipeline, tmp_path, capsys, command, what):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("# a header, but no query\n\n")
+    out = tmp_path / "out.csv"
+    assert run([command, "--model", str(pipeline["model"]), "--vocab", str(pipeline["vocab"]),
+                "--input", str(empty), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"ERROR code=2 no {what} in {empty}\n"
+    assert not out.exists()
+
+
 def test_predict_needs_query_or_flags(pipeline, capsys):
     assert run(["predict", "--model", str(pipeline["model"]),
                 "--vocab", str(pipeline["vocab"])]) == 2

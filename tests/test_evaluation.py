@@ -7,6 +7,7 @@ from tempomine.evaluation import (
     DimensionReport,
     EvalInstance,
     accuracy_at_zero,
+    dimension_reports,
     distribution_csv_lines,
     eval_instance_to_json_dict,
     evaluate,
@@ -165,6 +166,23 @@ def test_evaluate_reports(tiny_trained):
             assert r.mean_distance is not None
             assert r.normalized == pytest.approx(
                 r.mean_distance / len(label_space(r.dimension)))
+
+
+def test_dimension_reports_from_blocks():
+    week, dur, hier = (TemporalDimension.TYPICAL_WEEK, TemporalDimension.DURATION,
+                       TemporalDimension.HIERARCHY)
+    blocks = [np.eye(7)[0], np.eye(4)[2], np.eye(9)[3], np.eye(7)[1],
+              np.zeros(9), np.eye(4)[1]]  # all-zero block: ties go to label 0
+    dims = [week, hier, dur, week, dur, hier]
+    golds = [6, 2, 0, 1, 2, 0]
+    reports = dimension_reports(blocks, dims, golds)
+    assert reports == [
+        DimensionReport(dur, 2, 2.5, 2.5 / 9, 0.0, (3, 2)),
+        DimensionReport(week, 2, 0.5, 0.5 / 7, 0.5, (1, 0)),  # first to last day: 1 on the ring
+        DimensionReport(hier, 2, None, None, 0.5),
+    ]
+    with pytest.raises(ValueError):
+        dimension_reports(blocks, dims, golds[:-1])
 
 
 def test_evaluate_empty_raises(tiny_trained):

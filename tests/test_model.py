@@ -559,8 +559,7 @@ def test_predict_distribution_shape_and_sum():
     for dim, n in [(TemporalDimension.DURATION, 9),
                    (TemporalDimension.TYPICAL_WEEK, 7),
                    (TemporalDimension.HIERARCHY, 4)]:
-        p = predict_value_distribution(params, cfg, vocab,
-                                       ("they", "napped"), 1, dim)
+        (p,) = predict_value_distribution(params, cfg, vocab, [(("they", "napped"), 1, dim)])
         assert p.shape == (n,)
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(p > 0)
@@ -573,11 +572,10 @@ def test_predict_shift_invariance_over_val_block():
     cfg = TrainConfig(d_model=16, n_layers=1, n_heads=2, ff_dim=32,
                       max_len=16, seed=0)
     params = init_params(cfg, len(vocab))
-    p1 = predict_value_distribution(params, cfg, vocab, ("they", "napped"),
-                                    1, TemporalDimension.DURATION)
+    query = [(("they", "napped"), 1, TemporalDimension.DURATION)]
+    (p1,) = predict_value_distribution(params, cfg, vocab, query)
     params["out_bias"] = params["out_bias"] + 7.0
-    p2 = predict_value_distribution(params, cfg, vocab, ("they", "napped"),
-                                    1, TemporalDimension.DURATION)
+    (p2,) = predict_value_distribution(params, cfg, vocab, query)
     assert np.allclose(p1, p2, atol=1e-9)
 
 
@@ -588,10 +586,51 @@ def test_trained_model_recovers_planted_value():
                       max_len=16, batch_size=16, epochs=12, seed=3,
                       learning_rate=3e-3)
     params, _ = train(records, cfg, vocab)
-    p = predict_value_distribution(params, cfg, vocab, ("they", "napped"),
-                                   1, TemporalDimension.DURATION)
+    (p,) = predict_value_distribution(params, cfg, vocab,
+                                      [(("they", "napped"), 1, TemporalDimension.DURATION)])
     labels = label_space(TemporalDimension.DURATION).labels
     assert labels[int(np.argmax(p))] == "hour"
+
+
+def test_predict_batches_match_one_item_calls(monkeypatch):
+    # 2 * batch_size + 1 queries over three dimensions: three chunks, the
+    # last of one query, rows of different lengths padded within a chunk,
+    # and one event longer than max_len, which build_sequence truncates.
+    vocab = _training_vocab()
+    cfg = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
+                      max_len=16, batch_size=4, seed=0)
+    # Scaled-up weights, so the distributions are far from uniform.
+    params = {k: 25.0 * v for k, v in init_params(cfg, len(vocab)).items()}
+    dims = [TemporalDimension.DURATION, TemporalDimension.TYPICAL_WEEK,
+            TemporalDimension.HIERARCHY]
+    events = [(("they", "napped"), 1), (("they", "toured", "far"), 1), (("jogged",), 0),
+              (("they", "often", "jogged", "at", "dawn"), 2)]
+    queries = [(*events[i % 4], dims[i % 3]) for i in range(2 * cfg.batch_size)]
+    queries.append((("they",) * 12 + ("napped",) + ("they",) * 12, 12,
+                    TemporalDimension.DURATION))
+
+    batches = []
+
+    def counting_forward(p, ids, c, **kwargs):
+        batches.append(len(ids))
+        return forward(p, ids, c, **kwargs)
+
+    monkeypatch.setattr(model_module, "forward", counting_forward)
+    got = predict_value_distribution(params, cfg, vocab, queries)
+    assert batches == [4, 4, 1]
+
+    assert len(got) == len(queries)
+    for query, dist in zip(queries, got):
+        (alone,) = predict_value_distribution(params, cfg, vocab, [query])
+        assert dist.shape == (len(label_space(query[2])),)
+        np.testing.assert_allclose(dist, alone, rtol=0, atol=1e-12)
+        assert dist.sum() == pytest.approx(1.0, abs=1e-12)
+    assert max(float(d.max()) for d in got) > 0.5
+    # Reversing the queries reverses the answers.
+    backwards = predict_value_distribution(params, cfg, vocab, queries[::-1])
+    for dist, back in zip(got, backwards[::-1]):
+        np.testing.assert_allclose(dist, back, rtol=0, atol=1e-12)
+    assert predict_value_distribution(params, cfg, vocab, []) == []
 
 
 # ---------------------------------------------------------------- checkpoint
@@ -626,10 +665,9 @@ def test_checkpoint_predictions_survive_round_trip(tmp_path):
     path = str(tmp_path / "model.ckpt")
     save_checkpoint(path, params, cfg)
     loaded, loaded_cfg = load_checkpoint(path)
-    a = predict_value_distribution(params, cfg, vocab, ("they", "napped"),
-                                   1, TemporalDimension.DURATION)
-    b = predict_value_distribution(loaded, loaded_cfg, vocab, ("they", "napped"),
-                                   1, TemporalDimension.DURATION)
+    query = [(("they", "napped"), 1, TemporalDimension.DURATION)]
+    (a,) = predict_value_distribution(params, cfg, vocab, query)
+    (b,) = predict_value_distribution(loaded, loaded_cfg, vocab, query)
     assert np.allclose(a, b, atol=1e-4)
 
 
