@@ -1,6 +1,6 @@
 """From one SRL parse to mined tuples.
 
-Builds a sentence record by hand, runs the rule cascade over its temporal
+Builds a sentence record by hand, runs the rule table over its temporal
 arguments, and prints what each rule family recovered.
 """
 
@@ -47,7 +47,7 @@ def main() -> None:
             print(f"  embedded event: {' '.join(tup.arg_tmp_event_tokens)}")
         print()
 
-    # the cascade refuses non-temporal lookalikes instead of guessing
+    # the rule table refuses non-temporal lookalikes instead of guessing
     trap = parse_sentence({
         "doc_id": "demo",
         "sent_index": 1,

@@ -84,9 +84,6 @@ from .model import (
 from .evaluation import (
     EvalInstance,
     rank_distance,
-    mean_distance,
-    normalized_mean_distance,
-    accuracy_at_zero,
     evaluate,
     report_csv_lines,
     distribution_csv_lines,

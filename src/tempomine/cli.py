@@ -420,13 +420,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    params, train_cfg, vocab = _load_model(args)
     header = config_echo("predict", cfg)
 
     if args.input:
         queries = read_queries(text_lines(args.input), args.input)
         if not queries:
             raise UsageError(f"no queries in {args.input}")
+        params, train_cfg, vocab = _load_model(args)
         lines = distribution_csv_lines(params, train_cfg, vocab, queries)
         _write_text(args.output, header, lines)
         return EXIT_OK
@@ -437,6 +437,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     tokens = args.event.split()
     if not 0 <= args.verb_index < len(tokens):
         raise UsageError("verb index outside the event tokens")
+    params, train_cfg, vocab = _load_model(args)
     (dist,) = predict_value_distribution(params, train_cfg, vocab,
                                          [(tokens, args.verb_index, dimension)])
     labels = label_space(dimension).labels
@@ -606,9 +607,6 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"ERROR code={EXIT_DIVERGED} {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except ValueError as exc:
-        print(f"ERROR code={EXIT_SCHEMA} {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     except Exception as exc:  # keep the machine-readable contract on any failure
         print(f"ERROR code=1 {exc}", file=sys.stderr)
         return 1

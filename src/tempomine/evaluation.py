@@ -20,9 +20,6 @@ from .srl_ingest import _as_int, _as_token_list, parse_json_lines
 __all__ = [
     "EvalInstance",
     "rank_distance",
-    "mean_distance",
-    "normalized_mean_distance",
-    "accuracy_at_zero",
     "DimensionReport",
     "dimension_reports",
     "evaluate",
@@ -76,31 +73,6 @@ def read_eval_instances(lines: Iterable[str], source: str = "<instances>") -> li
     return parse_json_lines(
         lines, source, lambda obj: EvalInstance(*_parse_query(obj), gold_label=obj["gold_label"])
     )
-
-
-def mean_distance(
-    predictions: Sequence[str],
-    golds: Sequence[str],
-    dimension: TemporalDimension,
-) -> float:
-    if not predictions or len(predictions) != len(golds):
-        raise ValueError("predictions and golds must be non-empty and aligned")
-    return float(np.mean([rank_distance(p, g, dimension) for p, g in zip(predictions, golds)]))
-
-
-def normalized_mean_distance(
-    predictions: Sequence[str],
-    golds: Sequence[str],
-    dimension: TemporalDimension,
-) -> float:
-    """Mean distance divided by the dimension's label count; lies in [0, 1)."""
-    return mean_distance(predictions, golds, dimension) / len(label_space(dimension))
-
-
-def accuracy_at_zero(predictions: Sequence[str], golds: Sequence[str]) -> float:
-    if not predictions or len(predictions) != len(golds):
-        raise ValueError("predictions and golds must be non-empty and aligned")
-    return float(np.mean([p == g for p, g in zip(predictions, golds)]))
 
 
 def evaluate(

@@ -1,14 +1,11 @@
 """Pattern rules that turn SRL temporal arguments into (event, value, dimension) tuples.
 
-Each temporal argument is classified by the first matching extractor in a
-fixed precedence order:
-
-    hierarchy > frequency > duration > upper-bound > typical-time
-
-so output is deterministic when several rule families could fire (e.g.
-"every morning" is frequency, not typical time). The matched argument span
-is deleted from the sentence, the verb index re-pointed, and at most one
-tuple is emitted per argument.
+Each temporal argument is classified by the first rule of ``_RULES`` that
+matches it, so output is deterministic when several rule families could
+fire (e.g. "every morning" is frequency, not typical time); that table's
+order is the precedence. The matched argument span is deleted from the
+sentence, the verb index re-pointed, and at most one tuple is emitted per
+argument.
 
 All keyword matching is case-insensitive on token surfaces; there is no
 lemmatization.
@@ -17,7 +14,7 @@ lemmatization.
 import json
 import math
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import NamedTuple
 
 from .label_space import (
@@ -26,8 +23,8 @@ from .label_space import (
     label_space,
     nearest_unit,
 )
-from .srl_ingest import (SrlFrame, SrlSentence, _as_int, _as_token_list, is_temporal_role,
-                         parse_json_lines, text_lines)
+from .srl_ingest import (SchemaError, SrlFrame, SrlSentence, _as_int, _as_token_list,
+                         is_temporal_role, parse_json_lines, text_lines)
 
 __all__ = [
     "TemporalTuple",
@@ -82,6 +79,9 @@ class TemporalTuple:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TemporalTuple":
+        doc_id = obj.get("doc_id", "")
+        if not isinstance(doc_id, str):
+            raise SchemaError("doc_id must be a string")
         return cls(
             event_tokens=_as_token_list(obj["event_tokens"], "event_tokens"),
             verb_index=_as_int(obj["verb_index"], "verb_index"),
@@ -89,7 +89,8 @@ class TemporalTuple:
             value=obj["value"],
             arg_tmp_event_tokens=_as_token_list(obj.get("arg_tmp_event_tokens", []),
                                                 "arg_tmp_event_tokens"),
-            provenance=(obj.get("doc_id", ""), int(obj.get("sent_index", 0)), int(obj.get("frame_ordinal", 0))),
+            provenance=(doc_id, _as_int(obj.get("sent_index", 0), "sent_index"),
+                        _as_int(obj.get("frame_ordinal", 0), "frame_ordinal")),
         )
 
 
@@ -250,11 +251,9 @@ def extract_frequency(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
     else:
         count = 1.0
 
-    if trigger in _FREQ_ADVERB_PERIOD:
-        period = float(canonical_seconds(_FREQ_ADVERB_PERIOD[trigger]))
-    else:
-        period = _parse_period_seconds(lower, trigger_idx + 1)
-    if period is None:
+    # No trigger parses as a count, and an adverb trigger is its own period.
+    period = _parse_period_seconds(lower, trigger_idx)
+    if period is None or period / count == 0.0:  # "twice per 5e-324 seconds" underflows
         return None
     return nearest_unit(period / count)
 
@@ -312,6 +311,39 @@ def extract_hierarchy(arg_tokens: list[str] | tuple[str, ...]) -> tuple[str, lis
     return label, rest
 
 
+# What a rule makes of an argument's tokens: (dimension, value, embedded tokens), or None.
+_Match = tuple[TemporalDimension, str, Sequence[str]] | None
+
+
+def _tagged(dimension: TemporalDimension,
+            extract: Callable[[Sequence[str]], str | None]) -> Callable[[Sequence[str]], _Match]:
+    """The rule that tags ``extract``'s value with ``dimension``; it embeds no tokens."""
+    def rule(arg_tokens: Sequence[str]) -> _Match:
+        value = extract(arg_tokens)
+        return None if value is None else (dimension, value, ())
+    return rule
+
+
+def _hierarchy_rule(arg_tokens: Sequence[str]) -> _Match:
+    found = extract_hierarchy(arg_tokens)
+    return None if found is None else (TemporalDimension.HIERARCHY, *found)
+
+
+def _typical_time_rule(arg_tokens: Sequence[str]) -> _Match:
+    found = extract_typical_time(arg_tokens)
+    return None if found is None else (*found, ())
+
+
+# The order is the precedence: an argument takes the first rule that matches it.
+_RULES = (
+    _hierarchy_rule,
+    _tagged(TemporalDimension.FREQUENCY, extract_frequency),
+    _tagged(TemporalDimension.DURATION, extract_duration),
+    _tagged(TemporalDimension.UPPER_BOUND, extract_upper_bound),
+    _typical_time_rule,
+)
+
+
 def _delete_span(tokens: tuple[str, ...], span: tuple[int, int], verb_index: int) -> tuple[tuple[str, ...], int]:
     start, end = span
     remaining = tokens[:start] + tokens[end:]
@@ -330,38 +362,14 @@ def classify_temporal_argument(
     The emitted event keeps every sentence token outside the argument
     span, with the verb index re-pointed at the same surface token.
     """
-    start, end = span
-    arg_tokens = sentence.tokens[start:end]
-    if not arg_tokens:
-        return []
-
-    dimension: TemporalDimension | None = None
-    value: str | None = None
-    embedded: list[str] = []
-
-    hierarchy = extract_hierarchy(arg_tokens)
-    if hierarchy is not None:
-        dimension = TemporalDimension.HIERARCHY
-        value, embedded = hierarchy
+    arg_tokens = sentence.tokens[span[0]:span[1]]
+    for rule in _RULES:
+        match = rule(arg_tokens)
+        if match is not None:
+            break
     else:
-        freq = extract_frequency(arg_tokens)
-        if freq is not None:
-            dimension, value = TemporalDimension.FREQUENCY, freq
-        else:
-            dur = extract_duration(arg_tokens)
-            if dur is not None:
-                dimension, value = TemporalDimension.DURATION, dur
-            else:
-                bound = extract_upper_bound(arg_tokens)
-                if bound is not None:
-                    dimension, value = TemporalDimension.UPPER_BOUND, bound
-                else:
-                    typical = extract_typical_time(arg_tokens)
-                    if typical is not None:
-                        dimension, value = typical
-
-    if dimension is None or value is None:
         return []
+    dimension, value, embedded = match
 
     event_tokens, verb_index = _delete_span(sentence.tokens, span, frame.verb_index)
     if not event_tokens:

@@ -142,8 +142,8 @@ def parse_sentence(obj: dict) -> SrlSentence:
     doc_id = obj.get("doc_id")
     if not isinstance(doc_id, str):
         raise SchemaError("doc_id must be a string")
-    sent_index = obj.get("sent_index")
-    if not isinstance(sent_index, int) or sent_index < 0:
+    sent_index = _as_int(obj.get("sent_index"), "sent_index")
+    if sent_index < 0:
         raise SchemaError("sent_index must be a non-negative integer")
     tokens = _as_token_list(obj.get("tokens"), "tokens")
     if not tokens:

@@ -184,6 +184,16 @@ def test_no_subcommand_exit_2(capsys):
     assert ei.value.code == 2
 
 
+def test_untyped_value_error_exit_1(monkeypatch, capsys):
+    # Only SchemaError and UsageError name bad input; a bare ValueError
+    # is a bug in the program, not a schema violation.
+    def broken(args):
+        raise ValueError("internal bug")
+    monkeypatch.setattr(cli, "cmd_manifest", broken)
+    assert run(["manifest"]) == 1
+    assert capsys.readouterr().err == "ERROR code=1 internal bug\n"
+
+
 # ----------------------------------------------------------------- config
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -498,6 +508,11 @@ _TUPLE_DEFECTS = {
                           'verb_index must be an integer, got "2"'),
     "bool-verb-index": (lambda t: t.update(verb_index=True),
                         "verb_index must be an integer, got true"),
+    "fractional-sent-index": (lambda t: t.update(sent_index=0.9),
+                              "sent_index must be an integer, got 0.9"),
+    "bool-frame-ordinal": (lambda t: t.update(frame_ordinal=True),
+                           "frame_ordinal must be an integer, got true"),
+    "integer-doc-id": (lambda t: t.update(doc_id=7), "doc_id must be a string"),
 }
 
 
@@ -894,10 +909,13 @@ def test_query_file_without_queries_exit_2(pipeline, tmp_path, capsys, command, 
     empty = tmp_path / "empty.jsonl"
     empty.write_text("# a header, but no query\n\n")
     out = tmp_path / "out.csv"
-    assert run([command, "--model", str(pipeline["model"]), "--vocab", str(pipeline["vocab"]),
-                "--input", str(empty), "--output", str(out)]) == 2
-    assert capsys.readouterr().err == f"ERROR code=2 no {what} in {empty}\n"
-    assert not out.exists()
+    # The query file is checked before the model is loaded, so a missing
+    # checkpoint does not hide the empty input.
+    for model in (pipeline["model"], tmp_path / "nope.ckpt"):
+        assert run([command, "--model", str(model), "--vocab", str(pipeline["vocab"]),
+                    "--input", str(empty), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"ERROR code=2 no {what} in {empty}\n"
+        assert not out.exists()
 
 
 def test_predict_needs_query_or_flags(pipeline, capsys):

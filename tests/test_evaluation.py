@@ -6,13 +6,10 @@ import pytest
 from tempomine.evaluation import (
     DimensionReport,
     EvalInstance,
-    accuracy_at_zero,
     dimension_reports,
     distribution_csv_lines,
     eval_instance_to_json_dict,
     evaluate,
-    mean_distance,
-    normalized_mean_distance,
     rank_distance,
     read_eval_instances,
     read_queries,
@@ -38,13 +35,20 @@ def test_rank_distance_hierarchy_raises():
         rank_distance("before", "after", TemporalDimension.HIERARCHY)
 
 
+def _one_hot_reports(dimension, preds, golds):
+    """dimension_reports on one-hot blocks that predict ``preds``."""
+    space = label_space(dimension)
+    blocks = [np.eye(len(space))[space.index(p)] for p in preds]
+    (report,) = dimension_reports(blocks, [dimension] * len(preds),
+                                  [space.index(g) for g in golds])
+    return report
+
+
 def test_mean_distance_example():
     # |minute-hour| = 1 and |second-day| = 3 -> mean 2.0, over 9 labels 2/9
-    preds = ["minute", "second"]
-    golds = ["hour", "day"]
-    assert mean_distance(preds, golds, TemporalDimension.DURATION) == 2.0
-    assert normalized_mean_distance(preds, golds, TemporalDimension.DURATION) == (
-        pytest.approx(2.0 / 9.0))
+    r = _one_hot_reports(TemporalDimension.DURATION, ["minute", "second"], ["hour", "day"])
+    assert r.mean_distance == 2.0
+    assert r.normalized == pytest.approx(2.0 / 9.0)
 
 
 def test_mean_distance_bounds():
@@ -52,10 +56,9 @@ def test_mean_distance_bounds():
     rng = np.random.default_rng(0)
     preds = [str(rng.choice(space.labels)) for _ in range(50)]
     golds = [str(rng.choice(space.labels)) for _ in range(50)]
-    d = mean_distance(preds, golds, TemporalDimension.TYPICAL_MONTH)
-    assert 0.0 <= d <= 6.0  # ring diameter of a 12-cycle
-    n = normalized_mean_distance(preds, golds, TemporalDimension.TYPICAL_MONTH)
-    assert n == pytest.approx(d / 12.0)
+    r = _one_hot_reports(TemporalDimension.TYPICAL_MONTH, preds, golds)
+    assert 0.0 <= r.mean_distance <= 6.0  # ring diameter of a 12-cycle
+    assert r.normalized == pytest.approx(r.mean_distance / 12.0)
 
 
 def test_uniform_week_expected_distance():
@@ -67,22 +70,24 @@ def test_uniform_week_expected_distance():
         for g in space.labels:
             preds.append(p)
             golds.append(g)
-    got = mean_distance(preds, golds, TemporalDimension.TYPICAL_WEEK)
-    assert got == pytest.approx(12.0 / 7.0)
+    r = _one_hot_reports(TemporalDimension.TYPICAL_WEEK, preds, golds)
+    assert r.mean_distance == pytest.approx(12.0 / 7.0)
 
 
 def test_accuracy_at_zero():
-    assert accuracy_at_zero(["a", "b", "c"], ["a", "x", "c"]) == pytest.approx(2 / 3)
-    assert accuracy_at_zero(["a"], ["a"]) == 1.0
+    hier = TemporalDimension.HIERARCHY
+    r = _one_hot_reports(hier, ["before", "after", "during"], ["before", "when", "during"])
+    assert r.accuracy_at_0 == pytest.approx(2 / 3)
+    assert _one_hot_reports(hier, ["before"], ["before"]).accuracy_at_0 == 1.0
 
 
 def test_metric_input_validation():
+    blocks = [np.eye(9)[2], np.eye(9)[3]]
+    dur = TemporalDimension.DURATION
     with pytest.raises(ValueError):
-        mean_distance([], [], TemporalDimension.DURATION)
+        dimension_reports(blocks, [dur, dur], [2])
     with pytest.raises(ValueError):
-        mean_distance(["hour"], [], TemporalDimension.DURATION)
-    with pytest.raises(ValueError):
-        accuracy_at_zero([], [])
+        dimension_reports(blocks, [dur], [2, 3])
 
 
 # ---------------------------------------------------------------- instances

@@ -89,6 +89,7 @@ def test_extract_duration(arg, expected):
         (["when", "it", "rains"], None),
         (["sometimes"], None),
         (["yearly"], "year"),
+        (["twice", "per", "5e-324", "seconds"], None),  # the period underflows to 0 s
     ],
 )
 def test_extract_frequency(arg, expected):
@@ -174,22 +175,30 @@ def _sentence(tokens, verb_index, span, role="ARGM-TMP"):
     })
 
 
-def test_classify_precedence_hierarchy_over_typical():
-    # "during winter" matches both hierarchy and (via keyword) season;
-    # hierarchy is checked first.
-    s = _sentence(["They", "hiked", "during", "winter"], 1, (2, 4))
-    tuples = classify_temporal_argument(s, s.frames[0], (2, 4))
-    assert len(tuples) == 1
-    assert tuples[0].dimension is TemporalDimension.HIERARCHY
-    assert tuples[0].value == "during"
-    assert tuples[0].arg_tmp_event_tokens == ("winter",)
+# Each argument is also matched on its own by a rule ranked below the one
+# that classifies it, so every row checks one step of the precedence.
+_PRECEDENCE = [
+    ("before every morning", TemporalDimension.HIERARCHY, "before", ("every", "morning"),
+     extract_frequency, "day"),
+    ("for an hour every day", TemporalDimension.FREQUENCY, "day", (),
+     extract_duration, "hour"),
+    ("for a week last year", TemporalDimension.DURATION, "week", (),
+     extract_upper_bound, "year"),
+    ("last week on Monday", TemporalDimension.UPPER_BOUND, "week", (),
+     extract_typical_time, (TemporalDimension.TYPICAL_WEEK, "Monday")),
+    ("during winter", TemporalDimension.HIERARCHY, "during", ("winter",),
+     extract_typical_time, (TemporalDimension.TYPICAL_SEASON, "winter")),
+]
 
 
-def test_classify_precedence_frequency_over_duration():
-    # "every" fires frequency before the duration rule can look at "for".
-    s = _sentence(["He", "ran", "once", "every", "two", "weeks"], 1, (2, 6))
-    tuples = classify_temporal_argument(s, s.frames[0], (2, 6))
-    assert tuples[0].dimension is TemporalDimension.FREQUENCY
+@pytest.mark.parametrize("arg, dimension, value, embedded, lower_rule, lower_alone",
+                         _PRECEDENCE, ids=[row[0] for row in _PRECEDENCE])
+def test_classify_precedence(arg, dimension, value, embedded, lower_rule, lower_alone):
+    tokens = ["They", "hiked", *arg.split()]
+    s = _sentence(tokens, 1, (2, len(tokens)))
+    (t,) = classify_temporal_argument(s, s.frames[0], (2, len(tokens)))
+    assert (t.dimension, t.value, t.arg_tmp_event_tokens) == (dimension, value, embedded)
+    assert lower_rule(arg.split()) == lower_alone
 
 
 def test_classify_span_deletion_and_verb_reindex():

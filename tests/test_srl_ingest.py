@@ -48,6 +48,7 @@ def test_parse_contexts():
         {"doc_id": 7},
         {"sent_index": -1},
         {"sent_index": "0"},
+        {"sent_index": True},  # a bool is no index, though Python counts it an int
         {"tokens": []},
         {"tokens": ["a", 3]},
         {"tokens": "not a list"},
