@@ -423,6 +423,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     header = config_echo("predict", cfg)
 
     if args.input:
+        for flag, value in (("--event", args.event), ("--verb-index", args.verb_index),
+                            ("--dimension", args.dimension)):
+            if value is not None:
+                raise UsageError(f"{flag} is read only without --input")
         queries = read_queries(text_lines(args.input), args.input)
         if not queries:
             raise UsageError(f"no queries in {args.input}")

@@ -179,6 +179,12 @@ def parse_numeric(tokens: list[str] | tuple[str, ...], at: int) -> Numeric | Non
     return Numeric(value, 1)
 
 
+def _unit_near(seconds: float) -> str | None:
+    """``nearest_unit`` of a count times a unit's seconds, or None when
+    that product under- or overflows ("for 1e308 centuries" is inf s)."""
+    return nearest_unit(seconds) if 0.0 < seconds < math.inf else None
+
+
 def extract_duration(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
     """Duration rule: argument starts with "for" + optional count + unit word.
 
@@ -199,7 +205,7 @@ def extract_duration(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
     unit = _UNIT_SURFACES[lower[i]]
     if lower[i] == "second" and any(t.isalpha() for t in lower[i + 1:]):
         return None
-    return nearest_unit(count * canonical_seconds(unit))
+    return _unit_near(count * canonical_seconds(unit))
 
 
 def _parse_period_seconds(lower: list[str], start: int) -> float | None:
@@ -253,9 +259,7 @@ def extract_frequency(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
 
     # No trigger parses as a count, and an adverb trigger is its own period.
     period = _parse_period_seconds(lower, trigger_idx)
-    if period is None or period / count == 0.0:  # "twice per 5e-324 seconds" underflows
-        return None
-    return nearest_unit(period / count)
+    return None if period is None else _unit_near(period / count)
 
 
 def extract_typical_time(arg_tokens: list[str] | tuple[str, ...]) -> tuple[TemporalDimension, str] | None:
@@ -284,7 +288,7 @@ def extract_upper_bound(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
         if num is not None:
             j = 1 + num.width
             if j < len(lower) and lower[j] in _UNIT_SURFACES:
-                return nearest_unit(num.value * canonical_seconds(_UNIT_SURFACES[lower[j]]))
+                return _unit_near(num.value * canonical_seconds(_UNIT_SURFACES[lower[j]]))
     for i, t in enumerate(lower):
         if t == "yesterday":
             return "day"

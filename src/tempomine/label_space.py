@@ -151,8 +151,8 @@ def nearest_unit(seconds: float) -> str:
     Ties break toward the smaller unit. 1.75 days (151200 s) lands on "day";
     3 days (259200 s) is already closer to "week" on the log scale.
     """
-    if not seconds > 0:
-        raise ValueError(f"seconds must be positive, got {seconds!r}")
+    if not 0 < seconds < math.inf:
+        raise ValueError(f"seconds must be positive and finite, got {seconds!r}")
     target = math.log(seconds)
     best = 0
     best_gap = abs(target - _UNIT_LOGSECS[0])

@@ -1,4 +1,4 @@
-"""A small masked-token transformer encoder in plain numpy (float64).
+"""A small masked-token transformer encoder in plain numpy.
 
 Architecture: token + position embeddings, L post-norm blocks
 (x = LN(x + Attn(x)); x = LN(x + FF(x))), logits through the transposed
@@ -12,8 +12,14 @@ gradients, the adaptive-moment update. No autograd, no framework. A
 training step runs the last block past its attention, and the output
 head, only at the supervised slots (see ``_encode``); scoring does the
 same at the slots it reads (``forward(..., slots=...)``).
+
+A forward computes in its parameters' dtype. Training, its validation
+pass and the gradient check run in float64; a checkpoint stores float32,
+and ``load_checkpoint`` returns those arrays, so scoring a loaded model
+runs its forward in float32 and softmaxes each [Val] block in float64.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 from collections.abc import Callable, Mapping, Sequence
@@ -257,9 +263,14 @@ def _encode(
     if ids.min() < 0 or ids.max() >= V:
         raise ValueError("token id outside vocabulary")
 
+    # The forward runs in the parameters' dtype: float64 in training, the
+    # stored float32 for a loaded checkpoint. The bias is built in that
+    # dtype and the scale is a Python float, because a float64 array or
+    # numpy scalar would promote float32 work to float64.
     x = (params["tok_emb"][ids] + params["pos_emb"][:T]).reshape(B * T, cfg.d_model)
-    key_bias = np.where(ids == PAD_ID, _ATTN_NEG, 0.0)[:, None, None, :]
-    scale = 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
+    key_bias = np.where(ids == PAD_ID, _ATTN_NEG, 0.0).astype(x.dtype, copy=False)
+    key_bias = key_bias[:, None, None, :]
+    scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
 
     caches = []
     for l in range(cfg.n_layers):
@@ -502,17 +513,21 @@ def _val_logits(
     items: Sequence[tuple[Sequence[int], int, TemporalDimension]],
 ) -> list[np.ndarray]:
     """Each (ids, [Val] position, dimension) item's [Val]-block logits with
-    that slot masked, scored in padded chunks of ``cfg.batch_size``."""
-    blocks: list[np.ndarray] = []
-    for i in range(0, len(items), cfg.batch_size):
-        chunk = items[i : i + cfg.batch_size]
+    that slot masked, in item order. Items are scored in chunks of
+    ``cfg.batch_size`` taken in order of length, so a chunk pads to about
+    its own length rather than to the longest item among its neighbours."""
+    order = sorted(range(len(items)), key=lambda i: len(items[i][0]))
+    blocks: dict[int, np.ndarray] = {}
+    for i in range(0, len(order), cfg.batch_size):
+        picked = order[i : i + cfg.batch_size]
+        chunk = [items[j] for j in picked]
         ids = _pad_rows([(*row[:col], MASK_ID, *row[col + 1 :]) for row, col, _ in chunk])
         cols = [col for _, col, _ in chunk]
         logits = forward(params, ids, cfg, slots=(range(len(chunk)), cols))
-        for row_logits, (_, _, dimension) in zip(logits, chunk):
+        for j, row_logits, (_, _, dimension) in zip(picked, logits, chunk):
             start, labels = vocab.val_block(dimension)
-            blocks.append(row_logits[start : start + len(labels)])
-    return blocks
+            blocks[j] = row_logits[start : start + len(labels)]
+    return [blocks[j] for j in range(len(items))]
 
 
 def train(
@@ -596,15 +611,17 @@ def predict_value_distribution(
     verb index, dimension) query, in query order.
 
     Each query sequence carries a masked [Val] slot; ``_val_logits``
-    scores them in chunks of ``cfg.batch_size``, and each query's
-    [Val]-block logits are softmaxed over that block alone.
+    scores them in chunks of ``cfg.batch_size``, in the parameters'
+    dtype, and each query's [Val]-block logits are softmaxed in float64
+    over that block alone, so every distribution sums to 1 to float64
+    precision.
     """
     items = []
     for tokens, verb_index, dimension in queries:
         tup = TemporalTuple(tuple(tokens), verb_index, dimension, label_space(dimension).labels[0])
         built = build_sequence(tup, vocab, max_length=cfg.max_len)
         items.append((built.ids, built.val_position, dimension))
-    return [_softmax(block) for block in _val_logits(params, cfg, vocab, items)]
+    return [_softmax(block.astype(np.float64)) for block in _val_logits(params, cfg, vocab, items)]
 
 
 @dataclass(frozen=True)
@@ -707,9 +724,10 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig]:
-    """Parameters and config. A param manifest that is not the model its
-    config line describes, or a file whose length disagrees with its header
-    and manifest, raises SchemaError naming the file."""
+    """Parameters, as the stored float32 arrays, and config. A param
+    manifest that is not the model its config line describes, or a file
+    whose length disagrees with its header and manifest, raises
+    SchemaError naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     start = 4 + struct.calcsize("<HI")
@@ -749,7 +767,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig]:
     params: dict[str, np.ndarray] = {}
     for key, shape in shapes:
         n = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).astype(np.float64)
+        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).astype(np.float32)
         params[key] = arr.reshape(shape)
         off += 4 * n
     return params, cfg

@@ -923,6 +923,45 @@ def test_predict_needs_query_or_flags(pipeline, capsys):
                 "--vocab", str(pipeline["vocab"])]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--event", "they met"), ("--verb-index", "1"),
+                                         ("--dimension", "duration")])
+def test_predict_input_with_an_event_flag_exit_2(pipeline, tmp_path, capsys, flag, value):
+    queries = tmp_path / "q.jsonl"
+    queries.write_text(json.dumps({"event_tokens": ["they", "met"], "verb_index": 1,
+                                   "dimension": "duration"}) + "\n")
+    out = tmp_path / "out.csv"
+    assert run(["predict", "--model", str(pipeline["model"]), "--vocab", str(pipeline["vocab"]),
+                "--input", str(queries), flag, value, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"ERROR code=2 {flag} is read only without --input\n"
+    assert not out.exists()
+
+
+def test_predict_event_and_input_give_one_distribution(pipeline, tmp_path):
+    # The query file pads the shared query next to longer ones; the two
+    # paths agree to float32 rounding, and each block sums to 1.
+    event = ["the", "manager", "paused", "briefly"]
+    queries = tmp_path / "q.jsonl"
+    queries.write_text("".join(json.dumps({"event_tokens": tokens, "verb_index": 2,
+                                           "dimension": "duration"}) + "\n"
+                               for tokens in (event + ["at", "the", "old", "mill"] * 3, event,
+                                              event + ["again"])))
+    batch_out, one_out = tmp_path / "batch.csv", tmp_path / "one.csv"
+    common = ["predict", "--model", str(pipeline["model"]), "--vocab", str(pipeline["vocab"])]
+    assert run(common + ["--input", str(queries), "--output", str(batch_out)]) == 0
+    assert run(common + ["--event", " ".join(event), "--verb-index", "2",
+                         "--dimension", "duration", "--output", str(one_out)]) == 0
+    rows = [line.strip().split(",") for line in non_comment_lines(batch_out)[1:]]
+    by_event = {}
+    for event_id, _, label, prob in rows:
+        by_event.setdefault(event_id, []).append((label, float(prob)))
+    for block in by_event.values():
+        assert sum(p for _, p in block) == pytest.approx(1.0, abs=1e-12)
+    one = [line.strip().split(",") for line in non_comment_lines(one_out)[1:]]
+    assert [label for label, _ in by_event["1"]] == [label for label, _ in one]
+    np.testing.assert_allclose([p for _, p in by_event["1"]], [float(p) for _, p in one],
+                               rtol=0, atol=1e-5)
+
+
 def test_predict_unknown_dimension_exit_2(pipeline, capsys):
     assert run(["predict", "--model", str(pipeline["model"]),
                 "--vocab", str(pipeline["vocab"]),

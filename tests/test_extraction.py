@@ -65,6 +65,7 @@ def test_parse_numeric_out_of_range():
         (["for", "a", "second", "chance"], None),  # "second" here is an ordinal
         (["over", "an", "hour"], None),          # only "for" opens a duration
         (["for"], None),
+        (["for", "1e308", "centuries"], None),  # the span overflows to inf s
     ],
 )
 def test_extract_duration(arg, expected):
@@ -90,6 +91,7 @@ def test_extract_duration(arg, expected):
         (["sometimes"], None),
         (["yearly"], "year"),
         (["twice", "per", "5e-324", "seconds"], None),  # the period underflows to 0 s
+        (["5e-324", "times", "a", "century"], None),  # the period overflows to inf s
     ],
 )
 def test_extract_frequency(arg, expected):
@@ -140,6 +142,7 @@ def test_extract_typical_time(arg, expected):
         (["previous", "year"], "year"),
         (["in", "the", "morning"], None),  # no numeric, falls through to typical
         (["soon"], None),
+        (["in", "1e308", "centuries"], None),  # the bound overflows to inf s
     ],
 )
 def test_extract_upper_bound(arg, expected):

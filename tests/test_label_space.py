@@ -78,6 +78,12 @@ def test_nearest_unit_rejects_non_positive():
         nearest_unit(-5)
 
 
+@pytest.mark.parametrize("seconds", [math.inf, math.nan])
+def test_nearest_unit_rejects_non_finite(seconds):
+    with pytest.raises(ValueError, match="positive and finite"):
+        nearest_unit(seconds)
+
+
 def test_unknown_unit_raises():
     with pytest.raises(KeyError):
         logsec("fortnight")

@@ -646,7 +646,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert sorted(loaded) == sorted(params)
     for k in params:
         assert loaded[k].shape == params[k].shape
-        assert loaded[k].dtype == np.float64
+        assert loaded[k].dtype == np.float32
         # float32 storage: round trip agrees to single precision
         assert np.allclose(loaded[k], params[k], atol=1e-6)
     assert loaded_cfg.d_model == cfg.d_model
@@ -669,6 +669,62 @@ def test_checkpoint_predictions_survive_round_trip(tmp_path):
     (a,) = predict_value_distribution(params, cfg, vocab, query)
     (b,) = predict_value_distribution(loaded, loaded_cfg, vocab, query)
     assert np.allclose(a, b, atol=1e-4)
+
+
+def test_loaded_checkpoint_scores_in_float32_and_softmaxes_in_float64(tmp_path):
+    vocab = _training_vocab()
+    cfg = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
+                      max_len=16, batch_size=4, seed=0)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, {k: 25.0 * v for k, v in init_params(cfg, len(vocab)).items()}, cfg)
+    params, cfg = load_checkpoint(path)
+    ids = np.array([[4, 5, 6, 0], [5, 4, 6, 7]], dtype=np.int64)
+    assert forward(params, ids, cfg).dtype == np.float32
+    assert forward(params, ids, cfg, slots=([0, 1], [2, 3])).dtype == np.float32
+
+    events = [(("they", "napped"), 1), (("they", "toured", "far"), 1), (("jogged",), 0)]
+    dims = [TemporalDimension.DURATION, TemporalDimension.FREQUENCY]
+    queries = [(*events[i % 3], dims[i % 2]) for i in range(7)]
+    items = []
+    for tokens, verb_index, dimension in queries:
+        tup = TemporalTuple(tuple(tokens), verb_index, dimension, label_space(dimension).labels[0])
+        built = build_sequence(tup, vocab, max_length=cfg.max_len)
+        items.append((built.ids, built.val_position, dimension))
+    blocks = model_module._val_logits(params, cfg, vocab, items)
+    assert [b.dtype for b in blocks] == [np.float32] * len(queries)
+
+    dists = predict_value_distribution(params, cfg, vocab, queries)
+    for block, dist in zip(blocks, dists):
+        assert dist.dtype == np.float64
+        assert abs(dist.sum() - 1.0) <= 1e-12
+        e = np.exp(block - block.max())
+        np.testing.assert_allclose(dist, e / e.sum(), rtol=0, atol=1e-6)
+
+
+def test_val_logits_chunks_take_items_in_length_order(monkeypatch):
+    # Short and long queries alternate; each chunk of two pads only to
+    # its own longest row, and the blocks come back in query order.
+    vocab = _training_vocab()
+    cfg = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
+                      max_len=16, batch_size=2, seed=0)
+    params = {k: 25.0 * v for k, v in init_params(cfg, len(vocab)).items()}
+    short, long = (("jogged",), 0), (("they", "often", "jogged", "at", "dawn"), 2)
+    queries = [(*(short if i % 2 == 0 else long), TemporalDimension.DURATION) for i in range(4)]
+    widths = []
+
+    def recording_forward(p, ids, c, **kwargs):
+        widths.append(ids.shape)
+        return forward(p, ids, c, **kwargs)
+
+    monkeypatch.setattr(model_module, "forward", recording_forward)
+    got = predict_value_distribution(params, cfg, vocab, queries)
+    s_len, l_len = (len(build_sequence(TemporalTuple(*q, "second"), vocab).ids)
+                    for q in queries[:2])
+    assert widths == [(2, s_len), (2, l_len)]
+    for query, dist in zip(queries, got):
+        (alone,) = predict_value_distribution(params, cfg, vocab, [query])
+        np.testing.assert_allclose(dist, alone, rtol=0, atol=1e-12)
+    assert not np.allclose(got[0], got[1])
 
 
 def test_checkpoint_magic_and_bad_file(tmp_path):
