@@ -3,15 +3,17 @@
 Architecture: token + position embeddings, L post-norm blocks
 (x = LN(x + Attn(x)); x = LN(x + FF(x))), logits through the transposed
 token embedding plus a vocabulary bias. The feed-forward activation is
-the exact erf-based GELU: it is smooth, so central finite differences at
-step 1e-4 validate the analytic gradients tightly, which a kinked ReLU
-would not allow.
+the erf-based GELU, h * Phi(h), with the normal CDF Phi in numpy (see
+``_normal_cdf``): it is smooth, so central finite differences at step
+1e-4 validate the analytic gradients tightly, which a kinked ReLU would
+not allow.
 
 Everything is written out explicitly: forward caches, reverse-mode
 gradients, the adaptive-moment update. No autograd, no framework. A
-training step runs the last block past its attention, and the output
-head, only at the supervised slots (see ``_encode``); scoring does the
-same at the slots it reads (``forward(..., slots=...)``).
+training step runs the last block's attention queries, the rest of that
+block and the output head only at the supervised slots (see
+``_encode``); scoring does the same at the slots it reads
+(``forward(..., slots=...)``).
 
 A forward computes in its parameters' dtype. Training, its validation
 pass and the gradient check run in float64; a checkpoint stores float32,
@@ -173,39 +175,111 @@ def _scatter_add(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(cells, weights=rows.ravel(), minlength=n * D).reshape(n, D)
 
 
-def _attention(params, p: str, x: np.ndarray, key_bias: np.ndarray, scale: float, n_heads: int):
-    """Multi-head self-attention context at every one of the (B*T, D) rows."""
+def _attention(params, p: str, x: np.ndarray, key_bias: np.ndarray, scale: float, n_heads: int,
+               positions: np.ndarray | None = None):
+    """Multi-head self-attention context at every one of the (B*T, D) rows,
+    or, given flat ``positions``, at those S rows only.
+
+    Keys and values are projected at every row either way. With
+    positions, each selected row's query attends to its own batch row's
+    keys, so row s equals the full context's row ``positions[s]``.
+    """
     B, T = key_bias.shape[0], key_bias.shape[-1]
-    N, D = x.shape
+    D = x.shape[1]
 
     def heads(t: np.ndarray) -> np.ndarray:
         return t.reshape(B, T, n_heads, D // n_heads).transpose(0, 2, 1, 3)
 
-    qh, kh, vh = (heads(x @ params[p + w] + params[p + b])
-                  for w, b in (("Wq", "bq"), ("Wk", "bk"), ("Wv", "bv")))
+    kh, vh = (heads(x @ params[p + w] + params[p + b]) for w, b in (("Wk", "bk"), ("Wv", "bv")))
+    if positions is None:
+        xq, qh = x, heads(x @ params[p + "Wq"] + params[p + "bq"])
+    else:
+        rows = positions // T
+        xq = x[positions]
+        qh = (xq @ params[p + "Wq"] + params[p + "bq"]).reshape(len(xq), n_heads, 1, D // n_heads)
+        kh, vh, key_bias = kh[rows], vh[rows], key_bias[rows]
     attn = _softmax(qh @ kh.transpose(0, 1, 3, 2) * scale + key_bias)
-    ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(N, D)
-    return ctx, (x, qh, kh, vh, attn, scale)
+    ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(len(xq), D)
+    return ctx, (x, xq, positions, qh, kh, vh, attn, scale)
 
 
 def _attention_backward(params, p: str, dctx: np.ndarray, cache, grads) -> np.ndarray:
-    """Gradients of the Q/K/V projections; returns the gradient of x."""
-    x, qh, kh, vh, attn, scale = cache
-    B, H, T, dh = qh.shape
+    """Gradients of the Q/K/V projections; returns the gradient of x at
+    every row."""
+    x, xq, positions, qh, kh, vh, attn, scale = cache
+    G, H, Tq, dh = qh.shape  # G: batch rows, or selected rows with Tq = 1
     N, D = x.shape
-    dctxh = dctx.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
+    dctxh = dctx.reshape(G, Tq, H, dh).transpose(0, 2, 1, 3)
     dattn = dctxh @ vh.transpose(0, 1, 3, 2)
     dvh = attn.transpose(0, 1, 3, 2) @ dctxh
     dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
     dqh = dscores @ kh * scale
     dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
-    dx = np.zeros_like(x)
-    for name, dhead in (("q", dqh), ("k", dkh), ("v", dvh)):
-        dproj = dhead.transpose(0, 2, 1, 3).reshape(N, D)
-        grads[p + "W" + name] = x.T @ dproj
+    if positions is not None:
+        # Sum each selected row's key and value gradients into its batch row.
+        T = kh.shape[2]
+        dkh, dvh = (_scatter_add(positions // T, d.reshape(G, -1), N // T).reshape(-1, H, T, dh)
+                    for d in (dkh, dvh))
+    dq, dk, dv = (d.transpose(0, 2, 1, 3).reshape(-1, D) for d in (dqh, dkh, dvh))
+    for name, inp, dproj in (("q", xq, dq), ("k", x, dk), ("v", x, dv)):
+        grads[p + "W" + name] = inp.T @ dproj
         grads[p + "b" + name] = dproj.sum(axis=0)
-        dx += dproj @ params[p + "W" + name].T
+    dx = dq @ params[p + "Wq"].T
+    if positions is not None:
+        dx = _scatter_add(positions, dx, N)
+    dx += dk @ params[p + "Wk"].T
+    dx += dv @ params[p + "Wv"].T
     return dx
+
+
+# Hart's double-precision rational form of the normal tail, as published
+# by West (Better approximations to cumulative normal functions, Wilmott
+# 2005): P6/Q7 below the switch point, a continued fraction beyond it.
+_CDF_P = (3.52624965998911e-02, 0.700383064443688, 6.37396220353165, 33.912866078383,
+          112.079291497871, 221.213596169931, 220.206867912376)
+_CDF_Q = (8.83883476483184e-02, 1.75566716318264, 16.064177579207, 86.7807322029461,
+          296.564248779674, 637.333633378831, 793.826512519948, 440.413735824752)
+_CDF_SWITCH = 7.07106781186547
+
+
+def _horner(coeffs: Sequence[float], a: np.ndarray) -> np.ndarray:
+    """The polynomial with ``coeffs`` (highest power first) at ``a``."""
+    acc = coeffs[0] * a
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= a
+    acc += coeffs[-1]
+    return acc
+
+
+def _normal_cdf(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi(h), exp(-h*h/2)) elementwise, in ``h``'s dtype.
+
+    Phi is the standard normal CDF, 0.5 * erfc(-h / sqrt 2), to within a
+    few ulps of ``h``'s dtype; the GELU's backward reuses the second
+    output.
+    """
+    e = h * h
+    e *= -0.5
+    np.exp(e, out=e)
+    a = np.abs(h)
+    far = ~(a < _CDF_SWITCH)  # NaN too: the continued fraction carries it
+    # Clipped, so the rational form stays finite where it is overwritten.
+    np.minimum(a, _CDF_SWITCH, out=a)
+    tail = _horner(_CDF_P, a)
+    tail *= e
+    tail /= _horner(_CDF_Q, a)
+    if far.any():
+        af = np.abs(h[far])
+        cf = af + 0.65
+        for k in (4.0, 3.0, 2.0, 1.0):
+            cf = af + k / cf
+        tail[far] = e[far] / cf / 2.506628274631
+    # 1 - tail where h's sign bit is clear, tail where it is set. Branch-free:
+    # a masked select over random signs runs about ten times slower.
+    np.copysign(tail, h, out=tail)
+    np.subtract(~np.signbit(h), tail, out=tail)
+    return tail, e
 
 
 def _block_tail(params, p: str, x: np.ndarray, ctx: np.ndarray):
@@ -213,23 +287,20 @@ def _block_tail(params, p: str, x: np.ndarray, ctx: np.ndarray):
     x1, ln1_cache = _layer_norm(x + ctx @ params[p + "Wo"] + params[p + "bo"],
                                 params[p + "ln1_g"], params[p + "ln1_b"])
     h = x1 @ params[p + "W1"] + params[p + "b1"]
-    # Imported here, not at module level: scipy.special is about half of
-    # a cold `import tempomine`, and only a forward pass needs it.
-    from scipy.special import ndtr
-    cdf = ndtr(h)  # standard normal CDF, 0.5 * (1 + erf(h / sqrt 2))
+    cdf, gauss = _normal_cdf(h)
     g = h * cdf
     out, ln2_cache = _layer_norm(x1 + g @ params[p + "W2"] + params[p + "b2"],
                                  params[p + "ln2_g"], params[p + "ln2_b"])
-    return out, (ctx, ln1_cache, x1, h, cdf, g, ln2_cache)
+    return out, (ctx, ln1_cache, x1, h, cdf, gauss, g, ln2_cache)
 
 
 def _block_tail_backward(params, p: str, dy: np.ndarray, cache, grads):
     """Gradients of the tail's parameters; returns (d block input, d context)."""
-    ctx, ln1_cache, x1, h, cdf, g, ln2_cache = cache
+    ctx, ln1_cache, x1, h, cdf, gauss, g, ln2_cache = cache
     dr2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layer_norm_backward(dy, ln2_cache)
     grads[p + "W2"] = g.T @ dr2
     grads[p + "b2"] = dr2.sum(axis=0)
-    dh = (dr2 @ params[p + "W2"].T) * (cdf + h * np.exp(-0.5 * h * h) / np.sqrt(2.0 * np.pi))
+    dh = (dr2 @ params[p + "W2"].T) * (cdf + h * gauss / np.sqrt(2.0 * np.pi))
     grads[p + "W1"] = x1.T @ dh
     grads[p + "b1"] = dh.sum(axis=0)
     dr1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layer_norm_backward(
@@ -247,11 +318,12 @@ def _encode(
 ):
     """Logits at the flat positions ``row * T + col`` plus backward's caches.
 
-    Blocks before the last, and the last block's attention, run at every
-    position. Nothing after that attention mixes positions, so the last
-    block's tail and the tied head run on the selected rows only, with
-    the same result there as at every position. ``positions=None``
-    selects every position in order.
+    Blocks before the last run at every position. The last block's
+    attention projects keys and values at every position but queries
+    only at the selected rows, and nothing after it mixes positions, so
+    its tail and the tied head run on the selected rows only, with the
+    same result there as at every position. ``positions=None`` selects
+    every position in order.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
@@ -275,9 +347,10 @@ def _encode(
     caches = []
     for l in range(cfg.n_layers):
         p = f"layer{l}."
-        ctx, attn_cache = _attention(params, p, x, key_bias, scale, cfg.n_heads)
-        if positions is not None and l == cfg.n_layers - 1:
-            x, ctx = x[positions], ctx[positions]
+        selected = positions if l == cfg.n_layers - 1 else None
+        ctx, attn_cache = _attention(params, p, x, key_bias, scale, cfg.n_heads, selected)
+        if selected is not None:
+            x = x[selected]
         x, tail_cache = _block_tail(params, p, x, ctx)
         caches.append((attn_cache, tail_cache))
 
@@ -309,8 +382,9 @@ def forward(
 ) -> np.ndarray:
     """(B, T, V) logits at every position, or (S, V) at ``slots=(rows, cols)``.
 
-    With slots, the last block's tail and the head run only at those
-    rows (see ``_encode``); row s equals ``forward(...)[rows[s], cols[s]]``.
+    With slots, the last block's attention queries, its tail and the head
+    run only at those rows (see ``_encode``); row s equals
+    ``forward(...)[rows[s], cols[s]]``.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if slots is not None:
@@ -410,8 +484,8 @@ def loss_and_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Exact reverse-mode gradients of the weighted soft cross-entropy.
 
-    The forward stops at the supervised slots (see ``_encode``); the
-    backward scatters back to every position at the last attention.
+    The last block works at the supervised slots only (see ``_encode``);
+    the backward scatters back to every position in its attention.
     """
     B, T = batch.ids.shape
     positions = _slot_positions((B, T), batch.slot_rows, batch.slot_cols)
@@ -430,7 +504,7 @@ def loss_and_gradients(
         attn_cache, tail_cache = caches[l]
         dx, dctx = _block_tail_backward(params, p, dx, tail_cache, grads)
         if l == cfg.n_layers - 1:
-            dx, dctx = _scatter_add(positions, dx, B * T), _scatter_add(positions, dctx, B * T)
+            dx = _scatter_add(positions, dx, B * T)
         dx += _attention_backward(params, p, dctx, attn_cache, grads)
 
     grads["tok_emb"] += _scatter_add(ids.reshape(-1), dx, len(grads["tok_emb"]))

@@ -1120,19 +1120,26 @@ def test_module_entry_point(fresh_python):
     assert "[duration]" in proc.stdout
 
 
-def test_cold_start_leaves_scipy_to_the_first_forward(pipeline, fresh_python):
-    # scipy.special is most of a cold import; only the GELU needs it.
+def test_train_eval_predict_never_import_scipy(pipeline, fresh_python, tmp_path):
+    # The model's forward and backward are numpy alone; scipy would be
+    # about half of a fresh predict --event.
+    model, vocab = str(tmp_path / "m.ckpt"), str(pipeline["vocab"])
+    commands = [
+        ["train", "--input", str(pipeline["dataset"]), "--vocab", vocab, "--output", model,
+         "--d-model", "16", "--n-layers", "1", "--n-heads", "2", "--ff-dim", "32",
+         "--epochs", "1", "--batch-size", "16"],
+        ["eval", "--input", str(pipeline["instances"]), "--model", model, "--vocab", vocab,
+         "--output", str(tmp_path / "eval.csv")],
+        ["predict", "--event", "they met", "--verb-index", "1", "--dimension", "duration",
+         "--model", model, "--vocab", vocab, "--output", str(tmp_path / "predict.csv")],
+    ]
     proc = fresh_python("-c", (
-        "import sys, tempomine, tempomine.cli\n"
-        "assert 'scipy' not in sys.modules, 'import'\n"
-        "assert tempomine.cli.main(['manifest']) == 0\n"
-        "assert 'scipy' not in sys.modules, 'manifest'\n"))
+        "import sys, tempomine.cli\n"
+        f"for argv in {commands!r}:\n"
+        "    assert tempomine.cli.main(argv) == 0, argv[0]\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"))
     assert proc.returncode == 0, proc.stderr
-    proc = fresh_python("-m", "tempomine.cli", "predict", "--model", str(pipeline["model"]),
-                         "--vocab", str(pipeline["vocab"]), "--event", "they met",
-                         "--verb-index", "1", "--dimension", "duration")
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split(",") for line in proc.stdout.splitlines()
-            if not line.startswith("#")][1:]
+    rows = [line.split(",") for line in non_comment_lines(tmp_path / "predict.csv")][1:]
     assert len(rows) == len(label_space(TemporalDimension.DURATION).labels)
     assert sum(float(p) for _, p in rows) == pytest.approx(1.0, abs=1e-9)
+    assert len(non_comment_lines(tmp_path / "eval.csv")) > 1

@@ -281,6 +281,65 @@ def test_forward_slot_outside_batch_rejected(rows, cols):
         forward(params, ids, SMALL, slots=(rows, cols))
 
 
+def test_slot_attention_gradients_match_central_differences():
+    # The last block's queries run only at the slots, and their key and
+    # value gradients are summed back into each slot's batch row. Row 0
+    # has two slots, row 2 one slot listed twice, row 1 none; rows 1 and
+    # 2 are padded.
+    v = small_vocab()
+    rng = np.random.default_rng(7)
+    # Off-init weights, so attention is far from uniform.
+    params = {k: p + rng.normal(0.0, 0.3, size=p.shape)
+              for k, p in init_params(SMALL, len(v)).items()}
+    ids = np.array([[4, 5, 6, 7, 3], [4, 6, 0, 0, 0], [5, 7, 4, 0, 0]], dtype=np.int64)
+    batch = _random_batch(len(v), ids, rows=[0, 0, 2, 2], cols=[1, 4, 2, 2], seed=3)
+    _, grads = loss_and_gradients(params, batch, SMALL)
+    last = f"layer{SMALL.n_layers - 1}."
+    step = 1e-5
+    for key in (last + "Wq", last + "bq", last + "Wk", last + "Wv", "pos_emb", "tok_emb"):
+        shape = params[key].shape
+        for _ in range(12):
+            index = tuple(int(rng.integers(0, n)) for n in shape)
+            if key == "pos_emb":
+                index = (index[0] % ids.shape[1], index[1])
+            elif key == "tok_emb":
+                index = (int(rng.choice(ids.ravel())), index[1])
+            original = params[key][index]
+            params[key][index] = original + step
+            loss_plus, _ = loss_and_gradients(params, batch, SMALL)
+            params[key][index] = original - step
+            loss_minus, _ = loss_and_gradients(params, batch, SMALL)
+            params[key][index] = original
+            numeric = (loss_plus - loss_minus) / (2.0 * step)
+            analytic = grads[key][index]
+            assert abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-4) < 1e-6, (key, index)
+
+
+def _erfc_cdf(x):
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
+
+
+def test_normal_cdf_matches_erfc():
+    switch = 7.07106781186547
+    x = np.concatenate([np.linspace(-40.0, 40.0, 200001),
+                        [0.0, switch, -switch, 37.0, -37.0, np.inf, -np.inf, np.nan]])
+    cdf, gauss = model_module._normal_cdf(x)
+    want = _erfc_cdf(x)
+    assert np.isnan(cdf[-1]) and np.isnan(want[-1])
+    assert np.abs(cdf[:-1] - want[:-1]).max() <= 4.5e-16
+    assert np.array_equal(gauss, np.exp(-x * x / 2), equal_nan=True)
+
+    x32 = x.astype(np.float32)
+    cdf32, gauss32 = model_module._normal_cdf(x32)
+    assert cdf32.dtype == gauss32.dtype == np.float32
+    # Two float32 epsilons: float32 rounding in the rational form alone
+    # reaches 1.1e-7 near h = 0, where Phi is about 0.5.
+    err32 = np.abs(cdf32[:-1] - _erfc_cdf(x32)[:-1])
+    assert err32.max() <= 2 * np.finfo(np.float32).eps
+    assert np.isnan(cdf32[-1])
+    assert np.array_equal(gauss32, np.exp(-x32 * x32 / 2), equal_nan=True)
+
+
 def _layer_norm_by_mean(x, g, b):
     xc = x - x.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + model_module._LN_EPS)
