@@ -381,7 +381,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     params, log = train(train_records, train_cfg, vocab, val_records)
 
     header = config_echo("train", cfg)
-    save_checkpoint(args.output, params, train_cfg, header)
+    save_checkpoint(args.output, params, train_cfg, vocab, header)
     log_lines = ["epoch,split,loss,mean_distance"] + [row.as_csv() for row in log]
     _write_text(args.loss_log or args.output + ".loss.csv", header, log_lines)
     final = log[-1].loss if log else float("nan")
@@ -394,15 +394,14 @@ def _read_vocab(path: str) -> Vocabulary:
 
 
 def _load_model(args: argparse.Namespace) -> tuple[dict, TrainConfig, Vocabulary]:
-    """The ``--model`` checkpoint and its ``--vocab``; a vocabulary whose
-    size is not the checkpoint's embedding row count raises SchemaError
-    naming both files."""
-    params, train_cfg = load_checkpoint(args.model)
+    """The ``--model`` checkpoint and its ``--vocab``; a vocabulary that is
+    not the one the checkpoint was trained on raises SchemaError naming
+    both files."""
+    params, train_cfg, vocab_sha256 = load_checkpoint(args.model)
     vocab = _read_vocab(args.vocab)
-    rows = params["tok_emb"].shape[0]
-    if len(vocab) != rows:
-        raise SchemaError(f"{args.vocab} holds {len(vocab)} tokens, but {args.model} "
-                          f"was trained on a {rows}-token vocabulary")
+    if vocab.sha256() != vocab_sha256:
+        raise SchemaError(f"{args.vocab} is not the vocabulary {args.model} was trained on: "
+                          f"the sha256 of its rows is not the one the checkpoint stores")
     return params, train_cfg, vocab
 
 

@@ -771,37 +771,45 @@ def gradient_check(
 
 
 _CKPT_MAGIC = b"TMCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 def save_checkpoint(
     path: str,
     params: Mapping[str, np.ndarray],
     cfg: TrainConfig,
+    vocab: Vocabulary,
     header_lines: Sequence[str] = (),
 ) -> None:
-    """Versioned binary: text header with config echo and shape manifest,
-    then row-major little-endian float32 blocks in sorted key order."""
-    lines = list(header_lines)
-    lines.append(f"config d_model={cfg.d_model} n_layers={cfg.n_layers} "
-                 f"n_heads={cfg.n_heads} ff_dim={cfg.ff_dim} max_len={cfg.max_len}")
-    for key in sorted(params):
-        shape = "x".join(str(s) for s in params[key].shape)
-        lines.append(f"param {key} {shape}")
+    """Versioned binary: a text header with the config echo and one
+    ``config`` line, then row-major little-endian float32 blocks in sorted
+    key order. The ``config`` line is all the file says of the blocks'
+    shapes, so ``params`` that are not the model ``cfg`` and ``vocab``
+    describe raise ValueError."""
+    shapes = _param_shapes(cfg, len(vocab))
+    got = {key: np.shape(value) for key, value in params.items()}
+    for key in sorted(got.keys() | shapes.keys()):
+        if got.get(key) != shapes.get(key):
+            raise ValueError(f"param {key} is {got.get(key, 'absent')}, but the config and "
+                             f"vocabulary call for {shapes.get(key, 'no such param')}")
+    lines = [*header_lines, f"config d_model={cfg.d_model} n_layers={cfg.n_layers} "
+             f"n_heads={cfg.n_heads} ff_dim={cfg.ff_dim} max_len={cfg.max_len} "
+             f"vocab_size={len(vocab)} vocab_sha256={vocab.sha256()}"]
     header = "".join(f"# {line}\n" for line in lines).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<HI", _CKPT_VERSION, len(header)))
         fh.write(header)
-        for key in sorted(params):
+        for key in sorted(shapes):
             fh.write(np.ascontiguousarray(params[key], dtype="<f4").tobytes())
 
 
-def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig]:
-    """Parameters, as the stored float32 arrays, and config. A param
-    manifest that is not the model its config line describes, or a file
-    whose length disagrees with its header and manifest, raises
-    SchemaError naming the file."""
+def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, str]:
+    """Parameters, as the stored float32 arrays, the config, and the
+    ``Vocabulary.sha256`` of the vocabulary the model was trained on. A
+    file of another version, a bad ``config`` line, or a length that
+    disagrees with the blocks that line calls for raises SchemaError
+    naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     start = 4 + struct.calcsize("<HI")
@@ -809,39 +817,31 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig]:
         raise SchemaError(f"{path}: not a checkpoint file (bad magic)")
     version, header_len = struct.unpack_from("<HI", blob, 4)
     if version != _CKPT_VERSION:
-        raise SchemaError(f"{path}: unsupported checkpoint version {version}")
+        raise SchemaError(f"{path}: checkpoint version {version} is not the supported version "
+                          f"{_CKPT_VERSION}; retrain the model with train")
     off = start + header_len
 
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    cfg_kwargs: dict[str, int] = {}
     try:
+        fields: dict[str, str] = {}
         for line in blob[start:off].decode("utf-8").splitlines():
             body = line.lstrip("# ").strip()
-            if body.startswith("param "):
-                _, key, shape_s = body.split(" ", 2)
-                shapes.append((key, tuple(int(x) for x in shape_s.split("x"))))
-            elif body.startswith("config "):
-                for pair in body[len("config "):].split():
-                    k, v = pair.split("=")
-                    cfg_kwargs[k] = int(v)
-        cfg = TrainConfig(**cfg_kwargs)
-    except (TypeError, ValueError) as exc:
+            if body.startswith("config "):
+                fields.update(pair.split("=", 1) for pair in body.split()[1:])
+        vocab_sha256 = fields.pop("vocab_sha256")
+        vocab_size = int(fields.pop("vocab_size"))
+        if vocab_size < 1:
+            raise ValueError("vocab_size must be positive")
+        cfg = TrainConfig(**{key: int(value) for key, value in fields.items()})
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: bad checkpoint header: {exc}") from exc
-    manifest = dict(shapes)
-    vocab_size = (manifest.get("tok_emb") or manifest.get("out_bias") or (0,))[0]
-    model_shapes = _param_shapes(cfg, vocab_size)
-    for key in sorted(manifest.keys() | model_shapes.keys()):
-        if manifest.get(key) != model_shapes.get(key):
-            raise SchemaError(f"{path}: param {key} is {manifest.get(key, 'absent')}, but its "
-                              f"config line calls for {model_shapes.get(key, 'no such param')}")
-    expected = off + 4 * sum(int(np.prod(shape)) for _, shape in shapes)
+    shapes = _param_shapes(cfg, vocab_size)
+    expected = off + 4 * sum(math.prod(shape) for shape in shapes.values())
     if len(blob) != expected:
-        raise SchemaError(f"{path}: {len(blob)} bytes, but its header and param "
-                          f"manifest call for {expected}")
+        raise SchemaError(f"{path}: {len(blob)} bytes, but its config line calls for {expected}")
     params: dict[str, np.ndarray] = {}
-    for key, shape in shapes:
-        n = int(np.prod(shape))
+    for key in sorted(shapes):
+        n = math.prod(shapes[key])
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).astype(np.float32)
-        params[key] = arr.reshape(shape)
+        params[key] = arr.reshape(shapes[key])
         off += 4 * n
-    return params, cfg
+    return params, cfg, vocab_sha256

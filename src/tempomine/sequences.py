@@ -16,6 +16,7 @@ block ([Vrb], every [Dim:*], every [Val:*:*] grouped by dimension) sits
 above the words. Random replacement draws word ids only.
 """
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ import numpy as np
 
 from .extraction import TemporalTuple
 from .label_space import TemporalDimension, label_space
-from .srl_ingest import SchemaError, parse_json_lines, text_lines
+from .srl_ingest import SchemaError, _as_int, parse_json_lines, text_lines
 from .targets import soft_target
 
 __all__ = [
@@ -52,6 +53,7 @@ PAD_ID = 0
 UNK_ID = 1
 MASK_ID = 2
 SEP_ID = 3
+_SPECIAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, MASK_TOKEN, SEP_TOKEN)  # at their ids
 
 MAX_SEQUENCE_LENGTH = 128
 # The shortest template: [Vrb], one event word, then [SEP] [Vrb] [Dim] [Val].
@@ -105,6 +107,11 @@ class Vocabulary:
     def to_tsv_lines(self) -> list[str]:
         return [f"{tok}\t{i}" for i, tok in enumerate(self.id_to_token)]
 
+    def sha256(self) -> str:
+        """Hex sha256 of the TSV rows: the bytes of a vocabulary file below its header."""
+        rows = "".join(f"{row}\n" for row in self.to_tsv_lines())
+        return hashlib.sha256(rows.encode("utf-8")).hexdigest()
+
     @classmethod
     def from_tsv_lines(cls, lines: Iterable[str], source: str = "<vocabulary>") -> "Vocabulary":
         """Parse ``token<TAB>id`` rows after an optional '#' header; a row
@@ -128,22 +135,24 @@ class Vocabulary:
 
     @classmethod
     def _from_tokens(cls, id_to_token: tuple[str, ...]) -> "Vocabulary":
+        """The vocabulary of the module docstring's id layout; ValueError
+        naming the first id that breaks it, or a duplicate token."""
         token_to_id = {tok: i for i, tok in enumerate(id_to_token)}
         if len(token_to_id) != len(id_to_token):
             raise ValueError("duplicate token in vocabulary")
-        if VERB_MARKER not in token_to_id:
-            raise ValueError(f"no {VERB_MARKER} token in vocabulary")
-        word_start = SEP_ID + 1
-        word_end = token_to_id[VERB_MARKER]
-        return cls(id_to_token, token_to_id, word_start, word_end)
+        reserved = _reserved_tokens()
+        word_end = len(id_to_token) - len(reserved)
+        if word_end < len(_SPECIAL_TOKENS):
+            raise ValueError(f"{len(id_to_token)} tokens cannot hold the special and reserved ones")
+        for i, tok in (*enumerate(_SPECIAL_TOKENS), *enumerate(reserved, start=word_end)):
+            if id_to_token[i] != tok:
+                raise ValueError(f"id {i} must be {tok}, got {id_to_token[i]}")
+        return cls(id_to_token, token_to_id, len(_SPECIAL_TOKENS), word_end)
 
 
 def _reserved_tokens() -> list[str]:
-    reserved = [VERB_MARKER]
-    reserved.extend(dim_token(d) for d in _DIMENSIONS)
-    for d in _DIMENSIONS:
-        reserved.extend(val_token(d, lab) for lab in label_space(d).labels)
-    return reserved
+    return [VERB_MARKER, *map(dim_token, _DIMENSIONS),
+            *(val_token(d, lab) for d in _DIMENSIONS for lab in label_space(d).labels)]
 
 
 def build_vocabulary(
@@ -165,10 +174,7 @@ def build_vocabulary(
          and "\n" not in tok and "\r" not in tok),
         key=lambda tok: (-counts[tok], tok),
     )
-    id_to_token = [PAD_TOKEN, UNK_TOKEN, MASK_TOKEN, SEP_TOKEN]
-    id_to_token.extend(words)
-    id_to_token.extend(_reserved_tokens())
-    return Vocabulary._from_tokens(tuple(id_to_token))
+    return Vocabulary._from_tokens((*_SPECIAL_TOKENS, *words, *_reserved_tokens()))
 
 
 @dataclass(frozen=True)
@@ -387,16 +393,27 @@ def _target_from_json_dict(t: dict) -> MaskTarget:
     if "soft" in t:
         raise ValueError("target holds a stored soft row, which records no longer carry; "
                          "rebuild the dataset with build-dataset")
-    return MaskTarget(position=int(t["position"]), token_id=int(t["token_id"]))
+    return MaskTarget(position=_as_int(t["position"], "target position"),
+                      token_id=_as_int(t["token_id"], "target token_id"))
 
 
 def record_from_json_dict(obj: dict) -> TrainingRecord:
+    """The record ``obj`` holds; ValueError unless its ids and slots are
+    JSON integers and its weight a JSON number (a bool is neither)."""
+    ids, weight = obj["input_ids"], obj["weight"]
+    if not isinstance(ids, list):
+        raise ValueError(f"input_ids must be a list of integers, got {json.dumps(ids)}")
+    if not {int}.issuperset(map(type, ids)):  # one pass for the common, valid case
+        for i, token_id in enumerate(ids):
+            _as_int(token_id, f"input_ids[{i}]")
+    if not isinstance(weight, (int, float)) or isinstance(weight, bool):
+        raise ValueError(f"weight must be a number, got {json.dumps(weight)}")
     return TrainingRecord(
-        input_ids=tuple(int(i) for i in obj["input_ids"]),
+        input_ids=tuple(ids),
         targets=tuple(_target_from_json_dict(t) for t in obj["targets"]),
-        weight=float(obj["weight"]),
+        weight=float(weight),
         dimension=TemporalDimension(obj["dimension"]),
-        val_position=int(obj["val_position"]),
+        val_position=_as_int(obj["val_position"], "val_position"),
     )
 
 

@@ -59,7 +59,7 @@ def test_query_commands_score_in_one_batched_call(spans, tiny_trained, tmp_path,
     # per eval or predict --input call, and one forward per chunk of the
     # checkpoint's batch size (the default: a checkpoint does not store it).
     model, vocab = tmp_path / "m.ckpt", tmp_path / "vocab.tsv"
-    save_checkpoint(str(model), tiny_trained["params"], tiny_trained["cfg"])
+    save_checkpoint(str(model), tiny_trained["params"], tiny_trained["cfg"], tiny_trained["vocab"])
     vocab.write_text("".join(line + "\n" for line in tiny_trained["vocab"].to_tsv_lines()))
     instances = planted_eval_instances(tiny_trained["test_sentences"])
     n = 2 * TrainConfig().batch_size + 5

@@ -1,6 +1,6 @@
 import argparse
+import hashlib
 import json
-import re
 import struct
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 from tempomine import cli
 from tempomine.evaluation import eval_instance_to_json_dict
 from tempomine.label_space import TemporalDimension, label_space
-from tempomine.model import load_checkpoint, save_checkpoint
+from tempomine.model import load_checkpoint
 from tempomine.seeding import stream_rng
 from tempomine.sequences import Vocabulary, read_records_jsonl
 from tempomine.srl_ingest import sentence_to_json_dict, text_lines
@@ -241,51 +241,34 @@ def test_invalid_knob_combination_exit_2(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_workers_flag_removed_exit_2(tmp_path, fixture_corpus_path, capsys):
+# Settings that are gone: --workers (parallel extraction), --format (the
+# binary dataset), --norm-mode and the all-event preset am.
+@pytest.mark.parametrize("argv", [
+    ["extract", "--input", "c.jsonl", "--output", "t.jsonl", "--workers", "2"],
+    ["build-dataset", "--input", "t.jsonl", "--output", "d.jsonl", "--format", "jsonl"],
+    ["build-dataset", "--input", "t.jsonl", "--output", "d.jsonl", "--norm-mode", "softmax"],
+    ["dump-target", "duration", "day", "--norm-mode", "softmax"],
+], ids=lambda a: f"{a[0]} {a[-2]}")
+def test_removed_flag_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as ei:
-        run(["extract", "--input", fixture_corpus_path,
-             "--output", str(tmp_path / "t.jsonl"), "--workers", "2"])
+        run(argv)
     assert ei.value.code == 2
     assert capsys.readouterr().err.startswith("ERROR code=2 ")
 
 
-def test_config_file_workers_key_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("text, argv", [
+    ("workers=2\n", ["manifest"]),
+    ("format=jsonl\n", ["manifest"]),
+    ("norm_mode=softmax\n", ["dump-target", "duration", "day"]),
+    ("am=true\np_event=0.3\n", ["manifest"]),
+], ids=["workers", "format", "norm_mode", "am"])
+def test_removed_config_key_exit_2(tmp_path, capsys, text, argv):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("workers=2\n")
-    assert run(["manifest", "--config", str(cfg)]) == 2
-    assert f"{cfg}:1: unknown config key 'workers'" in capsys.readouterr().err
-
-
-def test_format_flag_removed_exit_2(tmp_path, fixture_corpus_path, capsys):
-    with pytest.raises(SystemExit) as ei:
-        run(["build-dataset", "--input", fixture_corpus_path,
-             "--output", str(tmp_path / "ds.jsonl"), "--format", "jsonl"])
-    assert ei.value.code == 2
-    assert capsys.readouterr().err.startswith("ERROR code=2 ")
-
-
-def test_config_file_format_key_exit_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("format=jsonl\n")
-    assert run(["manifest", "--config", str(cfg)]) == 2
-    assert f"{cfg}:1: unknown config key 'format'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("subcommand", [["build-dataset", "--input", "t.jsonl", "--output", "d.jsonl"],
-                                        ["dump-target", "duration", "day"]], ids=lambda a: a[0])
-def test_norm_mode_flag_removed_exit_2(capsys, subcommand):
-    with pytest.raises(SystemExit) as ei:
-        run([*subcommand, "--norm-mode", "softmax"])
-    assert ei.value.code == 2
-    assert capsys.readouterr().err.startswith("ERROR code=2 ")
-
-
-def test_config_file_norm_mode_key_exit_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("norm_mode=softmax\n")
-    assert run(["dump-target", "duration", "day", "--config", str(cfg)]) == 2
+    cfg.write_text(text)
+    key = text.partition("=")[0]
+    assert run([*argv, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(
-        f"ERROR code=2 {cfg}:1: unknown config key 'norm_mode'")
+        f"ERROR code=2 {cfg}:1: unknown config key '{key}'")
 
 
 def test_config_file_switches_hold_without_flags(pipeline, tmp_path):
@@ -299,13 +282,6 @@ def test_config_file_switches_hold_without_flags(pipeline, tmp_path):
     header = header_lines(out)
     for key in ("ms", "balance"):
         assert f"# {key}=true" in header
-
-
-def test_config_file_am_key_exit_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("am=true\np_event=0.3\n")
-    assert run(["manifest", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith(f"ERROR code=2 {cfg}:1: unknown config key 'am'")
 
 
 @pytest.mark.parametrize("flag", [["--am"], ["--ms"], ["--p-mask", "0.3"],
@@ -440,8 +416,8 @@ def test_build_dataset_hard_targets(pipeline, tmp_path, capsys):
     for kind in ("soft", "hard"):
         assert run([*argv, "--output", str(tmp_path / f"{kind}.ckpt"), "--targets", kind]) == 0
         assert f"# targets={kind}" in header_lines(tmp_path / f"{kind}.ckpt.loss.csv")
-    soft, _ = load_checkpoint(str(tmp_path / "soft.ckpt"))
-    hard, _ = load_checkpoint(str(tmp_path / "hard.ckpt"))
+    soft = load_checkpoint(str(tmp_path / "soft.ckpt"))[0]
+    hard = load_checkpoint(str(tmp_path / "hard.ckpt"))[0]
     assert not np.array_equal(soft["tok_emb"], hard["tok_emb"])
     capsys.readouterr()
     assert run([*argv, "--output", str(tmp_path / "x.ckpt"), "--targets", "smooth"]) == 2
@@ -677,6 +653,28 @@ _RECORD_DEFECTS = {
         lambda r: _val_target(r) is not None,
         lambda r: _val_target(r).update(token_id=_val_target(r)["token_id"] - _labels(r)),
         "[Val] slot {val} holds id {val_id}, not a {dimension} [Val] id "),
+    # Ids, slots and the weight must have their JSON type, not convert to it.
+    "input-id-float": (lambda r: True,
+                       lambda r: r["input_ids"].__setitem__(0, 4.9),
+                       "input_ids[0] must be an integer, got 4.9"),
+    "input-id-bool": (lambda r: True,
+                      lambda r: r["input_ids"].__setitem__(1, True),
+                      "input_ids[1] must be an integer, got true"),
+    "val-position-string": (lambda r: True,
+                            lambda r: r.update(val_position="9"),
+                            'val_position must be an integer, got "9"'),
+    "weight-string": (lambda r: True,
+                      lambda r: r.update(weight="2.5"),
+                      'weight must be a number, got "2.5"'),
+    "weight-bool": (lambda r: True,
+                    lambda r: r.update(weight=True),
+                    "weight must be a number, got true"),
+    "target-position-float": (lambda r: r["targets"],
+                              lambda r: r["targets"][0].update(position=3.5),
+                              "target position must be an integer, got 3.5"),
+    "target-token-id-string": (lambda r: r["targets"],
+                               lambda r: r["targets"][0].update(token_id="5"),
+                               'target token_id must be an integer, got "5"'),
     "stored-soft-row": (lambda r: r["targets"],
                         lambda r: r["targets"][0].update(soft=None),
                         "target holds a stored soft row, which records no longer carry; "
@@ -818,21 +816,32 @@ def test_eval_instance_verb_index_not_an_integer_exit_4(pipeline, tmp_path, caps
 
 
 @pytest.fixture(scope="module")
-def other_vocab(pipeline, tmp_path_factory):
-    """The vocabulary of another build-dataset run, smaller than the model's."""
+def other_vocabs(pipeline, tmp_path_factory):
+    """Vocabularies the model was not trained on: another build-dataset
+    run's, which is smaller, and the model's own with "the" and "a"
+    swapped, which has the same size and ids."""
     root = tmp_path_factory.mktemp("other")
-    vocab = root / "other.vocab.tsv"
+    smaller = root / "other.vocab.tsv"
     assert run(["build-dataset", "--input", str(pipeline["tuples"]),
-                "--output", str(root / "other.jsonl"), "--vocab-out", str(vocab),
+                "--output", str(root / "other.jsonl"), "--vocab-out", str(smaller),
                 "--seed", "21", "--min-count", "3"]) == 0
-    with open(pipeline["vocab"]) as a, open(vocab) as b:
+    with open(pipeline["vocab"]) as a, open(smaller) as b:
         assert len(Vocabulary.from_tsv_lines(b)) < len(Vocabulary.from_tsv_lines(a))
-    return vocab
+    swapped = root / "swapped.vocab.tsv"
+    rows = pipeline["vocab"].read_text().splitlines(keepends=True)
+    the, a = (next(i for i, row in enumerate(rows) if row.startswith(f"{word}\t"))
+              for word in ("the", "a"))
+    rows[the], rows[a] = rows[the].replace("the\t", "a\t"), rows[a].replace("a\t", "the\t")
+    swapped.write_text("".join(rows))
+    return {"smaller": smaller, "swapped": swapped}
 
 
-@pytest.mark.parametrize("command", ["eval", "predict --input", "predict --event"])
-def test_vocab_size_must_match_checkpoint_exit_4(pipeline, other_vocab, tmp_path, capsys,
-                                                 command):
+@pytest.mark.parametrize("command, kind", [
+    pytest.param(command, kind, id=command if kind == "smaller" else f"{command} swapped")
+    for kind in ("smaller", "swapped") for command in ("eval", "predict --input", "predict --event")
+])
+def test_vocab_size_must_match_checkpoint_exit_4(pipeline, other_vocabs, tmp_path, capsys,
+                                                 command, kind):
     queries = tmp_path / "q.jsonl"
     queries.write_text(json.dumps({"event_tokens": ["they", "met"], "verb_index": 1,
                                    "dimension": "duration"}) + "\n")
@@ -843,13 +852,18 @@ def test_vocab_size_must_match_checkpoint_exit_4(pipeline, other_vocab, tmp_path
                             "--dimension", "duration"],
     }[command]
     out = tmp_path / "out.csv"
+    vocab = other_vocabs[kind]
     capsys.readouterr()
     assert run([command.split()[0], "--model", str(pipeline["model"]),
-                "--vocab", str(other_vocab), "--output", str(out)] + tail) == 4
-    err = capsys.readouterr().err
-    assert err.startswith(f"ERROR code=4 {other_vocab} holds ")
-    assert str(pipeline["model"]) in err
+                "--vocab", str(vocab), "--output", str(out)] + tail) == 4
+    assert capsys.readouterr().err.startswith(
+        f"ERROR code=4 {vocab} is not the vocabulary {pipeline['model']} was trained on")
     assert not out.exists()
+
+
+def test_checkpoint_stores_the_sha256_of_the_vocabulary_file_rows(pipeline):
+    rows = "".join(non_comment_lines(pipeline["vocab"])).encode("utf-8")
+    assert load_checkpoint(str(pipeline["model"]))[2] == hashlib.sha256(rows).hexdigest()
 
 
 # ----------------------------------------------------------------- predict
@@ -1058,23 +1072,41 @@ def test_vocab_row_out_of_order_names_file_and_line(pipeline, tmp_path, capsys):
         f"ERROR code=4 {vocab}:{row + 1}: vocabulary ids must be dense, expected 4, got '5'")
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda p: p.pop("tok_emb"),
-     r"param tok_emb is absent, but its config line calls for \(\d+, 32\)"),
-    (lambda p: p.update({"layer0.Wq": np.zeros((16, 8))}),
-     r"param layer0.Wq is \(16, 8\), but its config line calls for \(32, 32\)"),
-], ids=["no-tok_emb", "wq-shape"])
-def test_predict_checkpoint_manifest_must_match_config_exit_4(pipeline, tmp_path, capsys,
-                                                             edit, message):
-    params, train_cfg = load_checkpoint(str(pipeline["model"]))
-    edit(params)
+def test_predict_on_version_1_checkpoint_says_to_retrain_exit_4(pipeline, tmp_path, capsys):
+    # Version 1 stored a shape manifest next to the config line; nothing reads it.
+    blob = bytearray(pipeline["model"].read_bytes())
+    blob[4:6] = struct.pack("<H", 1)
     ckpt = tmp_path / "m.ckpt"
-    save_checkpoint(str(ckpt), params, train_cfg)
+    ckpt.write_bytes(bytes(blob))
     assert run(["predict", "--model", str(ckpt), "--vocab", str(pipeline["vocab"]),
                 "--event", "they met", "--verb-index", "1",
                 "--dimension", "duration"]) == 4
-    assert re.match(rf"ERROR code=4 {re.escape(str(ckpt))}: {message}",
-                    capsys.readouterr().err)
+    assert capsys.readouterr().err == (
+        f"ERROR code=4 {ckpt}: checkpoint version 1 is not the supported version 2; "
+        f"retrain the model with train\n")
+
+
+@pytest.mark.parametrize("token, command", [
+    ("[Dim:duration]", "predict"),
+    ("[Val:duration:second]", "train"),
+    ("[SEP]", "predict"),
+])
+def test_vocab_layout_is_checked_exit_4(pipeline, tmp_path, capsys, token, command):
+    rows = pipeline["vocab"].read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(rows) if line.startswith(f"{token}\t"))
+    rows[row] = rows[row].replace(token, "[renamed]")
+    vocab = tmp_path / "v.tsv"
+    vocab.write_text("".join(rows))
+    argv = {
+        "predict": ["predict", "--model", str(pipeline["model"]), "--event", "they met",
+                    "--verb-index", "1", "--dimension", "duration"],
+        "train": ["train", "--input", str(pipeline["dataset"]),
+                  "--output", str(tmp_path / "m.ckpt"), "--epochs", "1"],
+    }[command]
+    assert run([*argv, "--vocab", str(vocab)]) == 4
+    token_id = rows[row].rpartition("\t")[2].strip()
+    assert capsys.readouterr().err == (
+        f"ERROR code=4 {vocab}: id {token_id} must be {token}, got [renamed]\n")
 
 
 # ----------------------------------------------------------- small commands

@@ -700,12 +700,19 @@ def test_checkpoint_round_trip(tmp_path):
                       max_len=16, seed=0)
     params = init_params(cfg, len(vocab))
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(path, params, cfg, header_lines=["written by tests"])
-    loaded, loaded_cfg = load_checkpoint(path)
+    save_checkpoint(path, params, cfg, vocab, header_lines=["written by tests"])
+    loaded, loaded_cfg, vocab_sha256 = load_checkpoint(path)
+    assert vocab_sha256 == vocab.sha256()
+    with open(path, "rb") as f:
+        blob = f.read()
+    assert blob[4:6] == b"\x02\x00"
+    assert blob[10:].startswith(
+        f"# written by tests\n# config d_model=16 n_layers=2 n_heads=2 ff_dim=32 max_len=16 "
+        f"vocab_size={len(vocab)} vocab_sha256={vocab.sha256()}\n".encode())
     assert sorted(loaded) == sorted(params)
     for k in params:
         assert loaded[k].shape == params[k].shape
-        assert loaded[k].dtype == np.float32
+        assert loaded[k].dtype == np.float32 and loaded[k].flags.writeable
         # float32 storage: round trip agrees to single precision
         assert np.allclose(loaded[k], params[k], atol=1e-6)
     assert loaded_cfg.d_model == cfg.d_model
@@ -722,8 +729,8 @@ def test_checkpoint_predictions_survive_round_trip(tmp_path):
                       max_len=16, batch_size=8, epochs=2, seed=3)
     params, _ = train(records, cfg, vocab)
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(path, params, cfg)
-    loaded, loaded_cfg = load_checkpoint(path)
+    save_checkpoint(path, params, cfg, vocab)
+    loaded, loaded_cfg, _ = load_checkpoint(path)
     query = [(("they", "napped"), 1, TemporalDimension.DURATION)]
     (a,) = predict_value_distribution(params, cfg, vocab, query)
     (b,) = predict_value_distribution(loaded, loaded_cfg, vocab, query)
@@ -735,8 +742,9 @@ def test_loaded_checkpoint_scores_in_float32_and_softmaxes_in_float64(tmp_path):
     cfg = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
                       max_len=16, batch_size=4, seed=0)
     path = str(tmp_path / "model.ckpt")
-    save_checkpoint(path, {k: 25.0 * v for k, v in init_params(cfg, len(vocab)).items()}, cfg)
-    params, cfg = load_checkpoint(path)
+    save_checkpoint(path, {k: 25.0 * v for k, v in init_params(cfg, len(vocab)).items()}, cfg,
+                    vocab)
+    params, cfg, _ = load_checkpoint(path)
     ids = np.array([[4, 5, 6, 0], [5, 4, 6, 7]], dtype=np.int64)
     assert forward(params, ids, cfg).dtype == np.float32
     assert forward(params, ids, cfg, slots=([0, 1], [2, 3])).dtype == np.float32
@@ -798,10 +806,10 @@ def test_checkpoint_length_must_match_manifest(tmp_path, change):
     vocab = _training_vocab()
     cfg = TrainConfig(d_model=8, n_layers=1, n_heads=1, ff_dim=16, max_len=16)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), init_params(cfg, len(vocab)), cfg)
+    save_checkpoint(str(path), init_params(cfg, len(vocab)), cfg, vocab)
     blob = path.read_bytes()
     path.write_bytes(blob[:-6] if change == "truncate" else blob + b"\x00" * 4)
-    with pytest.raises(SchemaError, match=r"m\.ckpt: .* manifest call for"):
+    with pytest.raises(SchemaError, match=r"m\.ckpt: .* config line calls for"):
         load_checkpoint(str(path))
 
 
@@ -809,27 +817,30 @@ def test_checkpoint_cut_inside_header_names_file(tmp_path):
     vocab = _training_vocab()
     cfg = TrainConfig(d_model=8, n_layers=1, n_heads=1, ff_dim=16, max_len=16)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), init_params(cfg, len(vocab)), cfg)
+    save_checkpoint(str(path), init_params(cfg, len(vocab)), cfg, vocab)
     path.write_bytes(path.read_bytes()[:40])
     with pytest.raises(SchemaError, match=r"m\.ckpt: "):
         load_checkpoint(str(path))
 
 
+# The file states no shapes, so params that are not the model of their
+# config and vocabulary cannot be written.
 @pytest.mark.parametrize("edit, message", [
     (lambda p: p.update({"layer1.Wq": np.zeros((8, 8))}),
-     r"param layer1\.Wq is \(8, 8\), but its config line calls for no such param"),
+     r"param layer1\.Wq is \(8, 8\), but .* call for no such param"),
     (lambda p: p.update(out_bias=np.zeros(3)),
-     r"param out_bias is \(3,\), but its config line calls for \(\d+,\)"),
-], ids=["extra-layer", "out_bias-size"])
-def test_checkpoint_manifest_must_match_config(tmp_path, edit, message):
+     r"param out_bias is \(3,\), but .* call for \(\d+,\)"),
+    (lambda p: p.pop("tok_emb"), r"param tok_emb is absent, but .* call for \(\d+, 8\)"),
+], ids=["extra-layer", "out_bias-size", "no-tok_emb"])
+def test_save_checkpoint_params_must_match_config(tmp_path, edit, message):
     vocab = _training_vocab()
     cfg = TrainConfig(d_model=8, n_layers=1, n_heads=1, ff_dim=16, max_len=16)
     params = init_params(cfg, len(vocab))
     edit(params)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), params, cfg)
-    with pytest.raises(SchemaError, match=rf"m\.ckpt: .*{message}"):
-        load_checkpoint(str(path))
+    with pytest.raises(ValueError, match=message):
+        save_checkpoint(str(path), params, cfg, vocab)
+    assert not path.exists()
 
 
 def test_checkpoint_starts_with_magic(tmp_path):
@@ -837,7 +848,7 @@ def test_checkpoint_starts_with_magic(tmp_path):
     cfg = TrainConfig(d_model=8, n_layers=1, n_heads=1, ff_dim=16, max_len=16)
     params = init_params(cfg, len(vocab))
     path = str(tmp_path / "m.ckpt")
-    save_checkpoint(path, params, cfg)
+    save_checkpoint(path, params, cfg, vocab)
     with open(path, "rb") as f:
         assert f.read(4) == b"TMCK"
 

@@ -1,0 +1,18 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import tempomine
+
+# The package re-exports every library module's __all__; the CLI is the
+# entry point, imported on its own.
+MODULES = [m.name for m in pkgutil.iter_modules(tempomine.__path__) if m.name != "cli"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_is_the_package_surface(name):
+    module = importlib.import_module(f"tempomine.{name}")
+    assert module.__all__
+    for attr in module.__all__:
+        assert getattr(tempomine, attr) is getattr(module, attr), attr

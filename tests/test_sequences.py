@@ -467,7 +467,7 @@ def test_records_jsonl_round_trip(tmp_path, vocab):
     (lambda obj: obj.pop("weight"), "missing key 'weight'"),
     (lambda obj: obj["targets"][0].pop("position"), "missing key 'position'"),
     (lambda obj: obj.update(dimension="eon"), "'eon' is not a valid TemporalDimension"),
-    (lambda obj: obj.update(input_ids="abc"), "invalid literal for int"),
+    (lambda obj: obj.update(input_ids="abc"), 'input_ids must be a list of integers, got "abc"'),
 ], ids=["no-weight", "no-target-position", "bad-dimension", "bad-ids"])
 def test_records_jsonl_bad_line_names_file_and_line(tmp_path, vocab, edit, message):
     records = _sample_records(vocab, n=3)
