@@ -52,6 +52,7 @@ from .sequences import (
     apply_masking,
     build_sequence,
     build_vocabulary,
+    dataset_vocab_sha256,
     read_records_jsonl,
     write_records_jsonl,
 )
@@ -343,7 +344,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     header = config_echo("build-dataset", cfg)
     vocab_path = args.vocab_out or args.output + ".vocab.tsv"
     _write_text(vocab_path, header, vocab.to_tsv_lines())
-    write_records_jsonl(args.output, records, header)
+    write_records_jsonl(args.output, records, [*header, f"vocab_sha256={vocab.sha256()}"])
     print(f"built {len(records)} records over a {len(vocab)}-token vocabulary")
     return EXIT_OK
 
@@ -351,6 +352,13 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     vocab = _read_vocab(args.vocab)
+    stated = dataset_vocab_sha256(args.input)
+    if stated is None:
+        raise SchemaError(f"{args.input} states no vocab_sha256 header line; "
+                          f"rebuild the dataset with build-dataset")
+    if stated != vocab.sha256():
+        raise SchemaError(f"{args.vocab} is not the vocabulary {args.input} was built with: "
+                          f"the sha256 of its rows is not the dataset's vocab_sha256")
     records = read_records_jsonl(args.input, vocab)
     if not records:
         raise UsageError(f"no records in {args.input}")
@@ -495,6 +503,12 @@ def cmd_manifest(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exit 2 with the ERROR line on a bad command line; a flag must be
+    spelled in full, so no prefix of it is taken for it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str):  # noqa: A003 - argparse API
         print(f"ERROR code={EXIT_USAGE} {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)

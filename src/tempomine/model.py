@@ -615,10 +615,17 @@ def train(
     Epoch order is drawn from a per-epoch shuffle stream keyed on the
     config seed; batches are consumed in that order. The log holds one
     train row per epoch and, when a validation set is given, one val row
-    with the mean rank distance of masked-[Val] predictions. A batch with
-    no supervised slot (a short trailing batch can draw none) is skipped:
-    no update and no share of the loss. ``cfg.targets`` picks the [Val]
-    targets; soft rows come from one ``soft_val_rows`` memo per call.
+    with the mean rank distance of masked-[Val] predictions. A record with
+    no masked slot is left out of its batch's forward and backward, and
+    the batch pads to its longest slotted record: attention stays within
+    a record, so such a record adds no loss and no gradient. Leaving it
+    out keeps the chunks and the step count, and the loss log and the
+    checkpoint up to float rounding. Validation-loss batches do the
+    same; the [Val] distances still score every validation record. A
+    batch with no supervised slot (a short trailing batch can draw none)
+    is skipped: no update and no share of the loss. ``cfg.targets`` picks
+    the [Val] targets; soft rows come from one ``soft_val_rows`` memo per
+    call.
     """
     if not records:
         raise ValueError("training requires a non-empty dataset")
@@ -636,8 +643,8 @@ def train(
         total_wce = 0.0
         total_w = 0.0
         for i in range(0, len(order), cfg.batch_size):
-            chunk = [records[j] for j in order[i : i + cfg.batch_size]]
-            if not any(r.targets for r in chunk):
+            chunk = [records[j] for j in order[i : i + cfg.batch_size] if records[j].targets]
+            if not chunk:
                 continue  # nothing supervised: no step, no loss
             batch = assemble_batch(chunk, vocab, val_rows)
             loss, grads = loss_and_gradients(params, batch, cfg)
@@ -655,8 +662,8 @@ def train(
         if val_records:
             val_losses, val_weights = [], []
             for i in range(0, len(val_records), cfg.batch_size):
-                chunk = list(val_records[i : i + cfg.batch_size])
-                if not any(r.targets for r in chunk):
+                chunk = [r for r in val_records[i : i + cfg.batch_size] if r.targets]
+                if not chunk:
                     continue
                 batch = assemble_batch(chunk, vocab, val_rows)
                 slot_logits = forward(params, batch.ids, cfg, slots=(batch.slot_rows, batch.slot_cols))

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from collections import Counter
+from contextlib import closing
 from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
@@ -39,7 +40,7 @@ __all__ = [
     "BuiltSequence", "build_sequence",
     "MaskingConfig", "MaskTarget", "TrainingRecord", "apply_masking", "soft_val_rows",
     "record_to_json_dict", "record_from_json_dict",
-    "write_records_jsonl", "read_records_jsonl",
+    "write_records_jsonl", "read_records_jsonl", "dataset_vocab_sha256",
     "MAX_SEQUENCE_LENGTH", "MIN_SEQUENCE_LENGTH",
 ]
 
@@ -464,3 +465,16 @@ def read_records_jsonl(path: str, vocab: Vocabulary) -> list[TrainingRecord]:
     """
     return parse_json_lines(text_lines(path), path,
                             lambda obj: _check_record(record_from_json_dict(obj), vocab))
+
+
+def dataset_vocab_sha256(path: str) -> str | None:
+    """The ``vocab_sha256`` a dataset's '#' header states (see
+    ``Vocabulary.sha256``), or None if its header states none."""
+    with closing(text_lines(path)) as lines:
+        for line in lines:
+            if not line.startswith("#"):
+                break
+            key, _, value = line[1:].strip().partition("=")
+            if key == "vocab_sha256":
+                return value
+    return None

@@ -178,6 +178,24 @@ def test_unknown_flag_exit_2(capsys):
     assert capsys.readouterr().err.startswith("ERROR code=2 ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--input", "d.jsonl", "--vocab", "v.tsv", "--output", "m.ckpt",
+     "--epoch", "3", "--val", "0.1"],
+    ["train", "--input", "d.jsonl", "--vocab", "v.tsv", "--output", "m.ckpt", "--learning", "0.1"],
+    ["predict", "--model", "m.ckpt", "--vocab", "v.tsv", "--dim", "duration",
+     "--ev", "a b", "--verb", "0"],
+    ["build-dataset", "--input", "t.jsonl", "--output", "d.jsonl", "--min", "2"],
+    ["grad-check", "--coord", "3"],
+], ids=lambda a: f"{a[0]} {a[-2]}")
+def test_abbreviated_flag_exit_2(capsys, argv):
+    # A flag is taken only as spelled in full, so a renamed flag cannot
+    # keep parsing under a prefix of its new name.
+    with pytest.raises(SystemExit) as ei:
+        run(argv)
+    assert ei.value.code == 2
+    assert capsys.readouterr().err.startswith("ERROR code=2 unrecognized arguments: ")
+
+
 def test_no_subcommand_exit_2(capsys):
     with pytest.raises(SystemExit) as ei:
         run([])
@@ -325,7 +343,9 @@ def test_each_subcommand_takes_and_echoes_only_what_it_reads(pipeline, tmp_path)
         header = [line[2:] for line in header_lines(path)]
         assert header[0] == f"tempomine {name}"
         keys = [line.partition("=")[0] for line in header[1:]]
-        assert keys == sorted({"seed", *cli.READS[name]}), name
+        # A dataset also states its vocabulary's digest, after the echo.
+        stated = ["vocab_sha256"] if name == "build-dataset" else []
+        assert keys == sorted({"seed", *cli.READS[name]}) + stated, name
 
 
 # ----------------------------------------------------------------- stats
@@ -1048,6 +1068,45 @@ def _write_legacy_binary_dataset(path, records):
             payload += struct.pack("<HIBH", t.position, t.token_id, 0, 0)
         blobs += [struct.pack("<I", len(payload)), payload]
     path.write_bytes(b"".join(blobs))
+
+
+def test_dataset_states_its_vocabulary_digest(pipeline):
+    header = header_lines(pipeline["dataset"])
+    vocab = Vocabulary.from_tsv_lines(text_lines(str(pipeline["vocab"])))
+    assert header[-1] == f"# vocab_sha256={vocab.sha256()}"
+    rows = [line for line in pipeline["vocab"].read_bytes().splitlines(keepends=True)
+            if not line.startswith(b"#")]
+    assert vocab.sha256() == hashlib.sha256(b"".join(rows)).hexdigest()
+
+
+def test_train_with_another_vocabulary_exit_4(pipeline, tmp_path, capsys):
+    # Same size, same layout, two word ids swapped: every record still reads.
+    rows = pipeline["vocab"].read_text().splitlines(keepends=True)
+    the, a = (next(i for i, row in enumerate(rows) if row.startswith(f"{word}\t"))
+              for word in ("the", "a"))
+    rows[the], rows[a] = rows[the].replace("the", "a", 1), rows[a].replace("a", "the", 1)
+    vocab = tmp_path / "swapped.tsv"
+    vocab.write_text("".join(rows))
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--input", str(pipeline["dataset"]), "--vocab", str(vocab),
+                "--output", str(ckpt), "--epochs", "1"]) == 4
+    assert capsys.readouterr().err == (
+        f"ERROR code=4 {vocab} is not the vocabulary {pipeline['dataset']} was built with: "
+        f"the sha256 of its rows is not the dataset's vocab_sha256\n")
+    assert not ckpt.exists()
+
+
+def test_train_dataset_without_vocabulary_digest_exit_4(pipeline, tmp_path, capsys):
+    lines = pipeline["dataset"].read_text().splitlines(keepends=True)
+    dataset = tmp_path / "ds.jsonl"
+    dataset.write_text("".join(line for line in lines if not line.startswith("# vocab_sha256=")))
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--input", str(dataset), "--vocab", str(pipeline["vocab"]),
+                "--output", str(ckpt), "--epochs", "1"]) == 4
+    assert capsys.readouterr().err == (
+        f"ERROR code=4 {dataset} states no vocab_sha256 header line; "
+        f"rebuild the dataset with build-dataset\n")
+    assert not ckpt.exists()
 
 
 def test_train_on_legacy_binary_dataset_exit_4(pipeline, tmp_path, capsys):

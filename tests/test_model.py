@@ -252,6 +252,27 @@ def test_repeated_slot_adds_like_doubled_weight():
         assert np.allclose(g_a[k], g_b[k], rtol=1e-9, atol=1e-15), k
 
 
+def test_slotless_rows_change_no_loss_or_gradient():
+    # Attention stays within a row, so a row without a slot adds no loss
+    # and only exact zeros to the gradient sums, even when it is longer
+    # than every slotted row and so widens the batch.
+    v = small_vocab()
+    params = init_params(SMALL, len(v))
+    slotted = [[4, 5, 6, 3], [5, 4, 7, 0]]
+    base = _random_batch(len(v), slotted, rows=[0, 1, 1], cols=[2, 1, 0])
+    T = 7
+    padded = [[*row, *[0] * (T - len(row))] for row in slotted]
+    ids = np.array([[6, 7, 4, 5, 6, 7, 3], padded[0], [8, 4, 0, 0, 0, 0, 0], padded[1]])
+    wide = Batch(ids=ids, slot_rows=np.array([1, 3, 3]), slot_cols=base.slot_cols,
+                 targets=base.targets, weights=base.weights)
+    loss, grads = loss_and_gradients(params, base, SMALL)
+    wide_loss, wide_grads = loss_and_gradients(params, wide, SMALL)
+    assert wide_loss == pytest.approx(loss, rel=1e-12, abs=0)
+    assert sorted(wide_grads) == sorted(grads)
+    for k in grads:
+        np.testing.assert_allclose(wide_grads[k], grads[k], rtol=1e-12, atol=0, err_msg=k)
+
+
 def test_slot_outside_batch_rejected():
     v = small_vocab()
     params = init_params(SMALL, len(v))
@@ -559,6 +580,53 @@ def test_train_skips_trailing_batch_without_slots():
     assert [r.split for r in log] == ["train"]
     assert math.isfinite(log[0].loss)
     assert all(np.all(np.isfinite(p)) for p in params.values())
+
+
+@pytest.mark.parametrize("with_val", [False, True], ids=["train", "train+val"])
+def test_train_batches_hold_only_slotted_records(monkeypatch, with_val):
+    vocab = _training_vocab()
+    cfg = TrainConfig(d_model=16, n_layers=1, n_heads=2, ff_dim=32,
+                      max_len=16, batch_size=8, epochs=2, seed=3)
+    records = _training_records(vocab, n=30)
+    for j in range(0, len(records), 4):
+        records[j] = _slotless(vocab)
+    # Epoch 0's first chunk holds no slot at all, so it is skipped.
+    for j in stream_rng(cfg.seed, "shuffle", 0).permutation(len(records))[:cfg.batch_size]:
+        records[j] = _slotless(vocab)
+    val = [_slotless(vocab) if j % 3 == 0 else rec
+           for j, rec in enumerate(_training_records(vocab, n=20, seed=9))] if with_val else []
+
+    def slotted_chunks(recs, order):
+        chunks = ([recs[j] for j in order[i:i + cfg.batch_size]]
+                  for i in range(0, len(order), cfg.batch_size))
+        return [[id(r) for r in c if r.targets] for c in chunks if any(r.targets for r in c)]
+
+    want_steps, want_batches = 0, []
+    for epoch in range(cfg.epochs):
+        chunks = slotted_chunks(records, stream_rng(cfg.seed, "shuffle", epoch).permutation(len(records)))
+        want_steps += len(chunks)
+        want_batches += chunks + slotted_chunks(val, range(len(val)))
+    assert want_steps < cfg.epochs * math.ceil(len(records) / cfg.batch_size)  # one chunk skipped
+
+    batches, steps = [], []
+    real_assemble, real_adam = model_module.assemble_batch, model_module.adam_step
+
+    def recording_assemble(chunk, *args):
+        batches.append([id(r) for r in chunk])
+        return real_assemble(chunk, *args)
+
+    def counting_adam(*args):
+        steps.append(1)
+        return real_adam(*args)
+
+    monkeypatch.setattr(model_module, "assemble_batch", recording_assemble)
+    monkeypatch.setattr(model_module, "adam_step", counting_adam)
+    _, log = train(records, cfg, vocab, val_records=val)
+    slotless = {id(r) for r in [*records, *val] if not r.targets}
+    assert not slotless.intersection(*batches)
+    assert batches == want_batches
+    assert len(steps) == want_steps
+    assert [r.split for r in log] == (["train", "val"] if with_val else ["train"]) * cfg.epochs
 
 
 def test_train_val_set_with_slotless_batch():
