@@ -7,7 +7,9 @@ reproduced from its own header. Environment variables are never consulted.
 
 Exit codes:
     0  success
-    2  usage or configuration error (bad flag, bad config file, bad value)
+    2  usage or configuration error (bad flag, bad config file, bad value,
+       or an output path that is empty, is a directory or lies in a
+       directory that does not exist)
     3  a required input file is missing
     4  an input file violates its schema
     5  training diverged (loss passed the abort threshold)
@@ -19,6 +21,7 @@ On failure a single machine-readable line is printed to stderr:
 import argparse
 import dataclasses
 import logging
+import os
 import sys
 from dataclasses import dataclass
 
@@ -79,58 +82,30 @@ class UsageError(ValueError):
     """Bad flags or configuration; maps to exit code 2."""
 
 
-@dataclass
-class PipelineConfig:
-    """Every tunable knob, loadable from a flat key=value file.
+@dataclass(frozen=True)
+class PipelineConfig(TrainConfig, MaskingConfig):
+    """Every tunable setting, loadable from a flat key=value file.
 
-    Flags override file values. A knob that MaskingConfig or TrainConfig
-    holds takes its default and its check from that class.
+    Flags override file values. The settings of TrainConfig and
+    MaskingConfig keep their defaults and checks there; this class adds
+    the four that no library class owns.
     """
 
-    seed: int = TrainConfig.seed
-    p_mask: float = MaskingConfig.p_mask
-    p_dim: float = MaskingConfig.p_dim
-    p_event: float = MaskingConfig.p_event
     ms: bool = False
     min_count: int = 1
     balance: bool = False
-    targets: str = TrainConfig.targets
-    sigma_log: float = TrainConfig.sigma_log
-    sigma_circular: float = TrainConfig.sigma_circular
-    max_len: int = TrainConfig.max_len
-    d_model: int = TrainConfig.d_model
-    n_layers: int = TrainConfig.n_layers
-    n_heads: int = TrainConfig.n_heads
-    ff_dim: int = TrainConfig.ff_dim
-    learning_rate: float = TrainConfig.learning_rate
-    batch_size: int = TrainConfig.batch_size
-    epochs: int = TrainConfig.epochs
     val_fraction: float = 0.0
 
-    def _shared(self, cls) -> dict:
-        """This config's values of the fields ``cls`` also has."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(cls)
-                if f.name in _CONFIG_FIELDS}
-
-    def masking_config(self) -> MaskingConfig:
-        return MaskingConfig(**self._shared(MaskingConfig))
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(**self._shared(TrainConfig))
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.val_fraction <= 1.0:
-            raise UsageError(f"val_fraction must lie in [0, 1], got {self.val_fraction}")
+            raise ValueError(f"val_fraction must lie in [0, 1], got {self.val_fraction}")
         if self.min_count < 1:
-            raise UsageError("min_count must be positive")
+            raise ValueError("min_count must be positive")
         if self.max_len < MIN_SEQUENCE_LENGTH:
-            raise UsageError(f"--max-len must be at least {MIN_SEQUENCE_LENGTH} to hold [Vrb], one "
+            raise ValueError(f"--max-len must be at least {MIN_SEQUENCE_LENGTH} to hold [Vrb], one "
                              f"event word and [SEP] [Vrb] [Dim] [Val], got {self.max_len}")
-        try:
-            self.masking_config()
-            self.train_config()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        MaskingConfig.__post_init__(self)
+        TrainConfig.__post_init__(self)
 
 
 # The PipelineConfig fields each subcommand reads besides seed. A
@@ -216,9 +191,10 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     for name in _CONFIG_FIELDS:
         if getattr(args, name, None) is not None:
             values[name] = getattr(args, name)
-    cfg = PipelineConfig(**values)
-    cfg.validate()
-    return cfg
+    try:
+        return PipelineConfig(**values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def config_echo(subcommand: str, cfg: PipelineConfig) -> list[str]:
@@ -332,14 +308,12 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     tables = label_count_tables(kept_tuples)
     weights = {dim: weight_table(counts) for dim, counts in tables.items()}
 
-    mask_cfg = cfg.masking_config()
-
     records = []
     for ordinal, t in kept:
         left, right = contexts.get(t.provenance[:2], ((), ()))
         built = build_sequence(t, vocab, left, right, max_length=cfg.max_len)
         rng = stream_rng(cfg.seed, "masking", ordinal)
-        records.append(apply_masking(built, mask_cfg, vocab, rng, weights[t.dimension][t.value]))
+        records.append(apply_masking(built, cfg, vocab, rng, weights[t.dimension][t.value]))
 
     header = config_echo("build-dataset", cfg)
     vocab_path = args.vocab_out or args.output + ".vocab.tsv"
@@ -385,11 +359,10 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise UsageError(f"--val-fraction {cfg.val_fraction} leaves no supervised slot "
                              f"in the {share} share of {args.input}")
 
-    train_cfg = cfg.train_config()
-    params, log = train(train_records, train_cfg, vocab, val_records)
+    params, log = train(train_records, cfg, vocab, val_records)
 
     header = config_echo("train", cfg)
-    save_checkpoint(args.output, params, train_cfg, vocab, header)
+    save_checkpoint(args.output, params, cfg, vocab, header)
     log_lines = ["epoch,split,loss,mean_distance"] + [row.as_csv() for row in log]
     _write_text(args.loss_log or args.output + ".loss.csv", header, log_lines)
     final = log[-1].loss if log else float("nan")
@@ -502,11 +475,20 @@ def cmd_manifest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_EXIT_CODE_HELP = (
+    "exit codes: 0 success; 2 usage or config error, or an output path that "
+    "cannot be written; 3 missing input file; 4 input schema violation; "
+    "5 training divergence; 1 other failure"
+)
+
+
 class _Parser(argparse.ArgumentParser):
     """Exit 2 with the ERROR line on a bad command line; a flag must be
-    spelled in full, so no prefix of it is taken for it."""
+    spelled in full, so no prefix of it is taken for it. Every parser's
+    help ends with the exit codes."""
 
     def __init__(self, *args, **kwargs):
+        kwargs.setdefault("epilog", _EXIT_CODE_HELP)
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):  # noqa: A003 - argparse API
@@ -514,57 +496,44 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-_EXIT_CODE_HELP = (
-    "exit codes: 0 success; 2 usage or config error; 3 missing input file; "
-    "4 input schema violation; 5 training divergence; 1 other failure"
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="tempomine", description=__doc__.splitlines()[0],
-                     epilog=_EXIT_CODE_HELP)
+    parser = _Parser(prog="tempomine", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("extract", help="mine temporal tuples from an SRL corpus",
-                       epilog=_EXIT_CODE_HELP)
+    p = sub.add_parser("extract", help="mine temporal tuples from an SRL corpus")
     p.add_argument("--input", required=True, help="SRL corpus (JSON Lines)")
     p.add_argument("--output", required=True, help="tuple file to write (JSON Lines)")
     p.add_argument("--strict", action="store_true",
                    help="fail with exit 4 on the first malformed record instead of skipping")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("stats", help="per-dimension label counts and instance weights",
-                       epilog=_EXIT_CODE_HELP)
+    p = sub.add_parser("stats", help="per-dimension label counts and instance weights")
     p.add_argument("--input", required=True, help="tuple file")
     p.add_argument("--output", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("build-dataset", help="masked training records from tuples",
-                       epilog=_EXIT_CODE_HELP)
+    p = sub.add_parser("build-dataset", help="masked training records from tuples")
     p.add_argument("--input", required=True, help="tuple file")
     p.add_argument("--output", required=True, help="dataset file to write")
     p.add_argument("--corpus", help="source corpus, for --ms context lookup")
     p.add_argument("--vocab-out", dest="vocab_out", help="vocabulary TSV path (default: <output>.vocab.tsv)")
     p.set_defaults(func=cmd_build_dataset)
 
-    p = sub.add_parser("train", help="train the encoder on a dataset",
-                       epilog=_EXIT_CODE_HELP)
+    p = sub.add_parser("train", help="train the encoder on a dataset")
     p.add_argument("--input", required=True, help="dataset file (JSON Lines)")
     p.add_argument("--vocab", required=True, help="vocabulary TSV")
     p.add_argument("--output", required=True, help="checkpoint path to write")
     p.add_argument("--loss-log", dest="loss_log", help="loss CSV path (default: <output>.loss.csv)")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="rank-distance report on gold-labeled events",
-                       epilog=_EXIT_CODE_HELP)
+    p = sub.add_parser("eval", help="rank-distance report on gold-labeled events")
     p.add_argument("--input", required=True, help="evaluation instances (JSON Lines)")
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--vocab", required=True, help="vocabulary TSV")
     p.add_argument("--output", help="report CSV path (default: stdout)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="value distribution for an event",
-                       epilog=_EXIT_CODE_HELP)
+    p = sub.add_parser("predict", help="value distribution for an event")
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--vocab", required=True, help="vocabulary TSV")
     p.add_argument("--input", help="query file (JSON Lines of event_tokens/verb_index/dimension)")
@@ -574,20 +543,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("grad-check", help="analytic vs finite-difference gradients",
-                       epilog=_EXIT_CODE_HELP)
+    p = sub.add_parser("grad-check", help="analytic vs finite-difference gradients")
     p.add_argument("--coords", type=int, default=40, help="coordinates probed per config")
     p.set_defaults(func=cmd_grad_check)
 
-    p = sub.add_parser("dump-target", help="soft target distribution for one label",
-                       epilog=_EXIT_CODE_HELP)
+    p = sub.add_parser("dump-target", help="soft target distribution for one label")
     p.add_argument("dimension", help="dimension name")
     p.add_argument("label", help="gold label")
     p.add_argument("--output", help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_dump_target)
 
-    p = sub.add_parser("manifest", help="print every dimension's label inventory",
-                       epilog=_EXIT_CODE_HELP)
+    p = sub.add_parser("manifest", help="print every dimension's label inventory")
     p.add_argument("--output", help="path (default: stdout)")
     p.set_defaults(func=cmd_manifest)
 
@@ -606,10 +572,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_paths(args: argparse.Namespace) -> None:
+    """UsageError naming the flag if a given output path is empty, is a
+    directory or lies in a directory that does not exist. The default
+    vocabulary and loss-log paths lie in ``--output``'s directory, so its
+    check covers them."""
+    for name in ("output", "vocab_out", "loss_log"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        flag = "--" + name.replace("_", "-")
+        if not path or os.path.isdir(path):
+            raise UsageError(f"{flag} {path!r} is not a path to a file")
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise UsageError(f"{flag} {path}: directory {directory} does not exist")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args)  # before any input is read
         return args.func(args)
     except UsageError as exc:
         print(f"ERROR code={EXIT_USAGE} {exc}", file=sys.stderr)

@@ -78,8 +78,8 @@ def text_lines(path: str) -> Iterator[str]:
 def parse_json_lines(lines: Iterable[str], source: str, parse) -> list:
     """``parse`` applied to each JSON line; '#' and blank lines are skipped.
 
-    A line that is not JSON, or that ``parse`` rejects with KeyError,
-    TypeError or ValueError, raises SchemaError as ``source:line``.
+    A line that is not a JSON object, or that ``parse`` rejects with
+    KeyError, TypeError or ValueError, raises SchemaError as ``source:line``.
     """
     rows = []
     for line_no, line in enumerate(lines, start=1):
@@ -87,7 +87,10 @@ def parse_json_lines(lines: Iterable[str], source: str, parse) -> list:
         if not line or line.startswith("#"):
             continue
         try:
-            rows.append(parse(json.loads(line)))
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise TypeError("expected a JSON object")
+            rows.append(parse(obj))
         except KeyError as exc:
             raise SchemaError(f"{source}:{line_no}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import struct
@@ -9,9 +10,9 @@ import pytest
 from tempomine import cli
 from tempomine.evaluation import eval_instance_to_json_dict
 from tempomine.label_space import TemporalDimension, label_space
-from tempomine.model import load_checkpoint
+from tempomine.model import TrainConfig, load_checkpoint
 from tempomine.seeding import stream_rng
-from tempomine.sequences import Vocabulary, read_records_jsonl
+from tempomine.sequences import MaskingConfig, Vocabulary, read_records_jsonl
 from tempomine.srl_ingest import sentence_to_json_dict, text_lines
 from tempomine.synthetic import generate_corpus, planted_eval_instances
 
@@ -171,6 +172,37 @@ def test_missing_input_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("ERROR code=3 ")
 
 
+@pytest.mark.parametrize("command, flag, target", [
+    ("train", "--output", "absent/m.ckpt"),
+    ("train", "--loss-log", "absent/loss.csv"),
+    ("build-dataset", "--vocab-out", "absent/v.tsv"),
+    ("manifest", "--output", "."),
+    ("manifest", "--output", ""),
+], ids=["train-output", "train-loss-log", "build-dataset-vocab-out", "output-directory",
+        "output-empty"])
+def test_unwritable_output_path_exit_2_before_any_work(pipeline, tmp_path, monkeypatch,
+                                                       capsys, command, flag, target):
+    def fail(*args, **kwargs):
+        raise AssertionError("an input was read or a model trained")
+    for name in ("train", "read_tuples_jsonl", "read_records_jsonl", "_read_vocab"):
+        monkeypatch.setattr(cli, name, fail)
+    path = str(tmp_path / target) if target else ""
+    argv = {
+        "train": ["train", "--input", str(pipeline["dataset"]), "--vocab", str(pipeline["vocab"]),
+                  "--output", str(tmp_path / "m.ckpt")],
+        "build-dataset": ["build-dataset", "--input", str(pipeline["tuples"]),
+                          "--output", str(tmp_path / "ds.jsonl")],
+        "manifest": ["manifest"],
+    }[command]
+    assert run([*argv, flag, path]) == 2
+    if target.startswith("absent"):
+        want = f"{flag} {path}: directory {tmp_path / 'absent'} does not exist"
+    else:
+        want = f"{flag} {path!r} is not a path to a file"
+    assert capsys.readouterr().err == f"ERROR code=2 {want}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_flag_exit_2(capsys):
     with pytest.raises(SystemExit) as ei:
         run(["extract", "--nonsense"])
@@ -259,6 +291,30 @@ def test_invalid_knob_combination_exit_2(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_pipeline_config_extends_the_library_configs():
+    assert issubclass(cli.PipelineConfig, TrainConfig)
+    assert issubclass(cli.PipelineConfig, MaskingConfig)
+    # It declares only the settings no library class owns.
+    assert set(cli.PipelineConfig.__annotations__) == {"ms", "min_count", "balance",
+                                                       "val_fraction"}
+    library = {f.name: f.type for cls in (TrainConfig, MaskingConfig)
+               for f in dataclasses.fields(cls)}
+    assert cli._CONFIG_FIELDS == {**library, "ms": bool, "min_count": int, "balance": bool,
+                                  "val_fraction": float}
+    cfg = cli.PipelineConfig()
+    for cls in (TrainConfig, MaskingConfig):
+        default = cls()
+        for field in dataclasses.fields(cls):
+            assert getattr(cfg, field.name) == getattr(default, field.name), field.name
+
+
+def test_config_checks_pipeline_settings_first(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p_mask=1.5\nval_fraction=2\n")
+    assert run(["manifest", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "ERROR code=2 val_fraction must lie in [0, 1], got 2.0\n"
+
+
 # Settings that are gone: --workers (parallel extraction), --format (the
 # binary dataset), --norm-mode and the all-event preset am.
 @pytest.mark.parametrize("argv", [
@@ -318,9 +374,9 @@ def test_each_subcommand_takes_and_echoes_only_what_it_reads(pipeline, tmp_path)
                       if isinstance(a, argparse._SubParsersAction)).choices
     assert set(subparsers) == set(cli.READS)
     for name, subparser in subparsers.items():
-        knob_flags = {a.dest for a in subparser._actions
-                      if a.dest in cli.PipelineConfig.__annotations__}
+        knob_flags = {a.dest for a in subparser._actions if a.dest in cli._CONFIG_FIELDS}
         assert knob_flags == {"seed", *cli.READS[name]} - set(cli._CONFIG_ONLY), name
+        assert " ".join(subparser.format_help().split()).endswith(cli._EXIT_CODE_HELP), name
 
     model = ["--model", str(pipeline["model"]), "--vocab", str(pipeline["vocab"])]
     written = {
@@ -1052,6 +1108,36 @@ def test_input_that_is_not_utf8_names_file_and_line(pipeline, tmp_path, capsys,
     assert run(argv) == 4
     assert capsys.readouterr().err.startswith(
         f"ERROR code=4 {bad}:{line_no}: not UTF-8 text: byte 0xe9")
+
+
+@pytest.mark.parametrize("value", ["[1, 2]", "5", '"x"', "null"],
+                         ids=["list", "number", "string", "null"])
+@pytest.mark.parametrize("command, source", [
+    ("build-dataset", "tuples"),
+    ("stats", "tuples"),
+    ("train", "dataset"),
+    ("eval", "instances"),
+    ("predict --input", "instances"),
+])
+def test_json_line_that_is_not_an_object_exit_4(pipeline, tmp_path, capsys,
+                                                command, source, value):
+    lines = pipeline[source].read_text().splitlines(keepends=True)
+    row = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    lines[row] = value + "\n"
+    bad = tmp_path / f"bad-{source}"
+    bad.write_text("".join(lines))
+    out = str(tmp_path / "out")
+    model = ["--model", str(pipeline["model"]), "--vocab", str(pipeline["vocab"])]
+    argv = {
+        "build-dataset": ["build-dataset", "--input", str(bad), "--output", out],
+        "stats": ["stats", "--input", str(bad), "--output", out],
+        "train": ["train", "--input", str(bad), "--vocab", str(pipeline["vocab"]),
+                  "--output", out],
+        "eval": ["eval", "--input", str(bad), *model, "--output", out],
+        "predict --input": ["predict", "--input", str(bad), *model, "--output", out],
+    }[command]
+    assert run(argv) == 4
+    assert capsys.readouterr().err == f"ERROR code=4 {bad}:{row + 1}: expected a JSON object\n"
 
 
 def _write_legacy_binary_dataset(path, records):

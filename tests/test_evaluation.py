@@ -115,7 +115,7 @@ def test_read_queries_parses_each_line():
      "verb_index 2 out of bounds for 2 tokens"),
     ({"event_tokens": "they slept", "verb_index": 1, "dimension": "duration"},
      "event_tokens must be a list of strings"),
-    (["they", "slept"], "list indices"),
+    (["they", "slept"], "expected a JSON object"),
 ])
 def test_read_queries_rejects_bad_line_as_path_line(obj, message):
     lines = ["# header", json.dumps(obj)]
