@@ -3,11 +3,10 @@ and the distance functions the rest of the pipeline is built on.
 """
 
 from tempomine import (
-    DURATION_UNITS,
+    UNIT_SECONDS,
     TemporalDimension,
     Topology,
     all_label_spaces,
-    canonical_seconds,
     circular_distance,
     label_space,
     linear_distance,
@@ -18,8 +17,8 @@ from tempomine import (
 
 def main() -> None:
     print("duration unit inventory (name, canonical seconds, log-seconds):")
-    for unit in DURATION_UNITS:
-        print(f"  {unit.name:<8} {canonical_seconds(unit.name):>13,d}  {logsec(unit.name):7.3f}")
+    for unit, seconds in UNIT_SECONDS.items():
+        print(f"  {unit:<8} {seconds:>13,d}  {logsec(unit):7.3f}")
 
     print()
     print("snapping raw quantities to the nearest unit in log space:")

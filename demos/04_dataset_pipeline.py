@@ -14,8 +14,8 @@ from tempomine import (
     apply_masking,
     build_sequence,
     build_vocabulary,
-    soft_val_rows,
     stream_rng,
+    val_targets,
 )
 
 
@@ -44,16 +44,16 @@ def main() -> None:
     record = apply_masking(built, cfg, vocab, stream_rng(7, "masking", 0))
     print()
     print("after masking:", " ".join(names[i] for i in record.input_ids))
-    # The record stores only the label's id; train derives the [Val]
-    # slot's soft row from it, once per (dimension, label).
+    # The record stores only the label's id; train looks the [Val] slot's
+    # target up in one table per run, indexed by [Val] id (the last ids).
     train_cfg = TrainConfig()
-    rows = soft_val_rows(train_cfg.sigma_log, train_cfg.sigma_circular)
-    start, labels = vocab.val_block(record.dimension)
+    table = val_targets(train_cfg.targets, train_cfg.sigma_log, train_cfg.sigma_circular)
+    val_start = len(vocab) - len(table)
     for target in record.targets:
         print(f"slot {target.position}: recover {names[target.token_id]}")
         if target.position == record.val_position:
-            dist = rows(record.dimension, labels[target.token_id - start])
-            print(f"  soft target argmax = {labels[int(np.argmax(dist))]},"
+            dist = table[target.token_id - val_start]
+            print(f"  soft target argmax = {names[val_start + int(np.argmax(dist))]},"
                   f" sum = {dist.sum():.6f}")
 
 

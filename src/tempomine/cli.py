@@ -8,8 +8,8 @@ reproduced from its own header. Environment variables are never consulted.
 Exit codes:
     0  success
     2  usage or configuration error (bad flag, bad config file, bad value,
-       or an output path that is empty, is a directory or lies in a
-       directory that does not exist)
+       an input path that is a directory, or an output path that is
+       empty, is a directory or lies in a directory that does not exist)
     3  a required input file is missing
     4  an input file violates its schema
     5  training diverged (loss passed the abort threshold)
@@ -476,9 +476,9 @@ def cmd_manifest(args: argparse.Namespace) -> int:
 
 
 _EXIT_CODE_HELP = (
-    "exit codes: 0 success; 2 usage or config error, or an output path that "
-    "cannot be written; 3 missing input file; 4 input schema violation; "
-    "5 training divergence; 1 other failure"
+    "exit codes: 0 success; 2 usage or config error, an input path that is a "
+    "directory, or an output path that cannot be written; 3 missing input file; "
+    "4 input schema violation; 5 training divergence; 1 other failure"
 )
 
 
@@ -572,11 +572,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_output_paths(args: argparse.Namespace) -> None:
-    """UsageError naming the flag if a given output path is empty, is a
-    directory or lies in a directory that does not exist. The default
-    vocabulary and loss-log paths lie in ``--output``'s directory, so its
-    check covers them."""
+def _check_paths(args: argparse.Namespace) -> None:
+    """UsageError naming the flag if a given input path is a directory,
+    or a given output path is empty, is a directory or lies in a
+    directory that does not exist. The default vocabulary and loss-log
+    paths lie in ``--output``'s directory, so its check covers them."""
+    for name in ("input", "corpus", "vocab", "model", "config"):
+        path = getattr(args, name, None)
+        if path and os.path.isdir(path):
+            raise UsageError(f"--{name} {path!r} is a directory, not a file")
     for name in ("output", "vocab_out", "loss_log"):
         path = getattr(args, name, None)
         if path is None:
@@ -593,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_output_paths(args)  # before any input is read
+        _check_paths(args)  # before any input is read
         return args.func(args)
     except UsageError as exc:
         print(f"ERROR code={EXIT_USAGE} {exc}", file=sys.stderr)

@@ -15,9 +15,9 @@ import json
 import math
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
-from typing import NamedTuple
 
 from .label_space import (
+    UNIT_ORDER,
     TemporalDimension,
     canonical_seconds,
     label_space,
@@ -94,23 +94,14 @@ class TemporalTuple:
         )
 
 
-class Numeric(NamedTuple):
-    value: float
-    width: int
-
-
 _NUMBER_WORDS = {
     "one": 1, "two": 2, "three": 3, "four": 4, "five": 5, "six": 6,
     "seven": 7, "eight": 8, "nine": 9, "ten": 10, "eleven": 11, "twelve": 12,
 }
 
-# Surface form -> canonical unit name, singular and plural.
-_UNIT_SURFACES: dict[str, str] = {}
-for _name in ("second", "minute", "hour", "day", "week", "month", "year", "decade"):
-    _UNIT_SURFACES[_name] = _name
-    _UNIT_SURFACES[_name + "s"] = _name
-_UNIT_SURFACES["century"] = "century"
-_UNIT_SURFACES["centuries"] = "century"
+# Surface form -> unit name: each unit's singular and plural.
+_UNIT_SURFACES = {surface: unit for unit in UNIT_ORDER
+                  for surface in (unit, "centuries" if unit == "century" else unit + "s")}
 
 _FREQ_ADVERB_PERIOD = {
     "annually": "year", "yearly": "year", "monthly": "month",
@@ -158,25 +149,26 @@ _TYPICAL_CYCLE = {
 }
 
 
-def parse_numeric(tokens: list[str] | tuple[str, ...], at: int) -> Numeric | None:
-    """Parse a count at ``tokens[at]``: digit strings, one..twelve, a/an -> 1.
+def parse_numeric(tokens: list[str] | tuple[str, ...], at: int) -> float | None:
+    """Parse the one-token count at ``tokens[at]``: digit strings,
+    one..twelve, a/an -> 1.
 
-    Returns the positive, finite value and consumed token width, or None.
+    Returns the positive, finite value, or None.
     """
     if not 0 <= at < len(tokens):
         return None
     surface = tokens[at].lower()
     if surface in ("a", "an"):
-        return Numeric(1.0, 1)
+        return 1.0
     if surface in _NUMBER_WORDS:
-        return Numeric(float(_NUMBER_WORDS[surface]), 1)
+        return float(_NUMBER_WORDS[surface])
     try:
         value = float(surface.replace(",", ""))
     except ValueError:
         return None
     if not math.isfinite(value) or value <= 0:
         return None
-    return Numeric(value, 1)
+    return value
 
 
 def _unit_near(seconds: float) -> str | None:
@@ -194,18 +186,14 @@ def extract_duration(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
     lower = [t.lower() for t in arg_tokens]
     if not lower or lower[0] != "for":
         return None
-    i = 1
-    count = 1.0
-    num = parse_numeric(lower, i)
-    if num is not None:
-        count = num.value
-        i += num.width
+    count = parse_numeric(lower, 1)
+    i = 1 if count is None else 2
     if i >= len(lower) or lower[i] not in _UNIT_SURFACES:
         return None
     unit = _UNIT_SURFACES[lower[i]]
     if lower[i] == "second" and any(t.isalpha() for t in lower[i + 1:]):
         return None
-    return _unit_near(count * canonical_seconds(unit))
+    return _unit_near((count or 1.0) * canonical_seconds(unit))
 
 
 def _parse_period_seconds(lower: list[str], start: int) -> float | None:
@@ -218,12 +206,8 @@ def _parse_period_seconds(lower: list[str], start: int) -> float | None:
     for j in range(start, len(lower)):
         t = lower[j]
         if t in _UNIT_SURFACES:
-            mult = 1.0
-            if j > start:
-                num = parse_numeric(lower, j - 1)
-                if num is not None:
-                    mult = num.value
-            return mult * canonical_seconds(_UNIT_SURFACES[t])
+            mult = parse_numeric(lower, j - 1) if j > start else None
+            return (mult or 1.0) * canonical_seconds(_UNIT_SURFACES[t])
         if t in _FREQ_ADVERB_PERIOD:
             return float(canonical_seconds(_FREQ_ADVERB_PERIOD[t]))
         if t in _TYPICAL_KEYWORDS:
@@ -248,10 +232,9 @@ def extract_frequency(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
     trigger = lower[trigger_idx]
 
     if trigger == "times":
-        num = parse_numeric(lower, trigger_idx - 1)
-        if num is None:
+        count = parse_numeric(lower, trigger_idx - 1)
+        if count is None:
             return None
-        count = num.value
     elif trigger == "twice":
         count = 2.0
     else:
@@ -284,11 +267,9 @@ def extract_upper_bound(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
     if not lower:
         return None
     if lower[0] == "in":
-        num = parse_numeric(lower, 1)
-        if num is not None:
-            j = 1 + num.width
-            if j < len(lower) and lower[j] in _UNIT_SURFACES:
-                return _unit_near(num.value * canonical_seconds(_UNIT_SURFACES[lower[j]]))
+        count = parse_numeric(lower, 1)
+        if count is not None and len(lower) > 2 and lower[2] in _UNIT_SURFACES:
+            return _unit_near(count * canonical_seconds(_UNIT_SURFACES[lower[2]]))
     for i, t in enumerate(lower):
         if t == "yesterday":
             return "day"

@@ -15,10 +15,9 @@ import numpy as np
 
 __all__ = [
     "TemporalDimension",
-    "DurationUnit",
     "Topology",
     "LabelSpace",
-    "DURATION_UNITS",
+    "UNIT_SECONDS",
     "UNIT_ORDER",
     "logsec",
     "canonical_seconds",
@@ -53,28 +52,22 @@ class Topology(str, Enum):
     CATEGORICAL = "categorical"
 
 
-@dataclass(frozen=True)
-class DurationUnit:
-    name: str
-    canonical_seconds: int
-
-
+# The duration unit inventory, smallest first: name -> span in seconds.
 # Calendar-precision choices (30-day month, 365-day year) do not affect
 # nearest-unit assignment, which happens on the log scale.
-DURATION_UNITS: tuple[DurationUnit, ...] = (
-    DurationUnit("second", 1),
-    DurationUnit("minute", 60),
-    DurationUnit("hour", 3_600),
-    DurationUnit("day", 86_400),
-    DurationUnit("week", 604_800),
-    DurationUnit("month", 2_592_000),
-    DurationUnit("year", 31_536_000),
-    DurationUnit("decade", 315_360_000),
-    DurationUnit("century", 3_153_600_000),
-)
+UNIT_SECONDS: dict[str, int] = {
+    "second": 1,
+    "minute": 60,
+    "hour": 3_600,
+    "day": 86_400,
+    "week": 604_800,
+    "month": 2_592_000,
+    "year": 31_536_000,
+    "decade": 315_360_000,
+    "century": 3_153_600_000,
+}
 
-UNIT_ORDER: tuple[str, ...] = tuple(u.name for u in DURATION_UNITS)
-_UNIT_BY_NAME = {u.name: u for u in DURATION_UNITS}
+UNIT_ORDER: tuple[str, ...] = tuple(UNIT_SECONDS)
 
 TIME_OF_DAY_LABELS = ("midnight", "dawn", "morning", "noon", "afternoon", "evening", "night", "overnight")
 DAY_OF_WEEK_LABELS = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
@@ -131,18 +124,16 @@ def all_label_spaces() -> dict[TemporalDimension, LabelSpace]:
     return dict(_SPACES)
 
 
-def canonical_seconds(unit: str | DurationUnit) -> int:
-    if isinstance(unit, DurationUnit):
-        return unit.canonical_seconds
-    return _UNIT_BY_NAME[unit].canonical_seconds
+def canonical_seconds(unit: str) -> int:
+    return UNIT_SECONDS[unit]
 
 
-def logsec(unit: str | DurationUnit) -> float:
+def logsec(unit: str) -> float:
     """Natural log of the unit's span in seconds (minute -> 4.094)."""
-    return math.log(canonical_seconds(unit))
+    return math.log(UNIT_SECONDS[unit])
 
 
-_UNIT_LOGSECS = tuple(logsec(u) for u in DURATION_UNITS)
+_UNIT_LOGSECS = tuple(map(logsec, UNIT_ORDER))
 
 
 def nearest_unit(seconds: float) -> str:

@@ -24,7 +24,7 @@ runs its forward in float32 and softmaxes each [Val] block in float64.
 import math
 import struct
 from dataclasses import dataclass
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .sequences import (
     TrainingRecord,
     Vocabulary,
     build_sequence,
-    soft_val_rows,
+    val_targets,
 )
 from .targets import DEFAULT_SIGMA_CIRCULAR, DEFAULT_SIGMA_LOG
 
@@ -95,15 +95,17 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in ("d_model", "n_layers", "n_heads", "ff_dim", "max_len",
-                     "batch_size", "epochs", "sigma_log", "sigma_circular"):
+                     "batch_size", "epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("sigma_log", "sigma_circular", "learning_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if self.targets not in ("soft", "hard"):
             raise ValueError(f"targets must be 'soft' or 'hard', got {self.targets!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
 
 
 def _param_shapes(cfg: TrainConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
@@ -440,39 +442,31 @@ def _pad_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
 def assemble_batch(
     records: Sequence[TrainingRecord],
     vocab: Vocabulary,
-    val_rows: Callable[[TemporalDimension, str], np.ndarray] | None = None,
+    val_table: np.ndarray,
 ) -> Batch:
     """Pad records to a common length and scatter targets onto vocab ids.
 
-    A slot's target is one-hot at its ``token_id``, except that with
-    ``val_rows`` (see ``soft_val_rows``) a [Val] slot's target is the row
-    of the label its ``token_id`` names, on the dimension's [Val] block.
+    A slot's target is one-hot at its ``token_id``, except that a [Val]
+    slot's target is the ``val_table`` row (see ``val_targets``) of its
+    ``token_id`` across the [Val] ids, the vocabulary's last ones.
     """
     if not records:
         raise ValueError("cannot assemble an empty batch")
-    V = len(vocab)
-    ids = _pad_rows([r.input_ids for r in records])
-    rows, cols, tgt_rows, weights = [], [], [], []
-    for i, rec in enumerate(records):
-        for t in rec.targets:
-            row = np.zeros(V)
-            if val_rows is not None and t.position == rec.val_position:
-                start, labels = vocab.val_block(rec.dimension)
-                label = labels[t.token_id - start]
-                row[start : start + len(labels)] = val_rows(rec.dimension, label)
-            else:
-                row[t.token_id] = 1.0
-            rows.append(i)
-            cols.append(t.position)
-            tgt_rows.append(row)
-            weights.append(rec.weight)
-    if not rows:
+    slots = [(i, t.position, t.token_id, t.position == rec.val_position, rec.weight)
+             for i, rec in enumerate(records) for t in rec.targets]
+    if not slots:
         raise ValueError("batch has no supervised slots")
+    rows, cols, token_ids, is_val, weights = zip(*slots)
+    token_ids, is_val = np.array(token_ids), np.array(is_val)
+    val_start = len(vocab) - len(val_table)
+    targets = np.zeros((len(slots), len(vocab)))
+    targets[np.arange(len(slots)), token_ids] = 1.0
+    targets[is_val, val_start:] = val_table[token_ids[is_val] - val_start]
     return Batch(
-        ids=ids,
+        ids=_pad_rows([r.input_ids for r in records]),
         slot_rows=np.array(rows, dtype=np.int64),
         slot_cols=np.array(cols, dtype=np.int64),
-        targets=np.array(tgt_rows),
+        targets=targets,
         weights=np.array(weights, dtype=np.float64),
     )
 
@@ -624,8 +618,7 @@ def train(
     same; the [Val] distances still score every validation record. A
     batch with no supervised slot (a short trailing batch can draw none)
     is skipped: no update and no share of the loss. ``cfg.targets`` picks
-    the [Val] targets; soft rows come from one ``soft_val_rows`` memo per
-    call.
+    the [Val] targets, from one ``val_targets`` table per call.
     """
     if not records:
         raise ValueError("training requires a non-empty dataset")
@@ -636,7 +629,7 @@ def train(
     params = init_params(cfg, len(vocab))
     state = AdamState.for_params(params)
     log: list[LogRow] = []
-    val_rows = soft_val_rows(cfg.sigma_log, cfg.sigma_circular) if cfg.targets == "soft" else None
+    val_table = val_targets(cfg.targets, cfg.sigma_log, cfg.sigma_circular)
 
     for epoch in range(cfg.epochs):
         order = stream_rng(cfg.seed, "shuffle", epoch).permutation(len(records))
@@ -646,7 +639,7 @@ def train(
             chunk = [records[j] for j in order[i : i + cfg.batch_size] if records[j].targets]
             if not chunk:
                 continue  # nothing supervised: no step, no loss
-            batch = assemble_batch(chunk, vocab, val_rows)
+            batch = assemble_batch(chunk, vocab, val_table)
             loss, grads = loss_and_gradients(params, batch, cfg)
             if not np.isfinite(loss) or loss > DIVERGENCE_THRESHOLD:
                 raise DivergenceError(
@@ -665,7 +658,7 @@ def train(
                 chunk = [r for r in val_records[i : i + cfg.batch_size] if r.targets]
                 if not chunk:
                     continue
-                batch = assemble_batch(chunk, vocab, val_rows)
+                batch = assemble_batch(chunk, vocab, val_table)
                 slot_logits = forward(params, batch.ids, cfg, slots=(batch.slot_rows, batch.slot_cols))
                 val_losses.append(soft_ce_loss(slot_logits, batch.targets, batch.weights) * batch.weights.sum())
                 val_weights.append(batch.weights.sum())

@@ -20,10 +20,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from functools import cache
 from collections import Counter
 from contextlib import closing
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -38,7 +37,7 @@ __all__ = [
     "dim_token", "val_token",
     "Vocabulary", "build_vocabulary",
     "BuiltSequence", "build_sequence",
-    "MaskingConfig", "MaskTarget", "TrainingRecord", "apply_masking", "soft_val_rows",
+    "MaskingConfig", "MaskTarget", "TrainingRecord", "apply_masking", "val_targets",
     "record_to_json_dict", "record_from_json_dict",
     "write_records_jsonl", "read_records_jsonl", "dataset_vocab_sha256",
     "MAX_SEQUENCE_LENGTH", "MIN_SEQUENCE_LENGTH",
@@ -151,9 +150,28 @@ class Vocabulary:
         return cls(id_to_token, token_to_id, len(_SPECIAL_TOKENS), word_end)
 
 
+def _val_labels() -> list[tuple[TemporalDimension, str]]:
+    """Every (dimension, label) pair in [Val] id order."""
+    return [(d, lab) for d in _DIMENSIONS for lab in label_space(d).labels]
+
+
 def _reserved_tokens() -> list[str]:
     return [VERB_MARKER, *map(dim_token, _DIMENSIONS),
-            *(val_token(d, lab) for d in _DIMENSIONS for lab in label_space(d).labels)]
+            *(val_token(d, lab) for d, lab in _val_labels())]
+
+
+def val_targets(targets: str, sigma_log: float, sigma_circular: float) -> np.ndarray:
+    """The (n, n) target table of the n [Val] ids, the last ids of every
+    vocabulary: row k is the k-th [Val] label's ``soft_target`` on its
+    dimension's block for "soft", and one-hot for "hard"."""
+    pairs = _val_labels()
+    table = np.eye(len(pairs))
+    if targets == "soft":
+        for k, (dimension, label) in enumerate(pairs):
+            start = k - label_space(dimension).index(label)
+            row = soft_target(dimension, label, sigma_log=sigma_log, sigma_circular=sigma_circular)
+            table[k, start : start + len(row)] = row
+    return table
 
 
 def build_vocabulary(
@@ -314,21 +332,6 @@ class TrainingRecord:
             if t.position == self.val_position:
                 return t.token_id
         return self.input_ids[self.val_position]
-
-
-def soft_val_rows(sigma_log: float,
-                  sigma_circular: float) -> Callable[[TemporalDimension, str], np.ndarray]:
-    """``rows(dimension, label)``: the label's ``soft_target`` at these
-    sigmas, computed once per (dimension, label) for the life of ``rows``
-    and shared read-only between calls."""
-
-    @cache
-    def rows(dimension: TemporalDimension, label: str) -> np.ndarray:
-        row = soft_target(dimension, label, sigma_log=sigma_log, sigma_circular=sigma_circular)
-        row.flags.writeable = False
-        return row
-
-    return rows
 
 
 def apply_masking(

@@ -203,6 +203,73 @@ def test_unwritable_output_path_exit_2_before_any_work(pipeline, tmp_path, monke
     assert list(tmp_path.iterdir()) == []
 
 
+_INPUT_FLAGS = {
+    "extract": ["--input"], "stats": ["--input"], "build-dataset": ["--input", "--corpus"],
+    "train": ["--input", "--vocab"], "eval": ["--input", "--model", "--vocab"],
+    "predict": ["--model", "--vocab", "--input"], "grad-check": [], "dump-target": [],
+    "manifest": [],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command in cli.READS for flag in [*_INPUT_FLAGS[command], "--config"]])
+def test_directory_input_path_exit_2_before_any_work(pipeline, tmp_path, monkeypatch,
+                                                     capsys, command, flag):
+    def fail(*args, **kwargs):
+        raise AssertionError("an input was read or a model trained")
+    for name in ("text_lines", "load_checkpoint", "train", "gradient_check"):
+        monkeypatch.setattr(cli, name, fail)
+    out = str(tmp_path / "out")
+    argv = {
+        "extract": ["--input", str(pipeline["corpus"]), "--output", out],
+        "stats": ["--input", str(pipeline["tuples"]), "--output", out],
+        "build-dataset": ["--ms", "--corpus", str(pipeline["corpus"]),
+                          "--input", str(pipeline["tuples"]), "--output", out],
+        "train": ["--input", str(pipeline["dataset"]), "--vocab", str(pipeline["vocab"]),
+                  "--output", out],
+        "eval": ["--input", str(pipeline["instances"]), "--model", str(pipeline["model"]),
+                 "--vocab", str(pipeline["vocab"]), "--output", out],
+        "predict": ["--model", str(pipeline["model"]), "--vocab", str(pipeline["vocab"]),
+                    "--event", "they slept", "--verb-index", "1", "--dimension", "duration",
+                    "--output", out],
+        "grad-check": [],
+        "dump-target": ["duration", "hour", "--output", out],
+        "manifest": ["--output", out],
+    }[command]
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    assert run([command, *argv, flag, str(directory)]) == 2  # the last value of a flag wins
+    assert capsys.readouterr().err == (
+        f"ERROR code=2 {flag} {str(directory)!r} is a directory, not a file\n")
+    assert list(tmp_path.iterdir()) == [directory]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_learning_rate_exit_2_before_training(pipeline, tmp_path, monkeypatch,
+                                                        capsys, value):
+    def fail(*args, **kwargs):
+        raise AssertionError("a model was trained")
+    monkeypatch.setattr(cli, "train", fail)
+    assert run(["train", "--input", str(pipeline["dataset"]), "--vocab", str(pipeline["vocab"]),
+                "--output", str(tmp_path / "m.ckpt"), "--learning-rate", value]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR code=2 learning_rate must be positive and finite, got {value}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train", "dump-target"])
+def test_non_finite_sigma_in_config_exit_2(pipeline, tmp_path, capsys, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sigma_log=nan\n")
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--input", str(pipeline["dataset"]),
+                      "--vocab", str(pipeline["vocab"])],
+            "dump-target": ["dump-target", "duration", "hour"]}[command]
+    assert run([*argv, "--config", str(cfg), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "ERROR code=2 sigma_log must be positive and finite, got nan\n"
+    assert not out.exists()
+
+
 def test_unknown_flag_exit_2(capsys):
     with pytest.raises(SystemExit) as ei:
         run(["extract", "--nonsense"])
@@ -434,6 +501,26 @@ def test_stats_to_stdout(pipeline, capsys):
 
 
 # ------------------------------------------------------------ build-dataset
+
+# SHA-256 of build-dataset --ms on the fixture corpus at the default seed.
+# These files hold only integers, PCG64 draws and Python-float weights, so
+# unlike a checkpoint they do not depend on the BLAS or the core count.
+# Update the digests only with a change that means to alter the record or
+# vocabulary bytes (the id layout, the template, masking, the weights or
+# the header), and say so in CHANGES.md.
+GOLDEN_RECORDS_SHA256 = "a49d3894380956ef8b4385045142c7e3f5949661ff28337d84375a5b61ae6673"
+GOLDEN_VOCAB_SHA256 = "ba4bc6d498bf04bda5ba122c0e0fe98187cf6ab56bf81f12fda0eacf374ebb65"
+
+
+def test_build_dataset_matches_golden_digests(tmp_path, fixture_corpus_path):
+    tuples, records = tmp_path / "tuples.jsonl", tmp_path / "records.jsonl"
+    assert run(["extract", "--input", fixture_corpus_path, "--output", str(tuples)]) == 0
+    assert run(["build-dataset", "--ms", "--corpus", fixture_corpus_path,
+                "--input", str(tuples), "--output", str(records)]) == 0
+    vocab = tmp_path / "records.jsonl.vocab.tsv"
+    assert hashlib.sha256(records.read_bytes()).hexdigest() == GOLDEN_RECORDS_SHA256
+    assert hashlib.sha256(vocab.read_bytes()).hexdigest() == GOLDEN_VOCAB_SHA256
+
 
 def test_build_dataset_jsonl(pipeline):
     records = read_dataset(pipeline["dataset"])

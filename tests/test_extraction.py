@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tempomine import extraction as extraction_module
 from tempomine.extraction import (
     TemporalTuple,
     classify_temporal_argument,
@@ -21,8 +22,10 @@ from tempomine.srl_ingest import parse_sentence, read_corpus
 
 # ---------------------------------------------------------------- numerics
 
+# next_at is where the count ends: every count is one token, so the
+# token after it (a unit word here) does not parse as a count.
 @pytest.mark.parametrize(
-    "tokens,at,value,width",
+    "tokens,at,value,next_at",
     [
         (["3", "days"], 0, 3.0, 1),
         (["36", "hours"], 0, 36.0, 1),
@@ -34,11 +37,11 @@ from tempomine.srl_ingest import parse_sentence, read_corpus
         (["two", "weeks"], 0, 2.0, 1),
     ],
 )
-def test_parse_numeric_accepts(tokens, at, value, width):
+def test_parse_numeric_accepts(tokens, at, value, next_at):
     got = parse_numeric(tokens, at)
-    assert got is not None
-    assert got.value == value
-    assert got.width == width
+    assert type(got) is float
+    assert got == value
+    assert parse_numeric(tokens, next_at) is None
 
 
 @pytest.mark.parametrize("tokens", [["many"], ["-3"], ["0"], ["hello"], ["."],
@@ -49,6 +52,16 @@ def test_parse_numeric_rejects(tokens):
 
 def test_parse_numeric_out_of_range():
     assert parse_numeric(["3"], 5) is None
+
+
+def test_unit_surfaces_are_singulars_and_plurals():
+    assert extraction_module._UNIT_SURFACES == {
+        "second": "second", "seconds": "second", "minute": "minute", "minutes": "minute",
+        "hour": "hour", "hours": "hour", "day": "day", "days": "day",
+        "week": "week", "weeks": "week", "month": "month", "months": "month",
+        "year": "year", "years": "year", "decade": "decade", "decades": "decade",
+        "century": "century", "centuries": "century",
+    }
 
 
 # ---------------------------------------------------------------- duration

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from tempomine.label_space import UNIT_SECONDS as PACKAGE_UNIT_SECONDS
 from tempomine.label_space import (
-    DURATION_UNITS,
     UNIT_ORDER,
     TemporalDimension,
     Topology,
@@ -33,10 +33,10 @@ UNIT_SECONDS = {
 
 
 def test_unit_inventory_order_and_seconds():
+    assert PACKAGE_UNIT_SECONDS == UNIT_SECONDS
     assert UNIT_ORDER == tuple(UNIT_SECONDS)
-    for unit in DURATION_UNITS:
-        assert unit.canonical_seconds == UNIT_SECONDS[unit.name]
-        assert canonical_seconds(unit.name) == unit.canonical_seconds
+    for unit, seconds in UNIT_SECONDS.items():
+        assert canonical_seconds(unit) == seconds
 
 
 def test_logsec_known_values():

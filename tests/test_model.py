@@ -32,7 +32,7 @@ from tempomine.sequences import (
     apply_masking,
     build_sequence,
     build_vocabulary,
-    soft_val_rows,
+    val_targets,
 )
 from tempomine.srl_ingest import SchemaError
 from tempomine.targets import soft_target
@@ -60,6 +60,11 @@ def test_train_config_validation():
         TrainConfig(sigma_circular=0.0)
     with pytest.raises(ValueError, match="sigma_log must be positive"):
         TrainConfig(sigma_log=-1.0)
+    # NaN passes a "<= 0" check; each float setting must also be finite.
+    with pytest.raises(ValueError, match="sigma_circular must be positive and finite, got inf"):
+        TrainConfig(sigma_circular=float("inf"))
+    with pytest.raises(ValueError, match="learning_rate must be positive and finite, got nan"):
+        TrainConfig(learning_rate=float("nan"))
     with pytest.raises(ValueError, match="targets must be 'soft' or 'hard', got 'smooth'"):
         TrainConfig(targets="smooth")
     assert (TrainConfig().targets, TrainConfig().sigma_log, TrainConfig().sigma_circular) == (
@@ -551,7 +556,7 @@ def test_train_val_row_matches_full_forward(monkeypatch):
     wce = w = 0.0
     for i in range(0, len(val_records), cfg.batch_size):
         batch = assemble_batch(val_records[i:i + cfg.batch_size], vocab,
-                               soft_val_rows(cfg.sigma_log, cfg.sigma_circular))
+                               val_targets("soft", cfg.sigma_log, cfg.sigma_circular))
         logits = forward(params, batch.ids, cfg)[batch.slot_rows, batch.slot_cols]
         wce += soft_ce_loss(logits, batch.targets, batch.weights) * batch.weights.sum()
         w += batch.weights.sum()
@@ -924,7 +929,7 @@ def test_checkpoint_starts_with_magic(tmp_path):
 # ---------------------------------------------------------------- batch
 
 def test_assemble_batch_scatters_soft_onto_val_block():
-    # With soft rows each [Val] row is soft_target's; without, every row is one-hot.
+    # With the soft table each [Val] row is soft_target's; with the hard one, every row is one-hot.
     vocab = _training_vocab()
     cases = [(TemporalDimension.DURATION, "hour"), (TemporalDimension.TYPICAL_MONTH, "May"),
              (TemporalDimension.HIERARCHY, "after")]
@@ -933,8 +938,8 @@ def test_assemble_batch_scatters_soft_onto_val_block():
         built = build_sequence(TemporalTuple(("they", "napped"), 1, dim, value), vocab)
         recs.append(apply_masking(built, MaskingConfig(p_mask=1.0, p_dim=1.0), vocab,
                                   stream_rng(0, "masking", i), weight=2.0))
-    rows = soft_val_rows(8.0, 1.0)
-    soft, hard = assemble_batch(recs, vocab, rows), assemble_batch(recs, vocab)
+    soft = assemble_batch(recs, vocab, val_targets("soft", 8.0, 1.0))
+    hard = assemble_batch(recs, vocab, val_targets("hard", 8.0, 1.0))
     assert soft.ids.shape == (3, len(recs[0].input_ids))
     assert soft.weights.tolist() == hard.weights.tolist() == [2.0] * 6
     assert soft.slot_cols.tolist() == hard.slot_cols.tolist()
@@ -968,18 +973,14 @@ def test_train_builds_each_soft_row_once_per_call(monkeypatch):
 
     monkeypatch.setattr(sequences_module, "soft_target", counting_soft_target)
     train(records, cfg, vocab, val_records=records[:6])
-    gold = set()
-    for r in records:
-        if r.val_position in r.mask_positions:
-            start, labels = vocab.val_block(r.dimension)
-            gold.add((r.dimension, labels[r.val_token_id - start]))
-    assert len(calls) == len(gold)
-    assert {(d, label) for d, label, _ in calls} == gold
+    # One table per call: one row for each of the 62 [Val] labels, in [Val] id order.
+    val_tokens = vocab.id_to_token[-62:]
+    assert [sequences_module.val_token(d, label) for d, label, _ in calls] == list(val_tokens)
     assert all(kw == {"sigma_log": 4.0, "sigma_circular": 0.5} for _, _, kw in calls)
     train(records, cfg, vocab)
-    assert len(calls) == 2 * len(gold)  # a fresh memo per call
+    assert len(calls) == 2 * 62
     train(records, dataclasses.replace(cfg, targets="hard"), vocab)
-    assert len(calls) == 2 * len(gold)
+    assert len(calls) == 2 * 62
 
 
 def test_assemble_batch_pads_to_longest():
@@ -992,7 +993,7 @@ def test_assemble_batch_pads_to_longest():
     for i, t in enumerate([t1, t2]):
         built = build_sequence(t, vocab)
         recs.append(apply_masking(built, cfg, vocab, stream_rng(0, "masking", i)))
-    batch = assemble_batch(recs, vocab)
+    batch = assemble_batch(recs, vocab, val_targets("hard", 4.0, 0.5))
     assert batch.ids.shape[1] == len(recs[1].input_ids)
     pad_region = batch.ids[0, len(recs[0].input_ids):]
     assert np.all(pad_region == 0)
@@ -1001,4 +1002,4 @@ def test_assemble_batch_pads_to_longest():
 def test_assemble_batch_rejects_empty():
     vocab = _training_vocab()
     with pytest.raises(ValueError):
-        assemble_batch([], vocab)
+        assemble_batch([], vocab, val_targets("hard", 4.0, 0.5))

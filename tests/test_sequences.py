@@ -23,11 +23,12 @@ from tempomine.sequences import (
     read_records_jsonl,
     record_from_json_dict,
     record_to_json_dict,
+    val_targets,
     val_token,
     write_records_jsonl,
 )
 from tempomine.srl_ingest import SchemaError, text_lines
-from tempomine.targets import hard_target
+from tempomine.targets import hard_target, soft_target
 
 
 @pytest.fixture()
@@ -74,6 +75,26 @@ def test_val_block_contiguous(vocab):
         start, labels = vocab.val_block(d)
         for i, lab in enumerate(labels):
             assert vocab.val_id(d, lab) == start + i
+
+
+@pytest.mark.parametrize("sigmas", [(4.0, 0.5), (1.0, 2.0)])
+def test_val_targets_table(vocab, sigmas):
+    # Row k is the target of the vocabulary's k-th [Val] id: soft_target on
+    # its dimension's block, zero elsewhere; hierarchy rows are one-hot.
+    soft, hard = val_targets("soft", *sigmas), val_targets("hard", *sigmas)
+    assert soft.shape == hard.shape == (62, 62)
+    assert np.array_equal(hard, np.eye(62))
+    np.testing.assert_allclose(soft.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    base = len(vocab) - 62
+    for d in TemporalDimension:
+        start, labels = vocab.val_block(d)
+        for label in labels:
+            k = vocab.val_id(d, label) - base
+            expected = np.zeros(62)
+            expected[start - base:start - base + len(labels)] = soft_target(d, label, *sigmas)
+            assert np.array_equal(soft[k], expected)
+            if d is TemporalDimension.HIERARCHY:
+                assert np.array_equal(soft[k], np.eye(62)[k])
 
 
 def test_encode_word_unknown_is_unk(vocab):
