@@ -16,11 +16,14 @@ Exit codes:
     1  any other failure
 On failure a single machine-readable line is printed to stderr:
     ERROR code=<exit code> <message>
+
+``main`` builds its argument parser once per process and looks up the
+subcommand's ``cmd_*`` handler by name on each call.
 """
 
 import argparse
 import dataclasses
-import logging
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -68,8 +71,6 @@ from .targets import (
 )
 
 __all__ = ["main", "PipelineConfig", "load_config_file"]
-
-logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -219,10 +220,10 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     reader = read_corpus(text_lines(args.input))
     sentences = list(reader)
-    for line_no, msg in reader.errors:
-        if args.strict:
-            raise SchemaError(f"{args.input}:{line_no}: {msg}")
-        logger.warning("skipping malformed record at %s:%d: %s", args.input, line_no, msg)
+    if args.strict and reader.errors:
+        line_no, msg = reader.errors[0]
+        raise SchemaError(f"{args.input}:{line_no}: {msg}")
+    _warn_skipped(args.input, reader.errors)
 
     tuples = [t for sentence in sentences for t in extract_sentence(sentence)]
 
@@ -261,11 +262,20 @@ def _write_text(path: str | None, header_lines: list[str], lines: list[str]) -> 
             fh.write(body)
 
 
-def _context_lookup(corpus_path: str) -> dict[tuple[str, int], tuple[tuple[str, ...], tuple[str, ...]]]:
-    return {
-        (s.doc_id, s.sent_index): (s.left_context or (), s.right_context or ())
-        for s in read_corpus(text_lines(corpus_path))
-    }
+def _warn_skipped(path: str, errors: list[tuple[int, str]]) -> None:
+    for line_no, msg in errors:
+        print(f"skipping malformed record at {path}:{line_no}: {msg}", file=sys.stderr)
+
+
+def _context_lookup(corpus_path: str) -> tuple[dict, list[tuple[int, str]]]:
+    """(doc_id, sent_index) -> (left, right) context of each sentence of
+    the corpus, and the (line, message) of each record it skipped, each
+    warned about as extract does."""
+    reader = read_corpus(text_lines(corpus_path))
+    contexts = {(s.doc_id, s.sent_index): (s.left_context or (), s.right_context or ())
+                for s in reader}
+    _warn_skipped(corpus_path, reader.errors)
+    return contexts, reader.errors
 
 
 def cmd_build_dataset(args: argparse.Namespace) -> int:
@@ -288,12 +298,16 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
 
     contexts: dict = {}
     if cfg.ms:
-        contexts = _context_lookup(args.corpus)
+        contexts, skipped = _context_lookup(args.corpus)
         for t in kept_tuples:
             key = t.provenance[:2]
             if key not in contexts:
+                hint = ""
+                if skipped:
+                    line_no, msg = skipped[0]
+                    hint = f"; {args.corpus}:{line_no} was skipped as malformed: {msg}"
                 raise SchemaError(f"{args.input}: a tuple's sentence (doc_id, sent_index) "
-                                  f"= {key} is not in {args.corpus}")
+                                  f"= {key} is not in {args.corpus}{hint}")
             left, right = contexts[key]
             if left:
                 token_streams.append(left)
@@ -496,6 +510,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tempomine", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
@@ -505,33 +520,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="tuple file to write (JSON Lines)")
     p.add_argument("--strict", action="store_true",
                    help="fail with exit 4 on the first malformed record instead of skipping")
-    p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("stats", help="per-dimension label counts and instance weights")
     p.add_argument("--input", required=True, help="tuple file")
     p.add_argument("--output", help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("build-dataset", help="masked training records from tuples")
     p.add_argument("--input", required=True, help="tuple file")
     p.add_argument("--output", required=True, help="dataset file to write")
     p.add_argument("--corpus", help="source corpus, for --ms context lookup")
     p.add_argument("--vocab-out", dest="vocab_out", help="vocabulary TSV path (default: <output>.vocab.tsv)")
-    p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("train", help="train the encoder on a dataset")
     p.add_argument("--input", required=True, help="dataset file (JSON Lines)")
     p.add_argument("--vocab", required=True, help="vocabulary TSV")
     p.add_argument("--output", required=True, help="checkpoint path to write")
     p.add_argument("--loss-log", dest="loss_log", help="loss CSV path (default: <output>.loss.csv)")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="rank-distance report on gold-labeled events")
     p.add_argument("--input", required=True, help="evaluation instances (JSON Lines)")
     p.add_argument("--model", required=True, help="checkpoint file")
     p.add_argument("--vocab", required=True, help="vocabulary TSV")
     p.add_argument("--output", help="report CSV path (default: stdout)")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="value distribution for an event")
     p.add_argument("--model", required=True, help="checkpoint file")
@@ -541,21 +551,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verb-index", dest="verb_index", type=int, help="verb position in --event")
     p.add_argument("--dimension", help="dimension to query")
     p.add_argument("--output", help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("grad-check", help="analytic vs finite-difference gradients")
     p.add_argument("--coords", type=int, default=40, help="coordinates probed per config")
-    p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("dump-target", help="soft target distribution for one label")
     p.add_argument("dimension", help="dimension name")
     p.add_argument("label", help="gold label")
     p.add_argument("--output", help="CSV path (default: stdout)")
-    p.set_defaults(func=cmd_dump_target)
 
     p = sub.add_parser("manifest", help="print every dimension's label inventory")
     p.add_argument("--output", help="path (default: stdout)")
-    p.set_defaults(func=cmd_manifest)
 
     for name, p in sub.choices.items():
         p.add_argument("--config", help="flat key=value config file; flags win over it")
@@ -598,7 +604,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_paths(args)  # before any input is read
-        return args.func(args)
+        return globals()["cmd_" + args.subcommand.replace("-", "_")](args)
     except UsageError as exc:
         print(f"ERROR code={EXIT_USAGE} {exc}", file=sys.stderr)
         return EXIT_USAGE

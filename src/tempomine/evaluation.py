@@ -113,6 +113,7 @@ def distribution_csv_lines(
     lines = ["event_id,dimension,label,probability"]
     dists = predict_value_distribution(params, cfg, vocab, queries)
     for event_id, ((_, _, dimension), dist) in enumerate(zip(queries, dists)):
-        for label, prob in zip(label_space(dimension).labels, dist):
-            lines.append(f"{event_id},{dimension.value},{label},{float(prob)!r}")
+        prefix = f"{event_id},{dimension.value},"
+        lines += [f"{prefix}{label},{prob!r}"
+                  for label, prob in zip(label_space(dimension).labels, dist.tolist())]
     return lines

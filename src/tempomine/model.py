@@ -686,16 +686,22 @@ def predict_value_distribution(
 
     Each query sequence carries a masked [Val] slot; ``_val_logits``
     scores them in chunks of ``cfg.batch_size``, in the parameters'
-    dtype, and each query's [Val]-block logits are softmaxed in float64
-    over that block alone, so every distribution sums to 1 to float64
-    precision.
+    dtype. Each dimension's [Val]-block logits are stacked into one
+    float64 array and softmaxed row by row in one call, so every
+    distribution sums to 1 to float64 precision.
     """
     items = []
     for tokens, verb_index, dimension in queries:
         tup = TemporalTuple(tuple(tokens), verb_index, dimension, label_space(dimension).labels[0])
         built = build_sequence(tup, vocab, max_length=cfg.max_len)
         items.append((built.ids, built.val_position, dimension))
-    return [_softmax(block.astype(np.float64)) for block in _val_logits(params, cfg, vocab, items)]
+    blocks = _val_logits(params, cfg, vocab, items)
+    dists = [None] * len(items)
+    for dimension in {d for _, _, d in items}:
+        rows = [i for i, (_, _, d) in enumerate(items) if d is dimension]
+        for i, dist in zip(rows, _softmax(np.array([blocks[i] for i in rows], dtype=np.float64))):
+            dists[i] = dist
+    return dists
 
 
 @dataclass(frozen=True)

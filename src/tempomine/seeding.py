@@ -22,7 +22,7 @@ def _name_words(name: str) -> tuple[int, ...]:
     return tuple(int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4))
 
 
-def stream_seed_sequence(seed: int, name: str, ordinal: int | None = None) -> np.random.SeedSequence:
+def stream_seed_sequence(seed: int, name: str, ordinal: int | None = None) -> "np.random.SeedSequence":
     """Seed material for the stream ``name`` (optionally per ``ordinal``).
 
     An ordinal must lie in [0, 2**32): it is one 32-bit entropy word, so
@@ -39,7 +39,7 @@ def stream_seed_sequence(seed: int, name: str, ordinal: int | None = None) -> np
     return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
-def stream_rng(seed: int, name: str, ordinal: int | None = None) -> np.random.Generator:
+def stream_rng(seed: int, name: str, ordinal: int | None = None) -> "np.random.Generator":
     """A fresh generator for the named stream.
 
     The same (seed, name, ordinal) triple always yields the same draws,

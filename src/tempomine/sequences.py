@@ -338,7 +338,7 @@ def apply_masking(
     built: BuiltSequence,
     cfg: MaskingConfig,
     vocab: Vocabulary,
-    rng: np.random.Generator,
+    rng: "np.random.Generator",
     weight: float = 1.0,
 ) -> TrainingRecord:
     """Select slots and run each through the 80/10/10 branches.

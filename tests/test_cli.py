@@ -124,13 +124,13 @@ def test_extract_strict_schema_exit_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
-def test_extract_logs_only_the_records_it_skips(tmp_path, caplog, strict):
+def test_extract_logs_only_the_records_it_skips(tmp_path, capsys, strict):
     corpus = tmp_path / "c.jsonl"
     corpus.write_text('{"doc_id": "d", "sent_index": 0, "tokens": ["a", "b"], '
                       '"frames": [{"verb_index": 99}]}\n')
     argv = ["extract", "--input", str(corpus), "--output", str(tmp_path / "t.jsonl")]
     assert run(argv + ["--strict"] * strict) == (4 if strict else 0)
-    skips = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+    skips = [line for line in capsys.readouterr().err.splitlines() if "skipping" in line]
     if strict:
         assert skips == []
     else:
@@ -301,11 +301,17 @@ def test_no_subcommand_exit_2(capsys):
     assert ei.value.code == 2
 
 
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_untyped_value_error_exit_1(monkeypatch, capsys):
     # Only SchemaError and UsageError name bad input; a bare ValueError
     # is a bug in the program, not a schema violation.
     def broken(args):
         raise ValueError("internal bug")
+    # The parser exists before the patch: main finds the handler by name.
+    assert run(["manifest"]) == 0
     monkeypatch.setattr(cli, "cmd_manifest", broken)
     assert run(["manifest"]) == 1
     assert capsys.readouterr().err == "ERROR code=1 internal bug\n"
@@ -616,6 +622,46 @@ def test_build_dataset_ms_corpus_without_the_sentence_exit_4(pipeline, tmp_path,
     assert capsys.readouterr().err == (
         f"ERROR code=4 {pipeline['tuples']}: a tuple's sentence (doc_id, sent_index) = "
         f"{(first['doc_id'], first['sent_index'])} is not in {corpus}\n")
+    assert not out.exists()
+
+
+_BAD_FRAME = ('{"doc_id": "x", "sent_index": 0, "tokens": ["a", "b"], '
+              '"frames": [{"verb_index": 99}]}')
+
+
+def test_build_dataset_ms_warns_of_each_corpus_record_it_skips(pipeline, tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    lines = pipeline["corpus"].read_text().splitlines()
+    corpus.write_text("\n".join([*lines, _BAD_FRAME]) + "\n")
+    out = tmp_path / "ds.jsonl"
+    assert run(["build-dataset", "--input", str(pipeline["tuples"]), "--output", str(out),
+                "--ms", "--corpus", str(corpus)]) == 0
+    assert capsys.readouterr().err == (f"skipping malformed record at {corpus}:{len(lines) + 1}: "
+                                       "verb_index 99 out of bounds for 2 tokens\n")
+    assert out.exists()
+
+
+def test_build_dataset_ms_names_the_skipped_line_of_a_missing_sentence_exit_4(
+        pipeline, tmp_path, capsys):
+    first = json.loads(next(line for line in pipeline["tuples"].read_text().splitlines()
+                            if not line.startswith("#")))
+    key = (first["doc_id"], first["sent_index"])
+    lines = pipeline["corpus"].read_text().splitlines()
+    line_no = next(n for n, line in enumerate(lines, start=1)
+                   if (json.loads(line)["doc_id"], json.loads(line)["sent_index"]) == key)
+    damaged = json.loads(lines[line_no - 1])
+    damaged["frames"][0]["verb_index"] = 99
+    lines[line_no - 1] = json.dumps(damaged)
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "ds.jsonl"
+    assert run(["build-dataset", "--input", str(pipeline["tuples"]), "--output", str(out),
+                "--ms", "--corpus", str(corpus)]) == 4
+    defect = f"verb_index 99 out of bounds for {len(damaged['tokens'])} tokens"
+    assert capsys.readouterr().err == (
+        f"skipping malformed record at {corpus}:{line_no}: {defect}\n"
+        f"ERROR code=4 {pipeline['tuples']}: a tuple's sentence (doc_id, sent_index) = {key} "
+        f"is not in {corpus}; {corpus}:{line_no} was skipped as malformed: {defect}\n")
     assert not out.exists()
 
 
@@ -1382,6 +1428,15 @@ def test_module_entry_point(fresh_python):
     proc = fresh_python("-m", "tempomine.cli", "manifest")
     assert proc.returncode == 0
     assert "[duration]" in proc.stdout
+
+
+def test_import_loads_neither_numpy_random_nor_logging(fresh_python):
+    # eval and predict draw no random numbers and log nothing.
+    proc = fresh_python("-c", (
+        "import sys, tempomine, tempomine.cli\n"
+        "print(sorted(m for m in ('numpy.random', 'logging') if m in sys.modules))\n"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_train_eval_predict_never_import_scipy(pipeline, fresh_python, tmp_path):

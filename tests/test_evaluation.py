@@ -16,6 +16,7 @@ from tempomine.evaluation import (
     report_csv_lines,
 )
 from tempomine.label_space import TemporalDimension, label_space
+from tempomine.model import predict_value_distribution
 from tempomine.srl_ingest import SchemaError
 
 
@@ -228,3 +229,9 @@ def test_distribution_csv(tiny_trained):
     block1 = [r for r in rows if r[0] == "1"]
     assert all(r[1] == "typical_week" for r in block1)
     assert sum(float(r[3]) for r in block1) == pytest.approx(1.0, abs=1e-9)
+    # Rows formatted from .tolist() floats carry the bits float(p) gives.
+    dists = predict_value_distribution(params, cfg, vocab, queries)
+    assert lines[1:] == [f"{i},{dim.value},{label},{float(p)!r}"
+                         for i, ((_, _, dim), dist) in enumerate(zip(queries, dists))
+                         for label, p in zip(label_space(dim).labels, dist)]
+

@@ -836,6 +836,9 @@ def test_loaded_checkpoint_scores_in_float32_and_softmaxes_in_float64(tmp_path):
     dists = predict_value_distribution(params, cfg, vocab, queries)
     for block, dist in zip(blocks, dists):
         assert dist.dtype == np.float64
+        # One softmax over a dimension's stacked blocks gives each row the
+        # bits of a softmax over its block alone.
+        assert np.array_equal(dist, model_module._softmax(block.astype(np.float64)))
         assert abs(dist.sum() - 1.0) <= 1e-12
         e = np.exp(block - block.max())
         np.testing.assert_allclose(dist, e / e.sum(), rtol=0, atol=1e-6)
