@@ -52,7 +52,6 @@ from .model import (
 )
 from .seeding import stream_rng
 from .sequences import (
-    MIN_SEQUENCE_LENGTH,
     MaskingConfig,
     Vocabulary,
     apply_masking,
@@ -102,9 +101,6 @@ class PipelineConfig(TrainConfig, MaskingConfig):
             raise ValueError(f"val_fraction must lie in [0, 1], got {self.val_fraction}")
         if self.min_count < 1:
             raise ValueError("min_count must be positive")
-        if self.max_len < MIN_SEQUENCE_LENGTH:
-            raise ValueError(f"--max-len must be at least {MIN_SEQUENCE_LENGTH} to hold [Vrb], one "
-                             f"event word and [SEP] [Vrb] [Dim] [Val], got {self.max_len}")
         MaskingConfig.__post_init__(self)
         TrainConfig.__post_init__(self)
 

@@ -19,6 +19,14 @@ A forward computes in its parameters' dtype. Training, its validation
 pass and the gradient check run in float64; a checkpoint stores float32,
 and ``load_checkpoint`` returns those arrays, so scoring a loaded model
 runs its forward in float32 and softmaxes each [Val] block in float64.
+
+The kernels run their elementwise steps in place, on arrays they
+allocated themselves (never on ``params``, ids, a ``Batch`` or logits
+handed in): one numpy step per rounding step of the plain expression,
+in its order, so every output keeps the plain expression's bits. Sums
+keep numpy's own (pairwise) order. The attention softmax takes each row's
+max by columns for rows of up to 32 keys, when there are enough rows
+(``_row_max``); a max is exact in any order.
 """
 
 import math
@@ -36,6 +44,7 @@ from .sequences import (
     MASK_ID,
     PAD_ID,
     MAX_SEQUENCE_LENGTH,
+    MIN_SEQUENCE_LENGTH,
     TrainingRecord,
     Vocabulary,
     build_sequence,
@@ -65,6 +74,9 @@ __all__ = [
 DIVERGENCE_THRESHOLD = 1e3
 _LN_EPS = 1e-5
 _ATTN_NEG = -1e9
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Rows of at most this many keys take their max by columns (``_row_max``).
+_COLUMN_MAX_KEYS = 32
 # Adam's moment decay rates and denominator floor (the usual defaults).
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -106,6 +118,9 @@ class TrainConfig:
             raise ValueError(f"targets must be 'soft' or 'hard', got {self.targets!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
+        if self.max_len < MIN_SEQUENCE_LENGTH:
+            raise ValueError(f"--max-len must be at least {MIN_SEQUENCE_LENGTH} to hold [Vrb], one "
+                             f"event word and [SEP] [Vrb] [Dim] [Val], got {self.max_len}")
 
 
 def _param_shapes(cfg: TrainConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
@@ -138,31 +153,58 @@ def init_params(cfg: TrainConfig, vocab_size: int) -> dict[str, np.ndarray]:
     return params
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)``, with the same result bits.
+
+    numpy reduces a short last axis row by row, slowly. One ``maximum``
+    per key column is faster for up to 32 keys when there are at least 32
+    rows per key; with 64 keys, or with few rows, it is slower (timings in
+    docs/training.md).
+    """
+    T = x.shape[-1]
+    if T > _COLUMN_MAX_KEYS or x.size < _COLUMN_MAX_KEYS * T * T:
+        return x.max(axis=-1, keepdims=True)
+    m = x[..., :1].copy()
+    for j in range(1, T):
+        np.maximum(m, x[..., j : j + 1], out=m)
+    return m
+
+
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    e /= e.sum(axis=-1, keepdims=True)
-    return e
+    """Softmax over the last axis, in place: overwrites ``x`` and returns it."""
+    x -= _row_max(x)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     # Means as sum / D: bitwise what ``.mean`` gives, without its Python
-    # wrapper, which every forward would pay 8 times.
+    # wrapper, which every forward would pay 8 times. xhat is formed in
+    # the centred array and the output in the squares' array.
     D = x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) / D
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / D + _LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    xhat = x - x.sum(axis=-1, keepdims=True) / D
+    y = xhat * xhat
+    inv = 1.0 / np.sqrt(y.sum(axis=-1, keepdims=True) / D + _LN_EPS)
+    xhat *= inv
+    np.multiply(g, xhat, out=y)
+    y += b
+    return y, (xhat, inv, g)
 
 
 def _layer_norm_backward(dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xhat, inv, g = cache
-    dg = (dy * xhat).sum(axis=0)
+    t = dy * xhat
+    dg = t.sum(axis=0)
     db = dy.sum(axis=0)
-    dxhat = dy * g
-    D = dxhat.shape[-1]
-    mean1 = dxhat.sum(axis=-1, keepdims=True) / D
-    mean2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / D
-    dx = inv * (dxhat - mean1 - xhat * mean2)
+    dx = dy * g
+    D = dx.shape[-1]
+    mean1 = dx.sum(axis=-1, keepdims=True) / D
+    mean2 = np.multiply(dx, xhat, out=t).sum(axis=-1, keepdims=True) / D
+    # inv * (dxhat - mean1 - xhat * mean2), one rounding step at a time
+    dx -= mean1
+    dx -= np.multiply(xhat, mean2, out=t)
+    dx *= inv
     return dx, dg, db
 
 
@@ -192,15 +234,23 @@ def _attention(params, p: str, x: np.ndarray, key_bias: np.ndarray, scale: float
     def heads(t: np.ndarray) -> np.ndarray:
         return t.reshape(B, T, n_heads, D // n_heads).transpose(0, 2, 1, 3)
 
-    kh, vh = (heads(x @ params[p + w] + params[p + b]) for w, b in (("Wk", "bk"), ("Wv", "bv")))
+    def project(t: np.ndarray, name: str) -> np.ndarray:
+        out = t @ params[p + "W" + name]
+        out += params[p + "b" + name]
+        return out
+
+    kh, vh = heads(project(x, "k")), heads(project(x, "v"))
     if positions is None:
-        xq, qh = x, heads(x @ params[p + "Wq"] + params[p + "bq"])
+        xq, qh = x, heads(project(x, "q"))
     else:
         rows = positions // T
         xq = x[positions]
-        qh = (xq @ params[p + "Wq"] + params[p + "bq"]).reshape(len(xq), n_heads, 1, D // n_heads)
+        qh = project(xq, "q").reshape(len(xq), n_heads, 1, D // n_heads)
         kh, vh, key_bias = kh[rows], vh[rows], key_bias[rows]
-    attn = _softmax(qh @ kh.transpose(0, 1, 3, 2) * scale + key_bias)
+    scores = qh @ kh.transpose(0, 1, 3, 2)
+    scores *= scale
+    scores += key_bias
+    attn = _softmax(scores)
     ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(len(xq), D)
     return ctx, (x, xq, positions, qh, kh, vh, attn, scale)
 
@@ -214,9 +264,14 @@ def _attention_backward(params, p: str, dctx: np.ndarray, cache, grads) -> np.nd
     dctxh = dctx.reshape(G, Tq, H, dh).transpose(0, 2, 1, 3)
     dattn = dctxh @ vh.transpose(0, 1, 3, 2)
     dvh = attn.transpose(0, 1, 3, 2) @ dctxh
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dqh = dscores @ kh * scale
-    dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
+    # dscores = attn * (dattn - sum(dattn * attn)), formed in dattn
+    dscores = dattn
+    dscores -= (dattn * attn).sum(axis=-1, keepdims=True)
+    dscores *= attn
+    dqh = dscores @ kh
+    dqh *= scale
+    dkh = dscores.transpose(0, 1, 3, 2) @ qh
+    dkh *= scale
     if positions is not None:
         # Sum each selected row's key and value gradients into its batch row.
         T = kh.shape[2]
@@ -286,13 +341,18 @@ def _normal_cdf(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _block_tail(params, p: str, x: np.ndarray, ctx: np.ndarray):
     """Row-wise rest of a block: output projection, LN1, FF with GELU, LN2."""
-    x1, ln1_cache = _layer_norm(x + ctx @ params[p + "Wo"] + params[p + "bo"],
-                                params[p + "ln1_g"], params[p + "ln1_b"])
-    h = x1 @ params[p + "W1"] + params[p + "b1"]
+    r = ctx @ params[p + "Wo"]  # x + ctx @ Wo + bo
+    r += x
+    r += params[p + "bo"]
+    x1, ln1_cache = _layer_norm(r, params[p + "ln1_g"], params[p + "ln1_b"])
+    h = x1 @ params[p + "W1"]
+    h += params[p + "b1"]
     cdf, gauss = _normal_cdf(h)
     g = h * cdf
-    out, ln2_cache = _layer_norm(x1 + g @ params[p + "W2"] + params[p + "b2"],
-                                 params[p + "ln2_g"], params[p + "ln2_b"])
+    r = g @ params[p + "W2"]  # x1 + g @ W2 + b2
+    r += x1
+    r += params[p + "b2"]
+    out, ln2_cache = _layer_norm(r, params[p + "ln2_g"], params[p + "ln2_b"])
     return out, (ctx, ln1_cache, x1, h, cdf, gauss, g, ln2_cache)
 
 
@@ -302,11 +362,16 @@ def _block_tail_backward(params, p: str, dy: np.ndarray, cache, grads):
     dr2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layer_norm_backward(dy, ln2_cache)
     grads[p + "W2"] = g.T @ dr2
     grads[p + "b2"] = dr2.sum(axis=0)
-    dh = (dr2 @ params[p + "W2"].T) * (cdf + h * gauss / np.sqrt(2.0 * np.pi))
+    slope = h * gauss  # the GELU's slope, cdf + h * gauss / sqrt(2 pi)
+    slope /= _SQRT_2PI
+    slope += cdf
+    dh = dr2 @ params[p + "W2"].T
+    dh *= slope
     grads[p + "W1"] = x1.T @ dh
     grads[p + "b1"] = dh.sum(axis=0)
-    dr1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layer_norm_backward(
-        dr2 + dh @ params[p + "W1"].T, ln1_cache)
+    dr1 = dh @ params[p + "W1"].T  # dr2 + dh @ W1.T
+    dr1 += dr2
+    dr1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layer_norm_backward(dr1, ln1_cache)
     grads[p + "Wo"] = ctx.T @ dr1
     grads[p + "bo"] = dr1.sum(axis=0)
     return dr1, dr1 @ params[p + "Wo"].T
@@ -341,7 +406,9 @@ def _encode(
     # stored float32 for a loaded checkpoint. The bias is built in that
     # dtype and the scale is a Python float, because a float64 array or
     # numpy scalar would promote float32 work to float64.
-    x = (params["tok_emb"][ids] + params["pos_emb"][:T]).reshape(B * T, cfg.d_model)
+    x = params["tok_emb"][ids]
+    x += params["pos_emb"][:T]
+    x = x.reshape(B * T, cfg.d_model)
     key_bias = np.where(ids == PAD_ID, _ATTN_NEG, 0.0).astype(x.dtype, copy=False)
     key_bias = key_bias[:, None, None, :]
     scale = 1.0 / math.sqrt(cfg.d_model // cfg.n_heads)
@@ -356,7 +423,8 @@ def _encode(
         x, tail_cache = _block_tail(params, p, x, ctx)
         caches.append((attn_cache, tail_cache))
 
-    logits = x @ params["tok_emb"].T + params["out_bias"]
+    logits = x @ params["tok_emb"].T
+    logits += params["out_bias"]
     return logits, (ids, x, caches)
 
 
@@ -486,8 +554,10 @@ def loss_and_gradients(
     logits, (ids, x, caches) = _encode(params, batch.ids, cfg, positions)
     loss = soft_ce_loss(logits, batch.targets, batch.weights)
 
-    w_sum = batch.weights.sum()
-    dlogits = (batch.weights[:, None] * (_softmax(logits) - batch.targets)) / w_sum
+    dlogits = _softmax(logits)  # weights * (softmax - targets) / sum(weights)
+    dlogits -= batch.targets
+    dlogits *= batch.weights[:, None]
+    dlogits /= batch.weights.sum()
     grads: dict[str, np.ndarray] = {
         "out_bias": dlogits.sum(axis=0),
         "tok_emb": dlogits.T @ x,

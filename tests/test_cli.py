@@ -1364,6 +1364,25 @@ def test_predict_on_version_1_checkpoint_says_to_retrain_exit_4(pipeline, tmp_pa
         f"retrain the model with train\n")
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_max_len_below_template_exit_4(pipeline, tmp_path, capsys, command):
+    # No train run writes such a file: TrainConfig refuses max_len 5.
+    blob = pipeline["model"].read_bytes()
+    assert blob.count(b" max_len=128 ") == 1
+    ckpt = tmp_path / "m.ckpt"
+    ckpt.write_bytes(blob.replace(b" max_len=128 ", b" max_len=5   "))
+    model = ["--model", str(ckpt), "--vocab", str(pipeline["vocab"])]
+    if command == "eval":
+        argv = ["eval", "--input", str(pipeline["instances"]), *model]
+    else:
+        argv = ["predict", *model, "--event", "the man ran", "--verb-index", "2",
+                "--dimension", "duration"]
+    assert run(argv) == 4
+    assert capsys.readouterr().err == (
+        f"ERROR code=4 {ckpt}: bad checkpoint header: --max-len must be at least 6 to hold "
+        f"[Vrb], one event word and [SEP] [Vrb] [Dim] [Val], got 5\n")
+
+
 @pytest.mark.parametrize("token, command", [
     ("[Dim:duration]", "predict"),
     ("[Val:duration:second]", "train"),

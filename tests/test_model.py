@@ -67,6 +67,9 @@ def test_train_config_validation():
         TrainConfig(learning_rate=float("nan"))
     with pytest.raises(ValueError, match="targets must be 'soft' or 'hard', got 'smooth'"):
         TrainConfig(targets="smooth")
+    with pytest.raises(ValueError, match="--max-len must be at least 6 .*, got 5"):
+        TrainConfig(max_len=5)
+    assert TrainConfig(max_len=6).max_len == 6
     assert (TrainConfig().targets, TrainConfig().sigma_log, TrainConfig().sigma_circular) == (
         "soft", 4.0, 0.5)
 
@@ -387,6 +390,245 @@ def test_layer_norm_sum_over_d_is_bitwise_mean(shape):
                          - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         dx, _, _ = model_module._layer_norm_backward(dy, cache)
         assert np.array_equal(dx, want_dx)
+
+
+# ------------------------------------------- kernel bit pins
+# The kernels run their elementwise steps in place. Each pin below writes
+# out the plain expression, one fresh array per step, and asserts the
+# same bits.
+
+def _softmax_by_max(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _off_init_params(cfg, V, seed):
+    # Nonzero biases and gains away from one, so that reordering a bias
+    # add changes the rounding.
+    rng = np.random.default_rng(seed)
+    return {k: p + rng.normal(0.0, 0.3, size=p.shape) for k, p in init_params(cfg, V).items()}
+
+
+# (batch, heads, queries, keys): the first three take the row max by
+# columns, the others by numpy's max (too few rows; past 32 keys).
+@pytest.mark.parametrize("shape", [(32, 4, 10, 10), (8, 4, 32, 32), (64, 2, 8, 1),
+                                   (32, 4, 1, 10), (3, 2, 33, 33), (4, 2, 5, 40)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_is_bitwise_the_max_shifted_expression(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    x = (3.0 * rng.normal(size=shape)).astype(dtype)
+    pad = rng.random((shape[0], 1, 1, shape[-1])) < 0.3
+    x += np.where(pad, model_module._ATTN_NEG, 0.0).astype(dtype)
+    flat = x.reshape(-1, shape[-1])
+    flat[0, 0], flat[1, -1], flat[2, 0] = np.inf, -np.inf, np.nan
+    flat[3] = -np.inf  # a row with no finite key
+    with np.errstate(invalid="ignore"):
+        want = _softmax_by_max(x)
+        assert np.array_equal(model_module._row_max(x), x.max(axis=-1, keepdims=True),
+                              equal_nan=True)
+        got = model_module._softmax(x.copy())
+    assert got.dtype == dtype
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def _attention_by_expression(params, p, x, key_bias, scale, H, positions):
+    B, T = key_bias.shape[0], key_bias.shape[-1]
+    D = x.shape[1]
+
+    def heads(t):
+        return t.reshape(B, T, H, D // H).transpose(0, 2, 1, 3)
+
+    kh = heads(x @ params[p + "Wk"] + params[p + "bk"])
+    vh = heads(x @ params[p + "Wv"] + params[p + "bv"])
+    if positions is None:
+        xq, qh = x, heads(x @ params[p + "Wq"] + params[p + "bq"])
+    else:
+        rows = positions // T
+        xq = x[positions]
+        qh = (xq @ params[p + "Wq"] + params[p + "bq"]).reshape(len(xq), H, 1, D // H)
+        kh, vh, key_bias = kh[rows], vh[rows], key_bias[rows]
+    attn = _softmax_by_max(qh @ kh.transpose(0, 1, 3, 2) * scale + key_bias)
+    return (attn @ vh).transpose(0, 2, 1, 3).reshape(len(xq), D), (xq, qh, kh, vh, attn)
+
+
+def _attention_backward_by_expression(params, p, dctx, x, positions, xq, qh, kh, vh, attn, scale):
+    G, H, Tq, dh = qh.shape
+    N, D = x.shape
+    dctxh = dctx.reshape(G, Tq, H, dh).transpose(0, 2, 1, 3)
+    dattn = dctxh @ vh.transpose(0, 1, 3, 2)
+    dvh = attn.transpose(0, 1, 3, 2) @ dctxh
+    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dqh = dscores @ kh * scale
+    dkh = dscores.transpose(0, 1, 3, 2) @ qh * scale
+    if positions is not None:
+        T = kh.shape[2]
+        dkh, dvh = (model_module._scatter_add(positions // T, d.reshape(G, -1), N // T)
+                    .reshape(-1, H, T, dh) for d in (dkh, dvh))
+    dq, dk, dv = (d.transpose(0, 2, 1, 3).reshape(-1, D) for d in (dqh, dkh, dvh))
+    grads = {}
+    for name, inp, dproj in (("q", xq, dq), ("k", x, dk), ("v", x, dv)):
+        grads[p + "W" + name] = inp.T @ dproj
+        grads[p + "b" + name] = dproj.sum(axis=0)
+    dx = dq @ params[p + "Wq"].T
+    if positions is not None:
+        dx = model_module._scatter_add(positions, dx, N)
+    dx = dx + dk @ params[p + "Wk"].T
+    dx = dx + dv @ params[p + "Wv"].T
+    return dx, grads
+
+
+def _layer_norm_backward_by_expression(dy, xhat, inv, g):
+    dxhat = dy * g
+    D = dxhat.shape[-1]
+    mean1 = dxhat.sum(axis=-1, keepdims=True) / D
+    mean2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / D
+    return inv * (dxhat - mean1 - xhat * mean2), (dy * xhat).sum(axis=0), dy.sum(axis=0)
+
+
+def _block_tail_by_expression(params, p, x, ctx):
+    def ln(v, name):
+        return _layer_norm_by_mean(v, params[p + name + "_g"], params[p + name + "_b"])
+
+    y1, xhat1, inv1 = ln(x + ctx @ params[p + "Wo"] + params[p + "bo"], "ln1")
+    h = y1 @ params[p + "W1"] + params[p + "b1"]
+    cdf, gauss = model_module._normal_cdf(h)
+    g = h * cdf
+    y2, xhat2, inv2 = ln(y1 + g @ params[p + "W2"] + params[p + "b2"], "ln2")
+    return y2, (y1, h, cdf, gauss, g, xhat1, inv1, xhat2, inv2)
+
+
+def _block_tail_backward_by_expression(params, p, dy, ctx, saved):
+    y1, h, cdf, gauss, g, xhat1, inv1, xhat2, inv2 = saved
+    grads = {}
+    dr2, grads[p + "ln2_g"], grads[p + "ln2_b"] = _layer_norm_backward_by_expression(
+        dy, xhat2, inv2, params[p + "ln2_g"])
+    grads[p + "W2"] = g.T @ dr2
+    grads[p + "b2"] = dr2.sum(axis=0)
+    dh = (dr2 @ params[p + "W2"].T) * (cdf + h * gauss / np.sqrt(2.0 * np.pi))
+    grads[p + "W1"] = y1.T @ dh
+    grads[p + "b1"] = dh.sum(axis=0)
+    dr1, grads[p + "ln1_g"], grads[p + "ln1_b"] = _layer_norm_backward_by_expression(
+        dr2 + dh @ params[p + "W1"].T, xhat1, inv1, params[p + "ln1_g"])
+    grads[p + "Wo"] = ctx.T @ dr1
+    grads[p + "bo"] = dr1.sum(axis=0)
+    return dr1, dr1 @ params[p + "Wo"].T, grads
+
+
+def _assert_grads_equal(got, want):
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("selected", [False, True], ids=["all rows", "slot rows"])
+def test_attention_and_block_tail_are_bitwise_the_expressions(dtype, selected):
+    # Head width 6: a scale of 1/sqrt(6) rounds, unlike a power of two.
+    cfg = TrainConfig(d_model=24, n_layers=1, n_heads=4, ff_dim=32, max_len=16)
+    params = {k: v.astype(dtype) for k, v in _off_init_params(cfg, 30, seed=5).items()}
+    rng = np.random.default_rng(6)
+    B, T, D = 12, 9, cfg.d_model
+    lengths = rng.integers(1, T + 1, size=B)
+    pad = np.arange(T)[None, :] >= lengths[:, None]
+    key_bias = np.where(pad, model_module._ATTN_NEG, 0.0).astype(dtype)[:, None, None, :]
+    x = rng.normal(size=(B * T, D)).astype(dtype)
+    positions = np.array([0, 5, 5, 17, 40, 107]) if selected else None
+    scale = 1.0 / math.sqrt(D // cfg.n_heads)
+
+    ctx, cache = model_module._attention(params, "layer0.", x, key_bias, scale, cfg.n_heads,
+                                         positions)
+    want_ctx, want_saved = _attention_by_expression(params, "layer0.", x, key_bias, scale,
+                                                    cfg.n_heads, positions)
+    assert np.array_equal(ctx, want_ctx)
+    for got, want in zip(cache[1:2] + cache[3:7], want_saved):
+        assert np.array_equal(got, want)
+
+    xs = x if positions is None else x[positions]
+    out, tail_cache = model_module._block_tail(params, "layer0.", xs, ctx)
+    want_out, tail_saved = _block_tail_by_expression(params, "layer0.", xs, ctx)
+    assert np.array_equal(out, want_out)
+    if dtype is np.float32:
+        return  # the backward runs in training only, in float64
+
+    dy = rng.normal(size=out.shape)
+    grads = {}
+    dr1, dctx = model_module._block_tail_backward(params, "layer0.", dy, tail_cache, grads)
+    want_dr1, want_dctx, want_grads = _block_tail_backward_by_expression(
+        params, "layer0.", dy, ctx, tail_saved)
+    assert np.array_equal(dr1, want_dr1) and np.array_equal(dctx, want_dctx)
+    _assert_grads_equal(grads, want_grads)
+
+    grads = {}
+    dx = model_module._attention_backward(params, "layer0.", dctx, cache, grads)
+    want_dx, want_grads = _attention_backward_by_expression(
+        params, "layer0.", dctx, x, positions, *want_saved, scale)
+    assert np.array_equal(dx, want_dx)
+    _assert_grads_equal(grads, want_grads)
+
+
+@pytest.mark.parametrize("shape", [(1, 16), (10, 64), (320, 64), (7, 24)])
+def test_layer_norm_backward_is_bitwise_the_expression(shape):
+    rng = np.random.default_rng(sum(shape) + 1)
+    x = rng.normal(size=shape)
+    g, b, dy = rng.normal(size=shape[-1]), rng.normal(size=shape[-1]), rng.normal(size=shape)
+    _, cache = model_module._layer_norm(x, g, b)
+    for got, want in zip(model_module._layer_norm_backward(dy, cache),
+                         _layer_norm_backward_by_expression(dy, *cache)):
+        assert np.array_equal(got, want)
+
+
+# ------------------------------------------- inputs left untouched
+
+def _snapshot(*arrays):
+    return [np.array(a, copy=True) for a in arrays]
+
+
+def _assert_unchanged(arrays, copies):
+    for a, c in zip(arrays, copies, strict=True):
+        assert a.dtype == c.dtype and np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_leaves_its_inputs_and_repeats_bitwise(dtype):
+    v = small_vocab()
+    params = {k: p.astype(dtype) for k, p in _off_init_params(SMALL, len(v), seed=2).items()}
+    ids = np.array([[4, 5, 6, 7, 3], [4, 6, 0, 0, 0], [5, 7, 4, 0, 0]], dtype=np.int64)
+    slots = (np.array([0, 2, 2]), np.array([1, 2, 2]))
+    inputs = [*params.values(), ids, *slots]
+    copies = _snapshot(*inputs)
+    for kwargs in ({}, {"slots": slots}):
+        first = forward(params, ids, SMALL, **kwargs)
+        _assert_unchanged(inputs, copies)
+        assert np.array_equal(forward(params, ids, SMALL, **kwargs), first)
+
+
+def test_loss_and_gradients_leaves_its_inputs_and_repeats_bitwise():
+    v = small_vocab()
+    params = _off_init_params(SMALL, len(v), seed=3)
+    ids = np.array([[4, 5, 6, 7, 3], [4, 6, 0, 0, 0], [5, 7, 4, 0, 0]], dtype=np.int64)
+    batch = _random_batch(len(v), ids, rows=[0, 0, 2, 2], cols=[1, 4, 2, 2], seed=3)
+    inputs = [*params.values(), *(getattr(batch, f.name) for f in dataclasses.fields(batch))]
+    copies = _snapshot(*inputs)
+    loss, grads = loss_and_gradients(params, batch, SMALL)
+    _assert_unchanged(inputs, copies)
+    loss2, grads2 = loss_and_gradients(params, batch, SMALL)
+    assert loss2 == loss
+    _assert_grads_equal(grads2, grads)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_predict_leaves_its_params_and_repeats_bitwise(dtype):
+    vocab = _training_vocab()
+    cfg = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32, max_len=16, batch_size=4)
+    params = {k: p.astype(dtype) for k, p in _off_init_params(cfg, len(vocab), seed=4).items()}
+    copies = _snapshot(*params.values())
+    queries = [(("they", "napped"), 1, TemporalDimension.DURATION),
+               (("she", "ran", "home"), 1, TemporalDimension.TYPICAL_WEEK),
+               (("he", "slept"), 1, TemporalDimension.HIERARCHY)] * 3
+    first = predict_value_distribution(params, cfg, vocab, queries)
+    _assert_unchanged(list(params.values()), copies)
+    again = predict_value_distribution(params, cfg, vocab, queries)
+    assert all(np.array_equal(a, b) for a, b in zip(first, again, strict=True))
 
 
 def test_gradient_check_single_layer():
