@@ -8,8 +8,9 @@ reproduced from its own header. Environment variables are never consulted.
 Exit codes:
     0  success
     2  usage or configuration error (bad flag, bad config file, bad value,
-       an input path that is a directory, or an output path that is
-       empty, is a directory or lies in a directory that does not exist)
+       an input path that is a directory, an output path that is empty,
+       is a directory or lies in a directory that does not exist, or an
+       output path that names an input or another output)
     3  a required input file is missing
     4  an input file violates its schema
     5  training diverged (loss passed the abort threshold)
@@ -17,8 +18,9 @@ Exit codes:
 On failure a single machine-readable line is printed to stderr:
     ERROR code=<exit code> <message>
 
-``main`` builds its argument parser once per process and looks up the
-subcommand's ``cmd_*`` handler by name on each call.
+``main`` builds its argument parser once per process; per call it checks
+the paths, resolves the config and header, runs the subcommand's ``cmd_*``
+handler and maps its outcome to an exit code. Handlers only do the work.
 """
 
 import argparse
@@ -61,7 +63,7 @@ from .sequences import (
     read_records_jsonl,
     write_records_jsonl,
 )
-from .srl_ingest import SchemaError, read_corpus, text_lines
+from .srl_ingest import SchemaError, read_corpus, text_lines, write_text
 from .targets import (
     label_count_tables,
     soft_target,
@@ -212,8 +214,7 @@ def config_echo(subcommand: str, cfg: PipelineConfig) -> list[str]:
     return lines
 
 
-def cmd_extract(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_extract(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) -> None:
     reader = read_corpus(text_lines(args.input))
     sentences = list(reader)
     if args.strict and reader.errors:
@@ -222,18 +223,14 @@ def cmd_extract(args: argparse.Namespace) -> int:
     _warn_skipped(args.input, reader.errors)
 
     tuples = [t for sentence in sentences for t in extract_sentence(sentence)]
-
-    header = config_echo("extract", cfg)
     write_tuples_jsonl(args.output, tuples, header)
     print(
         f"extracted {len(tuples)} tuples from {reader.records_read} sentences "
         f"({reader.records_skipped} records skipped)"
     )
-    return EXIT_OK
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_stats(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) -> None:
     tuples = read_tuples_jsonl(args.input)
     tables = label_count_tables(tuples)
     lines = ["dimension,label,count,weight"]
@@ -243,19 +240,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         weights = weight_table(tables[dim])
         for label, count in tables[dim].items():
             lines.append(f"{dim.value},{label},{count},{weights[label]!r}")
-    header = config_echo("stats", cfg)
-    _write_text(args.output, header, lines)
-    return EXIT_OK
-
-
-def _write_text(path: str | None, header_lines: list[str], lines: list[str]) -> None:
-    body = "".join(f"# {line}\n" for line in header_lines)
-    body += "".join(f"{line}\n" for line in lines)
-    if path is None:
-        sys.stdout.write(body)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(body)
+    write_text(args.output, header, lines)
 
 
 def _warn_skipped(path: str, errors: list[tuple[int, str]]) -> None:
@@ -274,8 +259,7 @@ def _context_lookup(corpus_path: str) -> tuple[dict, list[tuple[int, str]]]:
     return contexts, reader.errors
 
 
-def cmd_build_dataset(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_build_dataset(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) -> None:
     if cfg.ms != bool(args.corpus):
         raise UsageError("--ms needs --corpus to resolve neighbor sentences" if cfg.ms
                          else "--corpus is read only with --ms")
@@ -325,16 +309,12 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
         rng = stream_rng(cfg.seed, "masking", ordinal)
         records.append(apply_masking(built, cfg, vocab, rng, weights[t.dimension][t.value]))
 
-    header = config_echo("build-dataset", cfg)
-    vocab_path = args.vocab_out or args.output + ".vocab.tsv"
-    _write_text(vocab_path, header, vocab.to_tsv_lines())
+    write_text(args.vocab_out, header, vocab.to_tsv_lines())
     write_records_jsonl(args.output, records, [*header, f"vocab_sha256={vocab.sha256()}"])
     print(f"built {len(records)} records over a {len(vocab)}-token vocabulary")
-    return EXIT_OK
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_train(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) -> None:
     vocab = _read_vocab(args.vocab)
     stated = dataset_vocab_sha256(args.input)
     if stated is None:
@@ -371,13 +351,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     params, log = train(train_records, cfg, vocab, val_records)
 
-    header = config_echo("train", cfg)
     save_checkpoint(args.output, params, cfg, vocab, header)
     log_lines = ["epoch,split,loss,mean_distance"] + [row.as_csv() for row in log]
-    _write_text(args.loss_log or args.output + ".loss.csv", header, log_lines)
+    write_text(args.loss_log, header, log_lines)
     final = log[-1].loss if log else float("nan")
     print(f"trained {cfg.epochs} epochs on {len(train_records)} records; final loss {final:.4f}")
-    return EXIT_OK
 
 
 def _read_vocab(path: str) -> Vocabulary:
@@ -396,22 +374,16 @@ def _load_model(args: argparse.Namespace) -> tuple[dict, TrainConfig, Vocabulary
     return params, train_cfg, vocab
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_eval(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) -> None:
     instances = read_eval_instances(text_lines(args.input), args.input)
     if not instances:
         raise UsageError(f"no evaluation instances in {args.input}")
     params, train_cfg, vocab = _load_model(args)
     reports = evaluate(params, train_cfg, vocab, instances)
-    header = config_echo("eval", cfg)
-    _write_text(args.output, header, report_csv_lines(reports))
-    return EXIT_OK
+    write_text(args.output, header, report_csv_lines(reports))
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    header = config_echo("predict", cfg)
-
+def cmd_predict(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) -> None:
     if args.input:
         for flag, value in (("--event", args.event), ("--verb-index", args.verb_index),
                             ("--dimension", args.dimension)):
@@ -421,9 +393,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         if not queries:
             raise UsageError(f"no queries in {args.input}")
         params, train_cfg, vocab = _load_model(args)
-        lines = distribution_csv_lines(params, train_cfg, vocab, queries)
-        _write_text(args.output, header, lines)
-        return EXIT_OK
+        write_text(args.output, header, distribution_csv_lines(params, train_cfg, vocab, queries))
+        return
 
     if not args.event or args.verb_index is None or not args.dimension:
         raise UsageError("predict needs --input or all of --event/--verb-index/--dimension")
@@ -436,8 +407,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                                          [(tokens, args.verb_index, dimension)])
     labels = label_space(dimension).labels
     lines = ["label,probability", *(f"{label},{float(p)!r}" for label, p in zip(labels, dist))]
-    _write_text(args.output, header, lines)
-    return EXIT_OK
+    write_text(args.output, header, lines)
 
 
 def _parse_dimension(name: str) -> TemporalDimension:
@@ -448,8 +418,7 @@ def _parse_dimension(name: str) -> TemporalDimension:
         raise UsageError(f"unknown dimension {name!r}; expected one of: {valid}")
 
 
-def cmd_grad_check(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_grad_check(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) -> None:
     if args.coords < 1:
         raise UsageError(f"--coords must be positive, got {args.coords}")
     results = gradient_check(seed=cfg.seed, coords_per_config=args.coords)
@@ -457,37 +426,28 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
     print(f"checked {len(results)} coordinates; worst relative error "
           f"{worst.rel_error:.3e} at {worst.key}{list(worst.index)}")
     if worst.rel_error >= 1e-4:
-        print(f"ERROR code=1 gradient check failed at {worst.key}", file=sys.stderr)
-        return 1
-    return EXIT_OK
+        raise RuntimeError(f"gradient check failed at {worst.key}")
 
 
-def cmd_dump_target(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_dump_target(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) -> None:
     dimension = _parse_dimension(args.dimension)
     space = label_space(dimension)
     if args.label not in space:
         raise UsageError(f"label {args.label!r} not in the {dimension.value} space")
     y = soft_target(dimension, args.label,
                     sigma_log=cfg.sigma_log, sigma_circular=cfg.sigma_circular)
-    header = config_echo("dump-target", cfg)
-    lines = ["label,probability"]
-    for label, prob in zip(space.labels, y):
-        lines.append(f"{label},{float(prob)!r}")
-    _write_text(args.output, header, lines)
-    return EXIT_OK
+    lines = ["label,probability", *(f"{label},{float(p)!r}" for label, p in zip(space.labels, y))]
+    write_text(args.output, header, lines)
 
 
-def cmd_manifest(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
-    header = config_echo("manifest", cfg)
-    _write_text(args.output, header, render_manifest().splitlines())
-    return EXIT_OK
+def cmd_manifest(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) -> None:
+    write_text(args.output, header, render_manifest().splitlines())
 
 
 _EXIT_CODE_HELP = (
     "exit codes: 0 success; 2 usage or config error, an input path that is a "
-    "directory, or an output path that cannot be written; 3 missing input file; "
+    "directory, or an output path that cannot be written or that names an input "
+    "or another output; 3 missing input file; "
     "4 input schema violation; 5 training divergence; 1 other failure"
 )
 
@@ -574,15 +534,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# An output flag that is not given names a file next to --output.
+_DEFAULT_SUFFIX = {"vocab_out": ".vocab.tsv", "loss_log": ".loss.csv"}
+
+
 def _check_paths(args: argparse.Namespace) -> None:
     """UsageError naming the flag if a given input path is a directory,
-    or a given output path is empty, is a directory or lies in a
-    directory that does not exist. The default vocabulary and loss-log
-    paths lie in ``--output``'s directory, so its check covers them."""
+    or an output path is empty, is a directory, lies in a directory that
+    does not exist or, naming both flags, is the file of an input or of
+    an earlier output."""
+    seen = {}  # real path -> the flag and path that named it first
     for name in ("input", "corpus", "vocab", "model", "config"):
-        path = getattr(args, name, None)
-        if path and os.path.isdir(path):
-            raise UsageError(f"--{name} {path!r} is a directory, not a file")
+        if path := getattr(args, name, None):
+            if os.path.isdir(path):
+                raise UsageError(f"--{name} {path!r} is a directory, not a file")
+            seen.setdefault(os.path.realpath(path), f"--{name} {path!r}")
     for name in ("output", "vocab_out", "loss_log"):
         path = getattr(args, name, None)
         if path is None:
@@ -593,14 +559,24 @@ def _check_paths(args: argparse.Namespace) -> None:
         directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise UsageError(f"{flag} {path}: directory {directory} does not exist")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise UsageError(f"{flag} {path!r} names the same file as {seen[real]}")
+        seen[real] = f"{flag} {path!r}"
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, suffix in _DEFAULT_SUFFIX.items():
+        if getattr(args, name, "") is None:  # a flag of this subcommand, not given
+            setattr(args, name, args.output + suffix)
     try:
         _check_paths(args)  # before any input is read
-        return globals()["cmd_" + args.subcommand.replace("-", "_")](args)
+        cfg = resolve_config(args)
+        handler = globals()["cmd_" + args.subcommand.replace("-", "_")]
+        handler(args, cfg, config_echo(args.subcommand, cfg))
+        return EXIT_OK
     except UsageError as exc:
         print(f"ERROR code={EXIT_USAGE} {exc}", file=sys.stderr)
         return EXIT_USAGE

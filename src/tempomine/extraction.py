@@ -24,7 +24,7 @@ from .label_space import (
     nearest_unit,
 )
 from .srl_ingest import (SchemaError, SrlFrame, SrlSentence, _as_int, _as_token_list,
-                         is_temporal_role, parse_json_lines, text_lines)
+                         is_temporal_role, parse_json_lines, text_lines, write_text)
 
 __all__ = [
     "TemporalTuple",
@@ -371,17 +371,9 @@ def classify_temporal_argument(
     ]
 
 
-def write_tuples_jsonl(
-    path: str,
-    tuples: Iterable[TemporalTuple],
-    header_lines: Sequence[str] = (),
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        for t in tuples:
-            fh.write(json.dumps(t.to_json_dict(), sort_keys=True))
-            fh.write("\n")
+def write_tuples_jsonl(path: str, tuples: Iterable[TemporalTuple],
+                       header_lines: Sequence[str] = ()) -> None:
+    write_text(path, header_lines, (json.dumps(t.to_json_dict(), sort_keys=True) for t in tuples))
 
 
 def read_tuples_jsonl(path: str) -> list[TemporalTuple]:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .extraction import TemporalTuple
 from .label_space import TemporalDimension, label_space
-from .srl_ingest import SchemaError, _as_int, parse_json_lines, text_lines
+from .srl_ingest import SchemaError, _as_int, parse_json_lines, text_lines, write_text
 from .targets import soft_target
 
 __all__ = [
@@ -322,10 +322,6 @@ class TrainingRecord:
     val_position: int
 
     @property
-    def mask_positions(self) -> tuple[int, ...]:
-        return tuple(t.position for t in self.targets)
-
-    @property
     def val_token_id(self) -> int:
         """The gold [Val] id: the slot's target if it has one, else its input id."""
         for t in self.targets:
@@ -422,12 +418,8 @@ def record_from_json_dict(obj: dict) -> TrainingRecord:
 
 
 def write_records_jsonl(path: str, records: Iterable[TrainingRecord], header_lines: Sequence[str] = ()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        for rec in records:
-            fh.write(json.dumps(record_to_json_dict(rec), sort_keys=True))
-            fh.write("\n")
+    write_text(path, header_lines,
+               (json.dumps(record_to_json_dict(rec), sort_keys=True) for rec in records))
 
 
 def _check_record(record: TrainingRecord, vocab: Vocabulary) -> TrainingRecord:

@@ -1,4 +1,5 @@
-"""Streaming reader for SRL-annotated sentences in JSON Lines form.
+"""Streaming reader for SRL sentences in JSON Lines form; reader and
+writer of the pipeline's text files.
 
 One record per line:
 
@@ -14,14 +15,18 @@ numbers and messages; the caller decides whether to report or refuse them.
 """
 
 import json
+import sys
 from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain, islice
 
 __all__ = [
     "SrlFrame",
     "SrlSentence",
     "SchemaError",
     "text_lines",
+    "write_text",
     "parse_json_lines",
     "CorpusReader",
     "read_corpus",
@@ -73,6 +78,16 @@ def text_lines(path: str) -> Iterator[str]:
                 raise SchemaError(f"{path}:{line_no}: not UTF-8 text: byte "
                                   f"0x{raw[exc.start]:02x} ({exc.reason})") from None
     raise SchemaError(f"{path}: not UTF-8 text: {error.reason}")
+
+
+def write_text(path: str | None, header_lines: Iterable[str], lines: Iterable[str]) -> None:
+    """Each header line after '# ', then each of ``lines``, one per line
+    of the UTF-8 file ``path``, or of stdout when ``path`` is None."""
+    rows = chain((f"# {line}" for line in header_lines), lines)
+    with nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8") as fh:
+        # One write per 1024 lines: a write per line costs more than the line.
+        while chunk := list(islice(rows, 1024)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def parse_json_lines(lines: Iterable[str], source: str, parse) -> list:

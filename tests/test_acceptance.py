@@ -224,7 +224,7 @@ def test_acceptance_6_masking_marginals():
         masked = kept = randomized = slots = 0
         for i in range(n):
             rec = apply_masking(built, cfg, vocab, tm.stream_rng(0, "masking", i))
-            positions = rec.mask_positions
+            positions = tuple(t.position for t in rec.targets)
             if built.val_position in positions:
                 val_hits += 1
             if built.dim_position in positions:

@@ -10,7 +10,7 @@ import pytest
 from tempomine import cli
 from tempomine.evaluation import eval_instance_to_json_dict
 from tempomine.label_space import TemporalDimension, label_space
-from tempomine.model import TrainConfig, load_checkpoint
+from tempomine.model import GradCheckResult, TrainConfig, load_checkpoint
 from tempomine.seeding import stream_rng
 from tempomine.sequences import MaskingConfig, Vocabulary, read_records_jsonl
 from tempomine.srl_ingest import sentence_to_json_dict, text_lines
@@ -244,6 +244,58 @@ def test_directory_input_path_exit_2_before_any_work(pipeline, tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == [directory]
 
 
+@pytest.mark.parametrize("command, argv, flags", [
+    ("train", ["--input", "ds.jsonl", "--vocab", "v.tsv", "--output", "m.ckpt",
+               "--loss-log", "m.ckpt"], ("--loss-log", "--output")),
+    ("train", ["--input", "ds.jsonl", "--vocab", "m.ckpt.loss.csv", "--output", "m.ckpt"],
+     ("--loss-log", "--vocab")),
+    ("build-dataset", ["--input", "t.jsonl", "--output", "d.jsonl", "--vocab-out", "d.jsonl"],
+     ("--vocab-out", "--output")),
+    ("predict", ["--model", "m.ckpt", "--vocab", "v.tsv", "--event", "they slept",
+                 "--verb-index", "1", "--dimension", "duration", "--output", "m.ckpt"],
+     ("--output", "--model")),
+    ("extract", ["--input", "c.jsonl", "--output", "./c.jsonl"], ("--output", "--input")),
+], ids=["train-loss-log-is-output", "train-default-loss-log-is-vocab",
+        "build-dataset-vocab-out-is-output", "predict-output-is-model", "extract-output-is-input"])
+def test_output_naming_an_input_or_output_exit_2_before_any_work(
+        pipeline, tmp_path, monkeypatch, capsys, command, argv, flags):
+    def fail(*args, **kwargs):
+        raise AssertionError("an input was read or a model trained")
+    for name in ("text_lines", "read_tuples_jsonl", "read_records_jsonl", "_read_vocab",
+                 "load_checkpoint", "train"):
+        monkeypatch.setattr(cli, name, fail)
+    sources = {"ds.jsonl": "dataset", "v.tsv": "vocab", "m.ckpt": "model",
+               "m.ckpt.loss.csv": "vocab", "t.jsonl": "tuples", "c.jsonl": "corpus"}
+    files = {name: pipeline[key].read_bytes() for name, key in sources.items() if name in argv}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert run([command, *argv]) == 2
+    paths = {flag: value for flag, value in zip(argv, argv[1:]) if flag.startswith("--")}
+    paths.setdefault("--loss-log", "m.ckpt.loss.csv")
+    first, second = flags
+    assert capsys.readouterr().err == (f"ERROR code=2 {first} {paths[first]!r} names the "
+                                       f"same file as {second} {paths[second]!r}\n")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
+@pytest.mark.parametrize("command, flag, default", [
+    ("build-dataset", "--vocab-out", "out.vocab.tsv"), ("train", "--loss-log", "out.loss.csv")])
+def test_default_output_path_that_is_a_directory_exit_2_before_any_work(
+        pipeline, tmp_path, monkeypatch, capsys, command, flag, default):
+    def fail(*args, **kwargs):
+        raise AssertionError("an input was read or a model trained")
+    for name in ("train", "read_tuples_jsonl", "read_records_jsonl", "_read_vocab"):
+        monkeypatch.setattr(cli, name, fail)
+    (tmp_path / default).mkdir()
+    inputs = {"build-dataset": ["--input", str(pipeline["tuples"])],
+              "train": ["--input", str(pipeline["dataset"]), "--vocab", str(pipeline["vocab"])]}
+    assert run([command, *inputs[command], "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR code=2 {flag} {str(tmp_path / default)!r} is not a path to a file\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / default]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_learning_rate_exit_2_before_training(pipeline, tmp_path, monkeypatch,
                                                         capsys, value):
@@ -308,7 +360,7 @@ def test_parser_is_built_once_per_process():
 def test_untyped_value_error_exit_1(monkeypatch, capsys):
     # Only SchemaError and UsageError name bad input; a bare ValueError
     # is a bug in the program, not a schema violation.
-    def broken(args):
+    def broken(*args):
         raise ValueError("internal bug")
     # The parser exists before the patch: main finds the handler by name.
     assert run(["manifest"]) == 0
@@ -1412,6 +1464,15 @@ def test_grad_check_command(capsys):
     assert run(["grad-check", "--coords", "5"]) == 0
     out = capsys.readouterr().out
     assert "worst relative error" in out
+
+
+def test_grad_check_failure_exit_1(monkeypatch, capsys):
+    worst = GradCheckResult(key="W_out", index=(2, 3), analytic=1.0, numeric=0.5, rel_error=1.0)
+    monkeypatch.setattr(cli, "gradient_check", lambda **kwargs: [worst])
+    assert run(["grad-check", "--coords", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "checked 1 coordinates; worst relative error 1.000e+00 at W_out[2, 3]\n"
+    assert captured.err == "ERROR code=1 gradient check failed at W_out\n"
 
 
 @pytest.mark.parametrize("coords", ["0", "-3"])

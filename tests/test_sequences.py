@@ -345,9 +345,9 @@ def test_val_always_selected_at_p_one(vocab):
     cfg = MaskingConfig(p_mask=1.0, p_dim=0.0, p_event=1.0)
     for i in range(200):
         rec = apply_masking(built, cfg, vocab, stream_rng(0, "masking", i))
-        assert rec.mask_positions == (built.val_position,)
+        assert tuple(t.position for t in rec.targets) == (built.val_position,)
         # event draws are gated off because a slot fired
-        assert all(p not in built.event_positions for p in rec.mask_positions)
+        assert all(p not in built.event_positions for p in tuple(t.position for t in rec.targets))
 
 
 def test_exactly_one_val_target_with_soft(vocab):
@@ -356,7 +356,7 @@ def test_exactly_one_val_target_with_soft(vocab):
     built = _built(vocab)
     cfg = MaskingConfig(p_mask=1.0, p_dim=1.0)
     rec = apply_masking(built, cfg, vocab, stream_rng(0, "masking", 0))
-    assert rec.mask_positions == (built.dim_position, built.val_position)
+    assert tuple(t.position for t in rec.targets) == (built.dim_position, built.val_position)
     val_targets = [t for t in rec.targets if t.position == rec.val_position]
     assert len(val_targets) == 1
     assert val_targets[0].token_id == vocab.val_id(TemporalDimension.DURATION, "hour")
@@ -369,7 +369,7 @@ def test_event_masking_mutually_exclusive_with_slots(vocab):
     built = _built(vocab)
     cfg = MaskingConfig(p_mask=0.0, p_dim=0.0, p_event=1.0)
     rec = apply_masking(built, cfg, vocab, stream_rng(0, "masking", 0))
-    assert rec.mask_positions == built.event_positions
+    assert tuple(t.position for t in rec.targets) == built.event_positions
     assert rec.val_token_id == built.ids[built.val_position]
 
 
@@ -430,7 +430,7 @@ def test_hard_targets_mode(vocab):
     built = _built(vocab)
     cfg = MaskingConfig(p_mask=1.0, p_dim=0.0)
     rec = apply_masking(built, cfg, vocab, stream_rng(0, "masking", 0))
-    assert built.val_position in rec.mask_positions
+    assert built.val_position in tuple(t.position for t in rec.targets)
     start, labels = vocab.val_block(TemporalDimension.DURATION)
     label = labels[rec.val_token_id - start]
     assert label == "hour"
