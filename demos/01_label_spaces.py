@@ -1,17 +1,14 @@
 """Tour of the label spaces: the unit inventory, the three topologies,
-and the distance functions the rest of the pipeline is built on.
+and the rank distance the rest of the pipeline is built on.
 """
 
 from tempomine import (
     UNIT_SECONDS,
     TemporalDimension,
-    Topology,
-    all_label_spaces,
-    circular_distance,
     label_space,
-    linear_distance,
     logsec,
     nearest_unit,
+    rank_distance,
 )
 
 
@@ -32,20 +29,21 @@ def main() -> None:
 
     print()
     print("every dimension and its topology:")
-    for dim, space in all_label_spaces().items():
+    for dim in TemporalDimension:
+        space = label_space(dim)
         print(f"  {dim.value:<16} {space.topology.value:<12} {len(space)} labels")
 
-    months = label_space(TemporalDimension.TYPICAL_MONTH)
+    months = TemporalDimension.TYPICAL_MONTH
     print()
-    print("circular distance wraps: December is one step from January")
-    print(f"  d(January, December) = {circular_distance('January', 'December', months)}")
-    print(f"  d(January, July)     = {circular_distance('January', 'July', months)}")
+    print("rank distance wraps on a ring: December is one step from January")
+    print(f"  d(January, December) = {rank_distance('January', 'December', months)}")
+    print(f"  d(January, July)     = {rank_distance('January', 'July', months)}")
 
-    durations = label_space(TemporalDimension.DURATION)
+    durations = TemporalDimension.DURATION
     print()
     print("rank distance on the ordered duration scale:")
-    print(f"  d(second, minute)  = {linear_distance('second', 'minute', durations)}")
-    print(f"  d(second, century) = {linear_distance('second', 'century', durations)}")
+    print(f"  d(second, minute)  = {rank_distance('second', 'minute', durations)}")
+    print(f"  d(second, century) = {rank_distance('second', 'century', durations)}")
 
 
 if __name__ == "__main__":

@@ -401,7 +401,8 @@ def cmd_predict(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]
     dimension = _parse_dimension(args.dimension)
     tokens = args.event.split()
     if not 0 <= args.verb_index < len(tokens):
-        raise UsageError("verb index outside the event tokens")
+        raise UsageError(f"--verb-index {args.verb_index} is outside the "
+                         f"{len(tokens)} tokens of --event")
     params, train_cfg, vocab = _load_model(args)
     (dist,) = predict_value_distribution(params, train_cfg, vocab,
                                          [(tokens, args.verb_index, dimension)])

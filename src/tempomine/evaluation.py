@@ -6,22 +6,17 @@ minimal ring distance on circular ones. Hierarchy has no ordinal
 structure, so it is scored by plain accuracy instead.
 """
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .label_space import (DimensionReport, TemporalDimension, dimension_reports, label_space,
-                          rank_distance)
+from .extraction import TemporalTuple
+from .label_space import DimensionReport, TemporalDimension, dimension_reports, label_space
 from .model import Query, TrainConfig, predict_value_distribution
 from .sequences import Vocabulary
 from .srl_ingest import _as_int, _as_token_list, parse_json_lines
 
 __all__ = [
-    "EvalInstance",
-    "rank_distance",
-    "DimensionReport",
-    "dimension_reports",
     "evaluate",
     "report_csv_lines",
     "distribution_csv_lines",
@@ -31,26 +26,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EvalInstance:
-    event_tokens: tuple[str, ...]
-    verb_index: int
-    dimension: TemporalDimension
-    gold_label: str
-
-    def __post_init__(self) -> None:
-        if self.gold_label not in label_space(self.dimension):
-            raise ValueError(
-                f"gold label {self.gold_label!r} not in the {self.dimension.value} space"
-            )
-
-
-def eval_instance_to_json_dict(inst: EvalInstance) -> dict:
+def eval_instance_to_json_dict(inst: TemporalTuple) -> dict:
+    """The eval-file line of a gold event: its query fields and its value
+    as ``gold_label``."""
     return {
         "event_tokens": list(inst.event_tokens),
         "verb_index": inst.verb_index,
         "dimension": inst.dimension.value,
-        "gold_label": inst.gold_label,
+        "gold_label": inst.value,
     }
 
 
@@ -68,10 +51,11 @@ def read_queries(lines: Iterable[str], source: str = "<queries>") -> list[Query]
     return parse_json_lines(lines, source, _parse_query)
 
 
-def read_eval_instances(lines: Iterable[str], source: str = "<instances>") -> list[EvalInstance]:
-    """Queries that also carry a gold_label."""
+def read_eval_instances(lines: Iterable[str], source: str = "<instances>") -> list[TemporalTuple]:
+    """Queries that also carry a gold_label, each read as the tuple whose
+    value is that label."""
     return parse_json_lines(
-        lines, source, lambda obj: EvalInstance(*_parse_query(obj), gold_label=obj["gold_label"])
+        lines, source, lambda obj: TemporalTuple(*_parse_query(obj), value=obj["gold_label"])
     )
 
 
@@ -79,7 +63,7 @@ def evaluate(
     params: Mapping[str, np.ndarray],
     cfg: TrainConfig,
     vocab: Vocabulary,
-    instances: Sequence[EvalInstance],
+    instances: Sequence[TemporalTuple],
 ) -> list[DimensionReport]:
     """Per-dimension reports in dimension declaration order."""
     if not instances:
@@ -87,7 +71,7 @@ def evaluate(
     dists = predict_value_distribution(
         params, cfg, vocab, [(i.event_tokens, i.verb_index, i.dimension) for i in instances])
     return dimension_reports(dists, [i.dimension for i in instances],
-                             [label_space(i.dimension).index(i.gold_label) for i in instances])
+                             [label_space(i.dimension).index(i.value) for i in instances])
 
 
 def report_csv_lines(reports: Sequence[DimensionReport]) -> list[str]:

@@ -16,13 +16,7 @@ import math
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
 
-from .label_space import (
-    UNIT_ORDER,
-    TemporalDimension,
-    canonical_seconds,
-    label_space,
-    nearest_unit,
-)
+from .label_space import UNIT_ORDER, UNIT_SECONDS, TemporalDimension, label_space, nearest_unit
 from .srl_ingest import (SchemaError, SrlFrame, SrlSentence, _as_int, _as_token_list,
                          is_temporal_role, parse_json_lines, text_lines, write_text)
 
@@ -79,10 +73,12 @@ class TemporalTuple:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TemporalTuple":
+        """The tuple of one tuple-file line, whose embedded event must be
+        non-empty exactly when its dimension is hierarchy."""
         doc_id = obj.get("doc_id", "")
         if not isinstance(doc_id, str):
             raise SchemaError("doc_id must be a string")
-        return cls(
+        t = cls(
             event_tokens=_as_token_list(obj["event_tokens"], "event_tokens"),
             verb_index=_as_int(obj["verb_index"], "verb_index"),
             dimension=TemporalDimension(obj["dimension"]),
@@ -92,6 +88,11 @@ class TemporalTuple:
             provenance=(doc_id, _as_int(obj.get("sent_index", 0), "sent_index"),
                         _as_int(obj.get("frame_ordinal", 0), "frame_ordinal")),
         )
+        hierarchy = t.dimension is TemporalDimension.HIERARCHY
+        if bool(t.arg_tmp_event_tokens) != hierarchy:
+            raise SchemaError(f"arg_tmp_event_tokens must be {'non-empty' if hierarchy else 'empty'} "
+                              f"on a {t.dimension.value} tuple")
+        return t
 
 
 _NUMBER_WORDS = {
@@ -193,7 +194,7 @@ def extract_duration(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
     unit = _UNIT_SURFACES[lower[i]]
     if lower[i] == "second" and any(t.isalpha() for t in lower[i + 1:]):
         return None
-    return _unit_near((count or 1.0) * canonical_seconds(unit))
+    return _unit_near((count or 1.0) * UNIT_SECONDS[unit])
 
 
 def _parse_period_seconds(lower: list[str], start: int) -> float | None:
@@ -207,12 +208,12 @@ def _parse_period_seconds(lower: list[str], start: int) -> float | None:
         t = lower[j]
         if t in _UNIT_SURFACES:
             mult = parse_numeric(lower, j - 1) if j > start else None
-            return (mult or 1.0) * canonical_seconds(_UNIT_SURFACES[t])
+            return (mult or 1.0) * UNIT_SECONDS[_UNIT_SURFACES[t]]
         if t in _FREQ_ADVERB_PERIOD:
-            return float(canonical_seconds(_FREQ_ADVERB_PERIOD[t]))
+            return float(UNIT_SECONDS[_FREQ_ADVERB_PERIOD[t]])
         if t in _TYPICAL_KEYWORDS:
             dim, _ = _TYPICAL_KEYWORDS[t]
-            return float(canonical_seconds(_TYPICAL_CYCLE[dim]))
+            return float(UNIT_SECONDS[_TYPICAL_CYCLE[dim]])
     return None
 
 
@@ -269,7 +270,7 @@ def extract_upper_bound(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
     if lower[0] == "in":
         count = parse_numeric(lower, 1)
         if count is not None and len(lower) > 2 and lower[2] in _UNIT_SURFACES:
-            return _unit_near(count * canonical_seconds(_UNIT_SURFACES[lower[2]]))
+            return _unit_near(count * UNIT_SECONDS[_UNIT_SURFACES[lower[2]]])
     for i, t in enumerate(lower):
         if t == "yesterday":
             return "day"

@@ -20,15 +20,11 @@ __all__ = [
     "UNIT_SECONDS",
     "UNIT_ORDER",
     "logsec",
-    "canonical_seconds",
     "nearest_unit",
-    "circular_distance",
-    "linear_distance",
     "rank_distance",
     "DimensionReport",
     "dimension_reports",
     "label_space",
-    "all_label_spaces",
     "render_manifest",
 ]
 
@@ -120,14 +116,6 @@ def label_space(dimension: TemporalDimension) -> LabelSpace:
     return _SPACES[dimension]
 
 
-def all_label_spaces() -> dict[TemporalDimension, LabelSpace]:
-    return dict(_SPACES)
-
-
-def canonical_seconds(unit: str) -> int:
-    return UNIT_SECONDS[unit]
-
-
 def logsec(unit: str) -> float:
     """Natural log of the unit's span in seconds (minute -> 4.094)."""
     return math.log(UNIT_SECONDS[unit])
@@ -154,31 +142,15 @@ def nearest_unit(seconds: float) -> str:
     return UNIT_ORDER[best]
 
 
-def circular_distance(a: str, b: str, space: LabelSpace) -> int:
-    """Minimal number of ring steps between two labels, either direction."""
-    if space.topology is not Topology.CIRCULAR:
-        raise ValueError(f"{space.dimension.value} is not a circular space")
-    i, j = space.index(a), space.index(b)
-    n = len(space)
-    d = abs(i - j)
-    return min(d, n - d)
-
-
-def linear_distance(a: str, b: str, space: LabelSpace) -> int:
-    """Absolute rank difference between two labels on an ordered scale."""
-    if space.topology is not Topology.LOG_LINEAR:
-        raise ValueError(f"{space.dimension.value} is not a log-linear space")
-    return abs(space.index(a) - space.index(b))
-
-
 def rank_distance(pred: str, gold: str, dimension: TemporalDimension) -> int:
-    """Rank difference between prediction and gold on an ordinal space."""
+    """Rank difference between prediction and gold on an ordinal space:
+    the minimal number of steps either way round a ring, the absolute
+    difference on the ordered log-linear scale."""
     space = _SPACES[dimension]
     if space.topology is Topology.CATEGORICAL:
         raise ValueError(f"{dimension.value} has no ordinal structure to rank")
-    if space.topology is Topology.CIRCULAR:
-        return circular_distance(pred, gold, space)
-    return linear_distance(pred, gold, space)
+    d = abs(space.index(pred) - space.index(gold))
+    return min(d, len(space) - d) if space.topology is Topology.CIRCULAR else d
 
 
 @dataclass(frozen=True)

@@ -399,10 +399,13 @@ def _target_from_json_dict(t: dict) -> MaskTarget:
 
 def record_from_json_dict(obj: dict) -> TrainingRecord:
     """The record ``obj`` holds; ValueError unless its ids and slots are
-    JSON integers and its weight a JSON number (a bool is neither)."""
-    ids, weight = obj["input_ids"], obj["weight"]
+    JSON integers, its targets a list of objects and its weight a JSON
+    number (a bool is neither)."""
+    ids, weight, targets = obj["input_ids"], obj["weight"], obj["targets"]
     if not isinstance(ids, list):
         raise ValueError(f"input_ids must be a list of integers, got {json.dumps(ids)}")
+    if not isinstance(targets, list) or not all(isinstance(t, dict) for t in targets):
+        raise ValueError(f"targets must be a list of objects, got {json.dumps(targets)}")
     if not {int}.issuperset(map(type, ids)):  # one pass for the common, valid case
         for i, token_id in enumerate(ids):
             _as_int(token_id, f"input_ids[{i}]")
@@ -410,7 +413,7 @@ def record_from_json_dict(obj: dict) -> TrainingRecord:
         raise ValueError(f"weight must be a number, got {json.dumps(weight)}")
     return TrainingRecord(
         input_ids=tuple(ids),
-        targets=tuple(_target_from_json_dict(t) for t in obj["targets"]),
+        targets=tuple(map(_target_from_json_dict, targets)),
         weight=float(weight),
         dimension=TemporalDimension(obj["dimension"]),
         val_position=_as_int(obj["val_position"], "val_position"),

@@ -12,7 +12,7 @@ bound, typical times) because the planted check scores rank distance.
 
 from dataclasses import dataclass
 
-from .evaluation import EvalInstance
+from .extraction import TemporalTuple
 from .label_space import TemporalDimension
 from .seeding import stream_rng
 from .srl_ingest import SrlFrame, SrlSentence
@@ -160,8 +160,9 @@ def _rule_for_verb(verb: str) -> VerbRule:
     raise KeyError(f"no planted rule for verb {verb!r}")
 
 
-def planted_eval_instances(sentences: list[SrlSentence]) -> list[EvalInstance]:
-    """Gold-labeled query events: sentence minus its temporal argument."""
+def planted_eval_instances(sentences: list[SrlSentence]) -> list[TemporalTuple]:
+    """Gold events: each sentence minus its temporal argument, valued with
+    its verb's planted label."""
     instances = []
     for sentence in sentences:
         frame = sentence.frames[0]
@@ -169,11 +170,11 @@ def planted_eval_instances(sentences: list[SrlSentence]) -> list[EvalInstance]:
         event = sentence.tokens[:start] + sentence.tokens[end:]
         rule = _rule_for_verb(sentence.tokens[frame.verb_index])
         instances.append(
-            EvalInstance(
+            TemporalTuple(
                 event_tokens=event,
                 verb_index=frame.verb_index,
                 dimension=rule.dimension,
-                gold_label=rule.value,
+                value=rule.value,
             )
         )
     return instances

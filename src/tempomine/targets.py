@@ -22,8 +22,6 @@ from .seeding import stream_rng
 
 __all__ = [
     "soft_target",
-    "hard_target",
-    "instance_weight",
     "weight_table",
     "label_count_tables",
     "balance_keep_probabilities",
@@ -41,14 +39,6 @@ WEIGHT_CLIP_LOW = 0.1
 WEIGHT_CLIP_HIGH = 10.0
 
 
-def hard_target(dimension: TemporalDimension, gold_label: str) -> np.ndarray:
-    """One-hot vector over the dimension's label space."""
-    space = label_space(dimension)
-    y = np.zeros(len(space), dtype=np.float64)
-    y[space.index(gold_label)] = 1.0
-    return y
-
-
 def soft_target(
     dimension: TemporalDimension,
     gold_label: str,
@@ -64,7 +54,7 @@ def soft_target(
     gold_idx = space.index(gold_label)
 
     if space.topology is Topology.CATEGORICAL:
-        return hard_target(dimension, gold_label)
+        return (np.arange(len(space)) == gold_idx).astype(np.float64)
 
     if space.topology is Topology.LOG_LINEAR:
         positions = np.array([logsec(lab) for lab in space.labels], dtype=np.float64)
@@ -78,25 +68,16 @@ def soft_target(
     return scores / scores.sum()
 
 
-def instance_weight(label_count: int, total_count: int, num_labels: int) -> float:
-    """Inverse-prevalence weight total / (num_labels * count), clipped.
-
-    A label at exactly the uniform share weighs 1.0; rare labels weigh
-    more, frequent ones less, never outside [WEIGHT_CLIP_LOW, WEIGHT_CLIP_HIGH].
-    """
-    if label_count <= 0:
-        raise ValueError("label count must be positive to weight an instance")
-    if total_count <= 0 or num_labels <= 0:
-        raise ValueError("weight table requires positive totals")
-    w = total_count / (num_labels * label_count)
-    return float(min(max(w, WEIGHT_CLIP_LOW), WEIGHT_CLIP_HIGH))
-
-
 def weight_table(counts: Mapping[str, int]) -> dict[str, float]:
-    """Instance weight per label from one dimension's observed counts."""
-    total = sum(counts.values())
-    n = len(counts)
-    return {label: instance_weight(c, total, n) for label, c in counts.items()}
+    """Instance weight per label from one dimension's observed counts: the
+    inverse prevalence total / (labels * count), clipped to
+    [WEIGHT_CLIP_LOW, WEIGHT_CLIP_HIGH], so a label at exactly the uniform
+    share weighs 1.0. A count that is not positive raises ValueError."""
+    if any(c <= 0 for c in counts.values()):
+        raise ValueError("label count must be positive to weight an instance")
+    total, n = sum(counts.values()), len(counts)
+    return {label: min(max(total / (n * c), WEIGHT_CLIP_LOW), WEIGHT_CLIP_HIGH)
+            for label, c in counts.items()}
 
 
 def label_count_tables(

@@ -400,6 +400,14 @@ def test_config_file_bad_value_exit_2(tmp_path, capsys):
         f"ERROR code=2 {cfg}:2: config key seed expects int, got 'often'")
 
 
+def test_config_file_line_without_equals_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=1\nseed 2\n")
+    assert run(["manifest", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR code=2 {cfg}:2: expected key=value, got 'seed 2'\n")
+
+
 def test_config_file_not_utf8_exit_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(b"seed=1\n# caf\xe9\n")
@@ -481,6 +489,18 @@ def test_config_file_switches_hold_without_flags(pipeline, tmp_path):
     header = header_lines(out)
     for key in ("ms", "balance"):
         assert f"# {key}=true" in header
+
+
+def test_config_file_switches_off_hold(pipeline, tmp_path):
+    # ms=true would need --corpus, so exit 0 shows that "false" reads as false.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ms=false\nbalance=OFF\n")
+    out = tmp_path / "ds.jsonl"
+    assert run(["build-dataset", "--config", str(cfg), "--input", str(pipeline["tuples"]),
+                "--output", str(out), "--seed", "21"]) == 0
+    header = header_lines(out)
+    for key in ("ms", "balance"):
+        assert f"# {key}=false" in header
 
 
 @pytest.mark.parametrize("flag", [["--am"], ["--ms"], ["--p-mask", "0.3"],
@@ -750,6 +770,13 @@ _TUPLE_DEFECTS = {
     "bool-frame-ordinal": (lambda t: t.update(frame_ordinal=True),
                            "frame_ordinal must be an integer, got true"),
     "integer-doc-id": (lambda t: t.update(doc_id=7), "doc_id must be a string"),
+    # The embedded event is the second event of a hierarchy relation, and
+    # only of one.
+    "embedded-event-off-hierarchy": (lambda t: t.update(arg_tmp_event_tokens=["lunch", "ended"]),
+                                     "arg_tmp_event_tokens must be empty on a {dimension} tuple"),
+    "hierarchy-without-embedded-event": (
+        lambda t: t.update(dimension="hierarchy", value="before", arg_tmp_event_tokens=[]),
+        "arg_tmp_event_tokens must be non-empty on a hierarchy tuple"),
 }
 
 
@@ -852,6 +879,14 @@ def test_train_val_fraction_rows(pipeline, tmp_path):
     assert all(r[3] != "" for r in val_rows)
 
 
+def test_train_val_fraction_one_exit_2(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "m.ckpt"
+    assert run(["train", "--input", str(pipeline["dataset"]), "--vocab", str(pipeline["vocab"]),
+                "--output", str(ckpt), "--val-fraction", "1.0"]) == 2
+    assert capsys.readouterr().err == "ERROR code=2 validation split consumed every record\n"
+    assert not ckpt.exists()
+
+
 def test_train_record_missing_key_exit_4(pipeline, tmp_path, capsys):
     lines = pipeline["dataset"].read_text().splitlines(keepends=True)
     first = next(i for i, line in enumerate(lines) if not line.startswith("#"))
@@ -872,7 +907,8 @@ def _token_target(record):
 
 
 def _val_target(record):
-    return next((t for t in record["targets"] if t["position"] == record["val_position"]), None)
+    return next((t for t in record["targets"]
+                 if isinstance(t, dict) and t["position"] == record["val_position"]), None)
 
 
 def _labels(record):
@@ -936,6 +972,15 @@ _RECORD_DEFECTS = {
     "target-token-id-string": (lambda r: r["targets"],
                                lambda r: r["targets"][0].update(token_id="5"),
                                'target token_id must be an integer, got "5"'),
+    "targets-string": (lambda r: True,
+                       lambda r: r.update(targets=""),
+                       'targets must be a list of objects, got ""'),
+    "targets-object": (lambda r: True,
+                       lambda r: r.update(targets={}),
+                       "targets must be a list of objects, got {{}}"),
+    "targets-integers": (lambda r: True,
+                         lambda r: r.update(targets=[5]),
+                         "targets must be a list of objects, got [5]"),
     "stored-soft-row": (lambda r: r["targets"],
                         lambda r: r["targets"][0].update(soft=None),
                         "target holds a stored soft row, which records no longer carry; "
@@ -1193,6 +1238,22 @@ def test_query_file_without_queries_exit_2(pipeline, tmp_path, capsys, command, 
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command, message", [("build-dataset", "no tuples in {}; nothing to build"),
+                                              ("train", "no records in {}")])
+def test_file_of_only_its_header_exit_2(pipeline, tmp_path, capsys, command, message):
+    # The header of a real file: the dataset's states its vocab_sha256.
+    source = pipeline["tuples"] if command == "build-dataset" else pipeline["dataset"]
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("".join(line + "\n" for line in header_lines(source)))
+    out = tmp_path / "out"
+    argv = [command, "--input", str(empty), "--output", str(out)]
+    if command == "train":
+        argv += ["--vocab", str(pipeline["vocab"])]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"ERROR code=2 {message.format(empty)}\n"
+    assert not out.exists()
+
+
 def test_predict_needs_query_or_flags(pipeline, capsys):
     assert run(["predict", "--model", str(pipeline["model"]),
                 "--vocab", str(pipeline["vocab"])]) == 2
@@ -1242,6 +1303,17 @@ def test_predict_unknown_dimension_exit_2(pipeline, capsys):
                 "--vocab", str(pipeline["vocab"]),
                 "--event", "they met", "--verb-index", "1",
                 "--dimension", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("verb_index", ["2", "-1"])
+def test_predict_verb_index_outside_the_event_exit_2(pipeline, tmp_path, capsys, verb_index):
+    out = tmp_path / "out.csv"
+    assert run(["predict", "--model", str(pipeline["model"]), "--vocab", str(pipeline["vocab"]),
+                "--event", "they slept", "--verb-index", verb_index,
+                "--dimension", "duration", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"ERROR code=2 --verb-index {verb_index} is outside the 2 tokens of --event\n")
+    assert not out.exists()
 
 
 # ----------------------------------------------------------- input bytes

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from tempomine.evaluation import (
-    DimensionReport,
-    EvalInstance,
-    dimension_reports,
     distribution_csv_lines,
     eval_instance_to_json_dict,
     evaluate,
-    rank_distance,
     read_eval_instances,
     read_queries,
     report_csv_lines,
 )
-from tempomine.label_space import TemporalDimension, label_space
+from tempomine.extraction import TemporalTuple
+from tempomine.label_space import (DimensionReport, TemporalDimension, dimension_reports,
+                                   label_space, rank_distance)
 from tempomine.model import predict_value_distribution
 from tempomine.srl_ingest import SchemaError
 
@@ -94,10 +92,11 @@ def test_metric_input_validation():
 # ---------------------------------------------------------------- instances
 
 def test_eval_instance_validates_gold():
-    with pytest.raises(ValueError):
-        EvalInstance(("a",), 0, TemporalDimension.DURATION, "fortnight")
-    inst = EvalInstance(("a",), 0, TemporalDimension.TYPICAL_SEASON, "fall")
-    assert inst.gold_label == "fall"
+    # A gold event is a tuple, whose value must be a label of its dimension.
+    with pytest.raises(ValueError, match="label 'fortnight' not in the duration space"):
+        TemporalTuple(("a",), 0, TemporalDimension.DURATION, "fortnight")
+    inst = TemporalTuple(("a",), 0, TemporalDimension.TYPICAL_SEASON, "fall")
+    assert inst.value == "fall"
 
 
 def test_read_queries_parses_each_line():
@@ -128,7 +127,8 @@ def test_read_eval_instances_shares_the_query_parser():
     good = {"event_tokens": ["they", "slept"], "verb_index": 1,
             "dimension": "duration", "gold_label": "hour"}
     lines = [json.dumps(good), json.dumps({**good, "gold_label": "fortnight"})]
-    with pytest.raises(SchemaError, match="gold.jsonl:2: gold label 'fortnight'"):
+    with pytest.raises(SchemaError,
+                       match="gold.jsonl:2: label 'fortnight' not in the duration space"):
         read_eval_instances(lines, "gold.jsonl")
     missing = {k: v for k, v in good.items() if k != "gold_label"}
     with pytest.raises(SchemaError, match="gold.jsonl:1: missing key 'gold_label'"):
@@ -139,8 +139,10 @@ def test_read_eval_instances_shares_the_query_parser():
 
 
 def test_eval_instances_json_round_trip():
-    inst = EvalInstance(("they", "slept"), 1, TemporalDimension.DURATION, "hour")
+    inst = TemporalTuple(("they", "slept"), 1, TemporalDimension.DURATION, "hour")
     line = json.dumps(eval_instance_to_json_dict(inst))
+    assert json.loads(line) == {"event_tokens": ["they", "slept"], "verb_index": 1,
+                                "dimension": "duration", "gold_label": "hour"}
     back = read_eval_instances(["# header", "", line])
     assert back == [inst]
 
@@ -155,10 +157,7 @@ def test_evaluate_reports(tiny_trained):
     vocab = tiny_trained["vocab"]
     instances = []
     for s in tiny_trained["test_sentences"][:60]:
-        instances.extend(
-            EvalInstance(t.event_tokens, t.verb_index, t.dimension, t.value)
-            for t in tm.extract_sentence(s)
-        )
+        instances.extend(tm.extract_sentence(s))
     assert instances
     reports = evaluate(params, cfg, vocab, instances)
     dims = [r.dimension for r in reports]

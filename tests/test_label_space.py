@@ -8,11 +8,7 @@ from tempomine.label_space import (
     UNIT_ORDER,
     TemporalDimension,
     Topology,
-    all_label_spaces,
-    canonical_seconds,
-    circular_distance,
     label_space,
-    linear_distance,
     logsec,
     nearest_unit,
     rank_distance,
@@ -35,8 +31,6 @@ UNIT_SECONDS = {
 def test_unit_inventory_order_and_seconds():
     assert PACKAGE_UNIT_SECONDS == UNIT_SECONDS
     assert UNIT_ORDER == tuple(UNIT_SECONDS)
-    for unit, seconds in UNIT_SECONDS.items():
-        assert canonical_seconds(unit) == seconds
 
 
 def test_logsec_known_values():
@@ -118,24 +112,22 @@ def test_label_space_topologies():
 
 
 def test_all_label_spaces_covers_every_dimension():
-    spaces = all_label_spaces()
-    assert set(spaces) == set(TemporalDimension)
+    for dim in TemporalDimension:
+        assert label_space(dim).dimension is dim
 
 
 def test_linear_distance_examples():
-    space = label_space(TemporalDimension.FREQUENCY)
-    assert linear_distance("minute", "year", space) == 5
-    assert linear_distance("year", "minute", space) == 5
-    assert linear_distance("day", "day", space) == 0
+    assert rank_distance("minute", "year", TemporalDimension.FREQUENCY) == 5
+    assert rank_distance("year", "minute", TemporalDimension.FREQUENCY) == 5
+    assert rank_distance("day", "day", TemporalDimension.FREQUENCY) == 0
 
 
 def test_circular_distance_examples():
-    months = label_space(TemporalDimension.TYPICAL_MONTH)
-    assert circular_distance("January", "December", months) == 1
-    assert circular_distance("January", "July", months) == 6
-    week = label_space(TemporalDimension.TYPICAL_WEEK)
-    assert circular_distance("Monday", "Sunday", week) == 1
-    assert circular_distance("Monday", "Thursday", week) == 3
+    months, week = TemporalDimension.TYPICAL_MONTH, TemporalDimension.TYPICAL_WEEK
+    assert rank_distance("January", "December", months) == 1
+    assert rank_distance("January", "July", months) == 6
+    assert rank_distance("Monday", "Sunday", week) == 1
+    assert rank_distance("Monday", "Thursday", week) == 3
 
 
 def test_circular_distance_matches_brute_force():
@@ -146,42 +138,28 @@ def test_circular_distance_matches_brute_force():
         for j, b in enumerate(months.labels):
             forward = (j - i) % n
             backward = (i - j) % n
-            assert circular_distance(a, b, months) == min(forward, backward)
-
-
-def test_distance_wrong_topology_raises():
-    months = label_space(TemporalDimension.TYPICAL_MONTH)
-    duration = label_space(TemporalDimension.DURATION)
-    with pytest.raises(ValueError):
-        linear_distance("January", "July", months)
-    with pytest.raises(ValueError):
-        circular_distance("second", "hour", duration)
+            assert rank_distance(a, b, TemporalDimension.TYPICAL_MONTH) == min(forward, backward)
 
 
 def test_distance_unknown_label_raises():
-    duration = label_space(TemporalDimension.DURATION)
-    with pytest.raises(KeyError):
-        linear_distance("second", "fortnight", duration)
+    with pytest.raises(KeyError, match="'fortnight' not in duration space"):
+        rank_distance("second", "fortnight", TemporalDimension.DURATION)
+    with pytest.raises(KeyError, match="'autumn' not in typical_season space"):
+        rank_distance("autumn", "fall", TemporalDimension.TYPICAL_SEASON)
 
 
 def test_rank_distance_follows_topology():
-    for dim, space in all_label_spaces().items():
+    # First to last label: one step round a ring, the whole scale on a line.
+    for dim in TemporalDimension:
+        space = label_space(dim)
         a, b = space.labels[0], space.labels[-1]
         if space.topology is Topology.CIRCULAR:
-            assert rank_distance(a, b, dim) == circular_distance(a, b, space) == 1
+            assert rank_distance(a, b, dim) == 1
         elif space.topology is Topology.LOG_LINEAR:
-            assert rank_distance(a, b, dim) == linear_distance(a, b, space) == len(space) - 1
+            assert rank_distance(a, b, dim) == len(space) - 1
         else:
             with pytest.raises(ValueError, match="no ordinal structure"):
                 rank_distance(a, b, dim)
-
-
-def test_rank_distance_reexported():
-    import tempomine
-    from tempomine import evaluation
-
-    assert evaluation.rank_distance is rank_distance
-    assert tempomine.rank_distance is rank_distance
 
 
 def test_hierarchy_labels():

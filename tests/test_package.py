@@ -16,3 +16,11 @@ def test_module_all_is_the_package_surface(name):
     assert module.__all__
     for attr in module.__all__:
         assert getattr(tempomine, attr) is getattr(module, attr), attr
+
+
+def test_each_public_name_has_one_home():
+    homes = {}
+    for name in MODULES:
+        for attr in importlib.import_module(f"tempomine.{name}").__all__:
+            assert attr not in homes, f"{attr} is in {homes[attr]}.__all__ and {name}.__all__"
+            homes[attr] = name

@@ -28,7 +28,7 @@ from tempomine.sequences import (
     write_records_jsonl,
 )
 from tempomine.srl_ingest import SchemaError, text_lines
-from tempomine.targets import hard_target, soft_target
+from tempomine.targets import soft_target
 
 
 @pytest.fixture()
@@ -426,7 +426,8 @@ def test_masking_branch_proportions(vocab):
 
 
 def test_hard_targets_mode(vocab):
-    # A masked [Val] slot names its gold label; the hard target is one-hot on it.
+    # A masked [Val] slot names its gold label; the hard target is one-hot on
+    # it within the dimension's [Val] block.
     built = _built(vocab)
     cfg = MaskingConfig(p_mask=1.0, p_dim=0.0)
     rec = apply_masking(built, cfg, vocab, stream_rng(0, "masking", 0))
@@ -434,8 +435,11 @@ def test_hard_targets_mode(vocab):
     start, labels = vocab.val_block(TemporalDimension.DURATION)
     label = labels[rec.val_token_id - start]
     assert label == "hour"
-    hard = hard_target(TemporalDimension.DURATION, label)
+    base = len(vocab) - 62  # the [Val] ids are the last 62 ids
+    row = val_targets("hard", 4.0, 0.5)[rec.val_token_id - base]
+    hard = row[start - base:start - base + len(labels)]
     assert sorted(hard) == [0.0] * 8 + [1.0]
+    assert row.sum() == 1.0
     gold_idx = label_space(TemporalDimension.DURATION).index("hour")
     assert hard[gold_idx] == 1.0
 

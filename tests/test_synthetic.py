@@ -103,7 +103,7 @@ def test_planted_eval_instances_match_rules():
     for inst, s in zip(instances, sentences):
         rule = rules_by_verb[s.tokens[s.frames[0].verb_index]]
         assert inst.dimension is rule.dimension
-        assert inst.gold_label == rule.value
+        assert inst.value == rule.value
         # the temporal span is stripped from the event
         assert inst.event_tokens[inst.verb_index] == rule.verb
         arg_start, arg_end = s.frames[0].arguments[0][1]

@@ -14,8 +14,6 @@ from tempomine.targets import (
     DEFAULT_SIGMA_CIRCULAR,
     DEFAULT_SIGMA_LOG,
     balance_keep_probabilities,
-    hard_target,
-    instance_weight,
     label_count_tables,
     soft_target,
     subsample_tuples,
@@ -54,8 +52,9 @@ def all_dim_gold_pairs():
 @pytest.mark.parametrize("dim,gold", list(all_dim_gold_pairs()))
 def test_soft_target_matches_naive_oracle(dim, gold):
     got = soft_target(dim, gold)
-    if label_space(dim).topology is Topology.CATEGORICAL:
-        want = hard_target(dim, gold)
+    space = label_space(dim)
+    if space.topology is Topology.CATEGORICAL:
+        want = np.eye(len(space))[space.index(gold)]
     else:
         want = naive_soft_target(dim, gold, DEFAULT_SIGMA_LOG, DEFAULT_SIGMA_CIRCULAR)
     assert np.max(np.abs(got - want)) < 1e-10
@@ -136,32 +135,35 @@ def test_soft_target_rejects_unknown_label():
         soft_target(TemporalDimension.DURATION, "fortnight")
 
 
-def test_hard_target_one_hot():
-    y = hard_target(TemporalDimension.TYPICAL_WEEK, "Thursday")
-    assert y.sum() == 1.0
-    assert y[3] == 1.0
-
-
 # ---------------------------------------------------------------- weights
 
 def test_instance_weight_uniform_share_is_one():
     # 300 instances over 3 labels: a label with 100 sits at the uniform share.
-    assert instance_weight(100, 300, 3) == 1.0
+    assert weight_table({"second": 100, "minute": 100, "hour": 100}) == {
+        "second": 1.0, "minute": 1.0, "hour": 1.0}
 
 
 def test_instance_weight_rare_label_upweighted():
-    assert instance_weight(10, 300, 3) == pytest.approx(10.0)
-    assert instance_weight(5, 300, 3) == 10.0  # clipped at the high end
+    assert weight_table({"second": 10, "minute": 145, "hour": 145})["second"] == pytest.approx(10.0)
+    # clipped at the high end
+    assert weight_table({"second": 5, "minute": 145, "hour": 150})["second"] == 10.0
 
 
 def test_instance_weight_frequent_label_downweighted():
-    assert instance_weight(250, 300, 3) == pytest.approx(0.4)
-    assert instance_weight(10_000, 300, 3) == 0.1  # clipped at the low end
+    assert weight_table({"second": 250, "minute": 25, "hour": 25})["second"] == pytest.approx(0.4)
+    # Clipped at the low end, which takes more than ten labels: a label's
+    # weight is at least 1 / (number of labels).
+    months = label_space(TemporalDimension.TYPICAL_MONTH).labels
+    table = weight_table({month: 10_000 if month == "January" else 1 for month in months})
+    assert table["January"] == 0.1
+    assert table["December"] == 10.0
 
 
 def test_instance_weight_zero_count_raises():
-    with pytest.raises(ValueError):
-        instance_weight(0, 300, 3)
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="label count must be positive"):
+            weight_table({"second": count, "minute": 300})
+    assert weight_table({}) == {}
 
 
 def test_weight_table_num_labels_is_table_size():
