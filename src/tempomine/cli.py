@@ -251,10 +251,17 @@ def _warn_skipped(path: str, errors: list[tuple[int, str]]) -> None:
 def _context_lookup(corpus_path: str) -> tuple[dict, list[tuple[int, str]]]:
     """(doc_id, sent_index) -> (left, right) context of each sentence of
     the corpus, and the (line, message) of each record it skipped, each
-    warned about as extract does."""
+    warned about as extract does. A repeated (doc_id, sent_index) raises
+    SchemaError, since either record's context could be the tuple's."""
     reader = read_corpus(text_lines(corpus_path))
-    contexts = {(s.doc_id, s.sent_index): (s.left_context or (), s.right_context or ())
-                for s in reader}
+    contexts, lines = {}, {}
+    for s in reader:
+        key = (s.doc_id, s.sent_index)
+        if key in lines:
+            raise SchemaError(f"{corpus_path}:{reader.line_no}: (doc_id, sent_index) = {key} "
+                              f"repeats line {lines[key]}, so its context is ambiguous")
+        lines[key] = reader.line_no
+        contexts[key] = (s.left_context or (), s.right_context or ())
     _warn_skipped(corpus_path, reader.errors)
     return contexts, reader.errors
 
@@ -343,7 +350,8 @@ def cmd_train(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) 
     else:
         train_records, val_records = records, []
     if not train_records:
-        raise UsageError("validation split consumed every record")
+        raise UsageError(f"--val-fraction {cfg.val_fraction} leaves no record "
+                         f"in the training share of {args.input}")
     for share, part in (("training", train_records), ("validation", val_records)):
         if part and not any(rec.targets for rec in part):
             raise UsageError(f"--val-fraction {cfg.val_fraction} leaves no supervised slot "

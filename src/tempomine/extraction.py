@@ -11,10 +11,10 @@ All keyword matching is case-insensitive on token surfaces; there is no
 lemmatization.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Sequence
+from json.encoder import encode_basestring_ascii
 
 from .label_space import UNIT_ORDER, UNIT_SECONDS, TemporalDimension, label_space, nearest_unit
 from .srl_ingest import (SchemaError, SrlFrame, SrlSentence, _as_int, _as_token_list,
@@ -58,18 +58,6 @@ class TemporalTuple:
                              f"{len(self.event_tokens)} event tokens")
         if self.value not in label_space(self.dimension):
             raise ValueError(f"label {self.value!r} not in the {self.dimension.value} space")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "doc_id": self.provenance[0],
-            "sent_index": self.provenance[1],
-            "frame_ordinal": self.provenance[2],
-            "event_tokens": list(self.event_tokens),
-            "verb_index": self.verb_index,
-            "dimension": self.dimension.value,
-            "value": self.value,
-            "arg_tmp_event_tokens": list(self.arg_tmp_event_tokens),
-        }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TemporalTuple":
@@ -372,9 +360,25 @@ def classify_temporal_argument(
     ]
 
 
+def _json_strings(tokens: Iterable[str]) -> str:
+    return f"[{', '.join(map(encode_basestring_ascii, tokens))}]"
+
+
+def _tuple_line(t: TemporalTuple) -> str:
+    """The tuple-file line of ``t``: what ``json.dumps(..., sort_keys=True)``
+    writes for its keys, formatted without building the dict."""
+    doc_id, sent_index, frame_ordinal = t.provenance
+    return (f'{{"arg_tmp_event_tokens": {_json_strings(t.arg_tmp_event_tokens)}, '
+            f'"dimension": {encode_basestring_ascii(t.dimension.value)}, '
+            f'"doc_id": {encode_basestring_ascii(doc_id)}, '
+            f'"event_tokens": {_json_strings(t.event_tokens)}, '
+            f'"frame_ordinal": {frame_ordinal}, "sent_index": {sent_index}, '
+            f'"value": {encode_basestring_ascii(t.value)}, "verb_index": {t.verb_index}}}')
+
+
 def write_tuples_jsonl(path: str, tuples: Iterable[TemporalTuple],
                        header_lines: Sequence[str] = ()) -> None:
-    write_text(path, header_lines, (json.dumps(t.to_json_dict(), sort_keys=True) for t in tuples))
+    write_text(path, header_lines, map(_tuple_line, tuples))
 
 
 def read_tuples_jsonl(path: str) -> list[TemporalTuple]:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from collections import Counter
 from contextlib import closing
 from collections.abc import Iterable, Sequence
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -38,7 +39,7 @@ __all__ = [
     "Vocabulary", "build_vocabulary",
     "BuiltSequence", "build_sequence",
     "MaskingConfig", "MaskTarget", "TrainingRecord", "apply_masking", "val_targets",
-    "record_to_json_dict", "record_from_json_dict",
+    "record_from_json_dict",
     "write_records_jsonl", "read_records_jsonl", "dataset_vocab_sha256",
     "MAX_SEQUENCE_LENGTH", "MIN_SEQUENCE_LENGTH",
 ]
@@ -379,16 +380,6 @@ def apply_masking(
     )
 
 
-def record_to_json_dict(record: TrainingRecord) -> dict:
-    return {
-        "input_ids": list(record.input_ids),
-        "targets": [{"position": t.position, "token_id": t.token_id} for t in record.targets],
-        "weight": record.weight,
-        "dimension": record.dimension.value,
-        "val_position": record.val_position,
-    }
-
-
 def _target_from_json_dict(t: dict) -> MaskTarget:
     if "soft" in t:
         raise ValueError("target holds a stored soft row, which records no longer carry; "
@@ -420,9 +411,20 @@ def record_from_json_dict(obj: dict) -> TrainingRecord:
     )
 
 
+def _record_line(rec: TrainingRecord) -> str:
+    """The dataset line of ``rec``: what ``json.dumps(..., sort_keys=True)``
+    writes for its keys, formatted without building the dict."""
+    targets = ", ".join([f'{{"position": {t.position}, "token_id": {t.token_id}}}'
+                         for t in rec.targets])
+    # json.dumps writes a float as its repr, and NaN and the infinities by name.
+    weight = repr(rec.weight) if math.isfinite(rec.weight) else json.dumps(rec.weight)
+    return (f'{{"dimension": {encode_basestring_ascii(rec.dimension.value)}, '
+            f'"input_ids": [{", ".join(map(str, rec.input_ids))}], "targets": [{targets}], '
+            f'"val_position": {rec.val_position}, "weight": {weight}}}')
+
+
 def write_records_jsonl(path: str, records: Iterable[TrainingRecord], header_lines: Sequence[str] = ()) -> None:
-    write_text(path, header_lines,
-               (json.dumps(record_to_json_dict(rec), sort_keys=True) for rec in records))
+    write_text(path, header_lines, map(_record_line, records))
 
 
 def _check_record(record: TrainingRecord, vocab: Vocabulary) -> TrainingRecord:
@@ -433,9 +435,11 @@ def _check_record(record: TrainingRecord, vocab: Vocabulary) -> TrainingRecord:
     if not math.isfinite(record.weight) or record.weight <= 0:
         raise ValueError(f"weight must be finite and positive, got {record.weight}")
     length, vocab_size = len(record.input_ids), len(vocab)
-    for token_id in record.input_ids:
-        if not 0 <= token_id < vocab_size:
-            raise ValueError(f"input id {token_id} outside the {vocab_size}-token vocabulary")
+    # min and max clear the valid record in two C-level passes; the loop names the first defect.
+    if length and not 0 <= min(record.input_ids) <= max(record.input_ids) < vocab_size:
+        for token_id in record.input_ids:
+            if not 0 <= token_id < vocab_size:
+                raise ValueError(f"input id {token_id} outside the {vocab_size}-token vocabulary")
     if not 0 <= record.val_position < length:
         raise ValueError(f"val_position {record.val_position} outside the record's {length} ids")
     for t in record.targets:

@@ -114,7 +114,10 @@ def parse_json_lines(lines: Iterable[str], source: str, parse) -> list:
 
 
 def _as_token_list(value, what: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+    # The type-set test is one C-level pass over the exact types JSON
+    # decoding makes; the loop runs only for str subclasses and defects.
+    if not (isinstance(value, list) and ({str}.issuperset(map(type, value))
+                                         or all(isinstance(t, str) for t in value))):
         raise SchemaError(f"{what} must be a list of strings")
     return tuple(value)
 
@@ -141,8 +144,10 @@ def _parse_frame(obj, n_tokens: int) -> SrlFrame:
         if not isinstance(arg, dict) or not isinstance(arg.get("role"), str):
             raise SchemaError("argument must be an object with a string role")
         span = arg.get("span")
-        if (not isinstance(span, list) or len(span) != 2
-                or not all(isinstance(x, int) for x in span)):
+        # As in _as_token_list; bool, an int subclass, is no bound.
+        if not (isinstance(span, list) and len(span) == 2
+                and ({int}.issuperset(map(type, span))
+                     or all(isinstance(x, int) and not isinstance(x, bool) for x in span))):
             raise SchemaError(f"span {span!r} must be a [start, end) integer pair")
         start, end = span
         if not (0 <= start < end <= n_tokens):
@@ -166,6 +171,8 @@ def parse_sentence(obj: dict) -> SrlSentence:
     tokens = _as_token_list(obj.get("tokens"), "tokens")
     if not tokens:
         raise SchemaError("tokens must be non-empty")
+    if "" in tokens:
+        raise SchemaError(f"tokens must hold no empty strings, got one at {tokens.index('')}")
     frames_obj = obj.get("frames", [])
     if not isinstance(frames_obj, list):
         raise SchemaError("frames must be a list")
@@ -189,10 +196,12 @@ class CorpusReader:
     Comment lines starting with '#' and blank lines are ignored (output
     files in this pipeline carry a '#' config echo header). After
     iteration, ``records_read + records_skipped`` equals the number of
-    records seen.
+    records seen. While a sentence is being consumed, ``line_no`` is the
+    line it came from.
     """
 
     stream: Iterable[str]
+    line_no: int = 0
     records_read: int = 0
     records_skipped: int = 0
     errors: list[tuple[int, str]] = field(default_factory=list)
@@ -210,6 +219,7 @@ class CorpusReader:
                 self.errors.append((line_no, str(exc)))
                 continue
             self.records_read += 1
+            self.line_no = line_no
             yield sentence
 
 

@@ -713,6 +713,22 @@ def test_build_dataset_ms_warns_of_each_corpus_record_it_skips(pipeline, tmp_pat
     assert out.exists()
 
 
+def test_build_dataset_ms_refuses_a_repeated_corpus_sentence_exit_4(pipeline, tmp_path, capsys):
+    lines = pipeline["corpus"].read_text().splitlines()
+    repeat = json.loads(lines[0])
+    repeat["left_context"] = ["gamma", "delta"]
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("\n".join(["# a header line", *lines, json.dumps(repeat)]) + "\n")
+    out = tmp_path / "ds.jsonl"
+    assert run(["build-dataset", "--input", str(pipeline["tuples"]), "--output", str(out),
+                "--ms", "--corpus", str(corpus)]) == 4
+    key = (repeat["doc_id"], repeat["sent_index"])
+    assert capsys.readouterr().err == (
+        f"ERROR code=4 {corpus}:{len(lines) + 2}: (doc_id, sent_index) = {key} "
+        f"repeats line 2, so its context is ambiguous\n")
+    assert not out.exists()
+
+
 def test_build_dataset_ms_names_the_skipped_line_of_a_missing_sentence_exit_4(
         pipeline, tmp_path, capsys):
     first = json.loads(next(line for line in pipeline["tuples"].read_text().splitlines()
@@ -883,7 +899,8 @@ def test_train_val_fraction_one_exit_2(pipeline, tmp_path, capsys):
     ckpt = tmp_path / "m.ckpt"
     assert run(["train", "--input", str(pipeline["dataset"]), "--vocab", str(pipeline["vocab"]),
                 "--output", str(ckpt), "--val-fraction", "1.0"]) == 2
-    assert capsys.readouterr().err == "ERROR code=2 validation split consumed every record\n"
+    assert capsys.readouterr().err == ("ERROR code=2 --val-fraction 1.0 leaves no record in the "
+                                       f"training share of {pipeline['dataset']}\n")
     assert not ckpt.exists()
 
 

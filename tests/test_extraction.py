@@ -316,6 +316,26 @@ def test_tuple_jsonl_round_trip(tmp_path):
         assert list(obj) == sorted(obj)
 
 
+def test_tuple_lines_are_sorted_json_dumps(tmp_path):
+    odd = ['say "hi"', "back\\slash", "line\nbreak", "bell\x07", "café", "emoji \U0001F600"]
+    tuples = [
+        TemporalTuple(tuple(odd), 4, TemporalDimension.DURATION, "hour", provenance=(odd[5], 7, 2)),
+        TemporalTuple(("He", "paused"), 1, TemporalDimension.HIERARCHY, "before",
+                      arg_tmp_event_tokens=tuple(odd[:3]), provenance=("", 0, 0)),
+    ]
+    expected = [
+        {"doc_id": odd[5], "sent_index": 7, "frame_ordinal": 2, "event_tokens": odd,
+         "verb_index": 4, "dimension": "duration", "value": "hour", "arg_tmp_event_tokens": []},
+        {"doc_id": "", "sent_index": 0, "frame_ordinal": 0, "event_tokens": ["He", "paused"],
+         "verb_index": 1, "dimension": "hierarchy", "value": "before",
+         "arg_tmp_event_tokens": odd[:3]},
+    ]
+    path = tmp_path / "tuples.jsonl"
+    write_tuples_jsonl(str(path), tuples)
+    assert path.read_text() == "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in expected)
+    assert read_tuples_jsonl(str(path)) == tuples
+
+
 # ------------------------------------------------- full fixture derivation
 
 # Hand-derived expectations for every sentence of the fixture corpus:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from tempomine.sequences import (
     UNK_ID,
     VERB_MARKER,
     MaskingConfig,
+    MaskTarget,
     TrainingRecord,
     Vocabulary,
     apply_masking,
@@ -22,7 +24,6 @@ from tempomine.sequences import (
     dim_token,
     read_records_jsonl,
     record_from_json_dict,
-    record_to_json_dict,
     val_targets,
     val_token,
     write_records_jsonl,
@@ -470,9 +471,12 @@ def _sample_records(vocab, n=20):
     return records
 
 
-def test_record_json_round_trip(vocab):
-    for rec in _sample_records(vocab):
-        obj = record_to_json_dict(rec)
+def test_record_json_round_trip(tmp_path, vocab):
+    records = _sample_records(vocab)
+    path = tmp_path / "ds.jsonl"
+    write_records_jsonl(str(path), records)
+    for rec, line in zip(records, path.read_text().splitlines(), strict=True):
+        obj = json.loads(line)
         assert set(obj) == {"input_ids", "targets", "weight", "dimension", "val_position"}
         assert all(set(t) == {"position", "token_id"} for t in obj["targets"])
         assert record_from_json_dict(obj) == rec
@@ -499,12 +503,49 @@ def test_records_jsonl_bad_line_names_file_and_line(tmp_path, vocab, edit, messa
     path = tmp_path / "ds.jsonl"
     write_records_jsonl(str(path), records, header_lines=["made by tests"])
     lines = path.read_text().splitlines(keepends=True)
-    obj = record_to_json_dict(records[1])
+    obj = json.loads(lines[2])
     edit(obj)
     lines[2] = json.dumps(obj) + "\n"
     path.write_text("".join(lines))
     with pytest.raises(SchemaError, match=rf"ds\.jsonl:3: {message}"):
         read_records_jsonl(str(path), vocab)
+
+
+@pytest.mark.parametrize("weight", [0.1, 1 / 3, 1e-7, 1e16, 2.0, math.nan, math.inf, -math.inf])
+def test_record_lines_are_sorted_json_dumps(tmp_path, weight):
+    records = [
+        TrainingRecord(input_ids=(0, 17, 123456), targets=(MaskTarget(1, 5), MaskTarget(2, 12)),
+                       weight=weight, dimension=TemporalDimension.TYPICAL_SEASON, val_position=2),
+        TrainingRecord(input_ids=(4,), targets=(), weight=weight,
+                       dimension=TemporalDimension.HIERARCHY, val_position=0),
+    ]
+    expected = [
+        {"input_ids": [0, 17, 123456],
+         "targets": [{"position": 1, "token_id": 5}, {"position": 2, "token_id": 12}],
+         "weight": weight, "dimension": "typical_season", "val_position": 2},
+        {"input_ids": [4], "targets": [], "weight": weight, "dimension": "hierarchy",
+         "val_position": 0},
+    ]
+    path = tmp_path / "ds.jsonl"
+    write_records_jsonl(str(path), records)
+    assert path.read_text() == "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in expected)
+
+
+@pytest.mark.parametrize("bad, named", [
+    ({1: "V"}, "V"), ({2: -1}, -1), ({1: "V", 2: -1}, "V"), ({1: -1, 2: "V"}, -1),
+], ids=["V", "negative", "V-first", "negative-first"])
+def test_records_jsonl_names_the_first_id_outside_the_vocabulary(tmp_path, vocab, bad, named):
+    rec = _sample_records(vocab, n=1)[0]
+    ids = list(rec.input_ids)
+    for i, token_id in bad.items():
+        ids[i] = len(vocab) if token_id == "V" else token_id
+    path = tmp_path / "ds.jsonl"
+    write_records_jsonl(str(path), [rec, TrainingRecord(tuple(ids), rec.targets, rec.weight,
+                                                        rec.dimension, rec.val_position)])
+    with pytest.raises(SchemaError) as exc:
+        read_records_jsonl(str(path), vocab)
+    named = len(vocab) if named == "V" else named
+    assert str(exc.value) == f"{path}:2: input id {named} outside the {len(vocab)}-token vocabulary"
 
 
 def test_training_record_is_frozen(vocab):
