@@ -435,11 +435,9 @@ def _check_record(record: TrainingRecord, vocab: Vocabulary) -> TrainingRecord:
     if not math.isfinite(record.weight) or record.weight <= 0:
         raise ValueError(f"weight must be finite and positive, got {record.weight}")
     length, vocab_size = len(record.input_ids), len(vocab)
-    # min and max clear the valid record in two C-level passes; the loop names the first defect.
-    if length and not 0 <= min(record.input_ids) <= max(record.input_ids) < vocab_size:
-        for token_id in record.input_ids:
-            if not 0 <= token_id < vocab_size:
-                raise ValueError(f"input id {token_id} outside the {vocab_size}-token vocabulary")
+    for token_id in record.input_ids:
+        if not 0 <= token_id < vocab_size:
+            raise ValueError(f"input id {token_id} outside the {vocab_size}-token vocabulary")
     if not 0 <= record.val_position < length:
         raise ValueError(f"val_position {record.val_position} outside the record's {length} ids")
     for t in record.targets:

@@ -114,10 +114,7 @@ def parse_json_lines(lines: Iterable[str], source: str, parse) -> list:
 
 
 def _as_token_list(value, what: str) -> tuple[str, ...]:
-    # The type-set test is one C-level pass over the exact types JSON
-    # decoding makes; the loop runs only for str subclasses and defects.
-    if not (isinstance(value, list) and ({str}.issuperset(map(type, value))
-                                         or all(isinstance(t, str) for t in value))):
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
         raise SchemaError(f"{what} must be a list of strings")
     return tuple(value)
 
@@ -144,10 +141,9 @@ def _parse_frame(obj, n_tokens: int) -> SrlFrame:
         if not isinstance(arg, dict) or not isinstance(arg.get("role"), str):
             raise SchemaError("argument must be an object with a string role")
         span = arg.get("span")
-        # As in _as_token_list; bool, an int subclass, is no bound.
+        # bool is an int subclass, but no bound.
         if not (isinstance(span, list) and len(span) == 2
-                and ({int}.issuperset(map(type, span))
-                     or all(isinstance(x, int) and not isinstance(x, bool) for x in span))):
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in span)):
             raise SchemaError(f"span {span!r} must be a [start, end) integer pair")
         start, end = span
         if not (0 <= start < end <= n_tokens):
