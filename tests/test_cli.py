@@ -424,6 +424,19 @@ def test_invalid_knob_combination_exit_2(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [str(2**64), "-1"])
+def test_seed_outside_64_bits_exit_2(pipeline, tmp_path, capsys, seed):
+    out = tmp_path / "ds.jsonl"
+    assert run(["build-dataset", "--input", str(pipeline["tuples"]), "--output", str(out),
+                "--seed", seed]) == 2
+    assert capsys.readouterr().err == f"ERROR code=2 seed must lie in [0, 2**64), got {seed}\n"
+    assert not out.exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed={seed}\n")
+    assert run(["manifest", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"ERROR code=2 seed must lie in [0, 2**64), got {seed}\n"
+
+
 def test_pipeline_config_extends_the_library_configs():
     assert issubclass(cli.PipelineConfig, TrainConfig)
     assert issubclass(cli.PipelineConfig, MaskingConfig)

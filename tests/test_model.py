@@ -70,6 +70,10 @@ def test_train_config_validation():
     with pytest.raises(ValueError, match="--max-len must be at least 6 .*, got 5"):
         TrainConfig(max_len=5)
     assert TrainConfig(max_len=6).max_len == 6
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {seed}"):
+            TrainConfig(seed=seed)
+    assert TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
     assert (TrainConfig().targets, TrainConfig().sigma_log, TrainConfig().sigma_circular) == (
         "soft", 4.0, 0.5)
 
@@ -638,6 +642,13 @@ def test_gradient_check_single_layer():
     results = gradient_check(seed=4, coords_per_config=60, configs=(cfg,))
     assert max(r.rel_error for r in results) < 1e-4
     assert {r.key for r in results} >= {"tok_emb", "layer0.Wq"}
+
+
+def test_gradient_check_at_the_top_seed():
+    # The default configs' seeds (seed + config index) wrap at 2**64.
+    results = gradient_check(seed=2**64 - 1, coords_per_config=2)
+    assert len(results) == 6
+    assert max(r.rel_error for r in results) < 1e-4
 
 
 def test_gradient_check_default_configs():

@@ -24,3 +24,11 @@ def test_each_public_name_has_one_home():
         for attr in importlib.import_module(f"tempomine.{name}").__all__:
             assert attr not in homes, f"{attr} is in {homes[attr]}.__all__ and {name}.__all__"
             homes[attr] = name
+
+
+def test_cli_import_leaves_numpy_random_unloaded(fresh_python):
+    # NumPy 2 loads numpy.random on first use; loading it at import would
+    # add to every CLI call, the fresh-process predict included.
+    proc = fresh_python("-c", "import sys, tempomine.cli; print('numpy.random' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

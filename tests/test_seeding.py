@@ -105,3 +105,61 @@ def test_golden_first_draws(name):
 def test_ordinal_outside_32_bits_is_rejected(ordinal):
     with pytest.raises(ValueError, match=str(ordinal)):
         stream_rng(0, "masking", ordinal)
+
+
+# stream_rng computes PCG64 state words for blocks of 1,024 ordinals; it
+# must build NumPy's own generator for the same seed material. Ordinals
+# cover the first and last rows of blocks, including the last block.
+REFERENCE_SEEDS = (0, 11, 2**33 + 5, 2**64 - 1)
+REFERENCE_ORDINALS = (None, 0, 1, 1023, 1024, 2047, 5409, 2**32 - 1024, 2**32 - 1)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FIRST_DRAWS))
+def test_stream_rng_matches_numpy_seed_sequence(name):
+    for seed in REFERENCE_SEEDS:
+        for ordinal in REFERENCE_ORDINALS:
+            got = stream_rng(seed, name, ordinal)
+            want = np.random.Generator(np.random.PCG64(stream_seed_sequence(seed, name, ordinal)))
+            assert got.bit_generator.state == want.bit_generator.state, (seed, ordinal)
+            assert np.array_equal(got.random(16), want.random(16)), (seed, ordinal)
+
+
+def test_cached_state_words_are_read_only():
+    words = stream_rng(3, "masking", 7).bit_generator.seed_seq.words
+    assert words.flags.writeable is False
+    with pytest.raises(ValueError):
+        words[0] = 0
+    # The stream is built afresh from the shared words, not from a copy
+    # the first caller could have changed.
+    assert stream_rng(3, "masking", 7).random() == stream_rng(3, "masking", 7).random()
+
+
+def test_streams_of_one_block_draw_independently():
+    a, b = stream_rng(0, "masking", 7), stream_rng(0, "masking", 8)
+    interleaved = [(a.random(), b.random()) for _ in range(8)]
+    assert [x for x, _ in interleaved] == list(stream_rng(0, "masking", 7).random(8))
+    assert [y for _, y in interleaved] == list(stream_rng(0, "masking", 8).random(8))
+
+
+def test_precomputed_seed_material_gives_only_pcg64_state():
+    seed_seq = stream_rng(0, "masking", 0).bit_generator.seed_seq
+    assert not isinstance(seed_seq, np.random.SeedSequence)
+    with pytest.raises(ValueError):
+        seed_seq.generate_state(8)
+
+
+def test_numpy_integers_name_the_same_stream():
+    want = stream_rng(5, "split", 1030).random(4)
+    assert np.array_equal(stream_rng(np.uint64(5), "split", np.int64(1030)).random(4), want)
+    with pytest.raises(TypeError):
+        stream_rng(5.0, "split", 1030)  # not an alias of seed 5
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("ordinal", [None, 0])
+def test_seed_outside_64_bits_is_rejected(seed, ordinal):
+    # Both would alias a valid seed: -1 that of 2**64 - 1, 2**64 that of 0.
+    with pytest.raises(ValueError, match=str(seed)):
+        stream_rng(seed, "masking", ordinal)
+    with pytest.raises(ValueError, match=str(seed)):
+        stream_seed_sequence(seed, "masking", ordinal)
