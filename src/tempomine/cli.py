@@ -362,8 +362,14 @@ def cmd_train(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) 
     save_checkpoint(args.output, params, cfg, vocab, header)
     log_lines = ["epoch,split,loss,mean_distance"] + [row.as_csv() for row in log]
     write_text(args.loss_log, header, log_lines)
-    final = log[-1].loss if log else float("nan")
-    print(f"trained {cfg.epochs} epochs on {len(train_records)} records; final loss {final:.4f}")
+    final = next(row for row in reversed(log) if row.split == "train")
+    summary = f"trained {cfg.epochs} epochs on {len(train_records)} records; final loss {final.loss:.4f}"
+    if val_records:
+        val = log[-1]
+        dist = "none" if val.mean_distance is None else f"{val.mean_distance:.4f}"
+        summary += (f"; validation loss {val.loss:.4f}, mean distance {dist} "
+                    f"on {len(val_records)} records")
+    print(summary)
 
 
 def _read_vocab(path: str) -> Vocabulary:

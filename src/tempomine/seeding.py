@@ -61,7 +61,8 @@ def _checked_seed(seed) -> int:
 
 
 def _checked_ordinal(ordinal) -> int:
-    ordinal = int(ordinal)
+    # An int, as for seeds: a float or a string names no ordinal.
+    ordinal = operator.index(ordinal)
     if not 0 <= ordinal < 2**32:
         raise ValueError(f"stream ordinal {ordinal} outside [0, 2**32)")
     return ordinal
@@ -72,7 +73,8 @@ def stream_seed_sequence(seed: int, name: str, ordinal: int | None = None) -> "n
 
     The seed must lie in [0, 2**64), two 32-bit entropy words, and an
     ordinal in [0, 2**32), one word, so each seed and each ordinal names
-    a distinct stream. Anything else raises ValueError.
+    a distinct stream. An integer outside its range raises ValueError;
+    anything that is not an integer (a float, a string) raises TypeError.
     """
     words = _entropy_words(_checked_seed(seed), name)
     if ordinal is not None:

@@ -893,7 +893,7 @@ def test_train_deterministic_checkpoint(pipeline, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_train_val_fraction_rows(pipeline, tmp_path):
+def test_train_val_fraction_rows(pipeline, tmp_path, capsys):
     ckpt = tmp_path / "v.ckpt"
     log = tmp_path / "v.loss.csv"
     assert run(["train", "--input", str(pipeline["dataset"]),
@@ -906,6 +906,14 @@ def test_train_val_fraction_rows(pipeline, tmp_path):
     assert [r[1] for r in rows] == ["train", "val", "train", "val"]
     val_rows = [r for r in rows if r[1] == "val"]
     assert all(r[3] != "" for r in val_rows)
+    # The summary's final loss is the last train row's, not the val row's.
+    n_records = len(read_dataset(pipeline["dataset"]))
+    n_val = sum(stream_rng(21, "split", i).random() < 0.2 for i in range(n_records))
+    (_, _, train_loss, _), (_, _, val_loss, val_dist) = rows[2:]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"trained 2 epochs on {n_records - n_val} records; final loss {float(train_loss):.4f}; "
+        f"validation loss {float(val_loss):.4f}, mean distance {float(val_dist):.4f} "
+        f"on {n_val} records")
 
 
 def test_train_val_fraction_one_exit_2(pipeline, tmp_path, capsys):

@@ -1,9 +1,14 @@
+import glob
+import importlib
 import os
+import pkgutil
 import re
 
+import tempomine
 from tempomine import cli
 
-DOCS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "docs")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DOCS = os.path.join(ROOT, "docs")
 
 
 def _header_table() -> dict[str, list[str]]:
@@ -26,3 +31,23 @@ def test_header_table_matches_reads():
     # grad-check writes no file, so it has no header to document.
     want = {name: sorted(fields) for name, fields in cli.READS.items() if name != "grad-check"}
     assert _header_table() == want
+
+
+def test_module_references_resolve():
+    # Every backticked `module.attr` naming a tempomine module (not a file
+    # such as `model.py`) must name something that module still has.
+    modules = {info.name for info in pkgutil.iter_modules(tempomine.__path__)}
+    checked = set()
+    for path in sorted(glob.glob(os.path.join(DOCS, "*.md"))) + [os.path.join(ROOT, "README.md")]:
+        with open(path, encoding="utf-8") as fh:
+            text = re.sub(r"```.*?```", "", fh.read(), flags=re.S)
+        for span in re.findall(r"`([^`]+)`", text):
+            ref = re.fullmatch(r"(\w+)\.([\w.]+)", span)
+            if ref is None or ref[1] not in modules or span.endswith(".py"):
+                continue
+            obj = importlib.import_module(f"tempomine.{ref[1]}")
+            for attr in ref[2].split("."):
+                assert hasattr(obj, attr), f"{os.path.basename(path)}: `{span}` does not resolve"
+                obj = getattr(obj, attr)
+            checked.add(span)
+    assert "cli.READS" in checked  # the scan reaches the references

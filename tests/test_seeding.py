@@ -101,10 +101,13 @@ def test_golden_first_draws(name):
     assert got == GOLDEN_FIRST_DRAWS[name]
 
 
-@pytest.mark.parametrize("ordinal", [-1, 2**32])
+@pytest.mark.parametrize("ordinal", [-1, 2**32, 3.7, "3"])
 def test_ordinal_outside_32_bits_is_rejected(ordinal):
-    with pytest.raises(ValueError, match=str(ordinal)):
-        stream_rng(0, "masking", ordinal)
+    # A float or a string would otherwise draw ordinal 3's stream.
+    error, match = (ValueError, str(ordinal)) if isinstance(ordinal, int) else (TypeError, None)
+    for make in (stream_rng, stream_seed_sequence):
+        with pytest.raises(error, match=match):
+            make(0, "masking", ordinal)
 
 
 # stream_rng computes PCG64 state words for blocks of 1,024 ordinals; it
@@ -151,6 +154,8 @@ def test_precomputed_seed_material_gives_only_pcg64_state():
 def test_numpy_integers_name_the_same_stream():
     want = stream_rng(5, "split", 1030).random(4)
     assert np.array_equal(stream_rng(np.uint64(5), "split", np.int64(1030)).random(4), want)
+    assert np.array_equal(stream_rng(0, "masking", np.int64(3)).random(4),
+                          stream_rng(0, "masking", 3).random(4))
     with pytest.raises(TypeError):
         stream_rng(5.0, "split", 1030)  # not an alias of seed 5
 
