@@ -17,10 +17,13 @@ block and the output head only at the supervised slots (see
 ``_encode``); scoring does the same at the slots it reads
 (``forward(..., slots=...)``).
 
-A forward computes in its parameters' dtype. Training, its validation
-pass and the gradient check run in float64; a checkpoint stores float32,
-and ``load_checkpoint`` returns those arrays, so scoring a loaded model
-runs its forward in float32 and softmaxes each [Val] block in float64.
+A forward and its backward compute in the parameters' dtype. ``train``
+casts its seeded initial draws to float32 once and keeps the Adam
+moments in float32, so training, its validation pass, the checkpoint
+and a loaded model all hold one set of float32 parameters: scoring a
+loaded model gives the validation pass's bits. The gradient check draws
+its own float64 parameters and runs in float64. The loss and each
+[Val] softmax sum in float64.
 
 The kernels run their elementwise steps in place, on arrays they
 allocated themselves (never on ``params``, ids, a ``Batch`` or logits
@@ -219,10 +222,12 @@ def _scatter_add(index: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
 
     One ``bincount`` over (index, column) cells, in row order, as
     ``np.add.at`` would add them but without its per-element loop.
+    ``bincount`` sums in float64; the sums come back in ``rows``' dtype.
     """
     D = rows.shape[1]
     cells = (index[:, None] * D + np.arange(D)).ravel()
-    return np.bincount(cells, weights=rows.ravel(), minlength=n * D).reshape(n, D)
+    sums = np.bincount(cells, weights=rows.ravel(), minlength=n * D)
+    return sums.astype(rows.dtype, copy=False).reshape(n, D)
 
 
 def _attention(params, p: str, x: np.ndarray, key_bias: np.ndarray, scale: float, n_heads: int,
@@ -385,8 +390,8 @@ def _encode(
     if ids.min() < 0 or ids.max() >= V:
         raise ValueError("token id outside vocabulary")
 
-    # The forward runs in the parameters' dtype: float64 in training, the
-    # stored float32 for a loaded checkpoint. The bias is built in that
+    # The forward runs in the parameters' dtype: float32 in training and
+    # scoring, float64 in the gradient check. The bias is built in that
     # dtype and the scale is a Python float, because a float64 array or
     # numpy scalar would promote float32 work to float64.
     x = params["tok_emb"][ids]
@@ -565,8 +570,9 @@ class AdamState:
     """First/second moment accumulators and the shared step counter.
 
     The moments are flat vectors over every parameter in sorted key
-    order, so one update is a few whole-vector operations; ``work`` holds
-    two more such vectors that every update reuses.
+    order, in the parameters' dtype, so one update is a few whole-vector
+    operations; ``work`` holds two more such vectors that every update
+    reuses.
     """
 
     m: np.ndarray
@@ -577,7 +583,8 @@ class AdamState:
     @classmethod
     def for_params(cls, params: Mapping[str, np.ndarray]) -> "AdamState":
         n = sum(p.size for p in params.values())
-        return cls(m=np.zeros(n), v=np.zeros(n), work=np.zeros((2, n)))
+        dtype = next(iter(params.values())).dtype
+        return cls(m=np.zeros(n, dtype), v=np.zeros(n, dtype), work=np.zeros((2, n), dtype))
 
 
 def adam_step(
@@ -679,7 +686,7 @@ def train(
         raise ValueError("no training record has a supervised slot")
     if val_records and not any(r.targets for r in val_records):
         raise ValueError("no validation record has a supervised slot")
-    params = init_params(cfg, len(vocab))
+    params = {k: p.astype(np.float32) for k, p in init_params(cfg, len(vocab)).items()}
     state = AdamState.for_params(params)
     log: list[LogRow] = []
     val_table = val_targets(cfg.targets, cfg.sigma_log, cfg.sigma_circular)

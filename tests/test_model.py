@@ -548,10 +548,8 @@ def test_attention_and_block_tail_are_bitwise_the_expressions(dtype, selected):
     out, tail_cache = model_module._block_tail(params, "layer0.", xs, ctx)
     want_out, tail_saved = _block_tail_by_expression(params, "layer0.", xs, ctx)
     assert np.array_equal(out, want_out)
-    if dtype is np.float32:
-        return  # the backward runs in training only, in float64
 
-    dy = rng.normal(size=out.shape)
+    dy = rng.normal(size=out.shape).astype(dtype)
     grads = {}
     dr1, dctx = model_module._block_tail_backward(params, "layer0.", dy, tail_cache, grads)
     want_dr1, want_dctx, want_grads = _block_tail_backward_by_expression(
@@ -601,6 +599,33 @@ def test_forward_leaves_its_inputs_and_repeats_bitwise(dtype):
         first = forward(params, ids, SMALL, **kwargs)
         _assert_unchanged(inputs, copies)
         assert np.array_equal(forward(params, ids, SMALL, **kwargs), first)
+
+
+def test_training_keeps_float32_and_the_gradient_check_float64():
+    # A float64 operand anywhere in the backward would promote a gradient,
+    # and adam_step's concatenate(out=g) would round it back down silently.
+    v = small_vocab()
+    params = {k: p.astype(np.float32) for k, p in _off_init_params(SMALL, len(v), seed=3).items()}
+    ids = np.array([[4, 5, 6, 7, 3], [4, 6, 0, 0, 0], [5, 7, 4, 0, 0]], dtype=np.int64)
+    batch = _random_batch(len(v), ids, rows=[0, 0, 2, 2], cols=[1, 4, 2, 2], seed=3)
+    _, grads = loss_and_gradients(params, batch, SMALL)
+    assert sorted(grads) == sorted(params)
+    assert {k: g.dtype for k, g in grads.items()} == {k: np.dtype(np.float32) for k in params}
+    for dtype in (np.float32, np.float64):
+        state = AdamState.for_params({k: p.astype(dtype) for k, p in params.items()})
+        assert state.m.dtype == state.v.dtype == state.work.dtype == dtype
+
+    vocab = _training_vocab()
+    cfg = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
+                      max_len=16, batch_size=8, epochs=1, seed=3)
+    trained, _ = train(_training_records(vocab, n=20), cfg, vocab)
+    assert {p.dtype for p in trained.values()} == {np.dtype(np.float32)}
+
+    # The gradient check draws its own float64 parameters.
+    results = gradient_check(seed=0, coords_per_config=40)
+    assert max(r.rel_error for r in results) == pytest.approx(5.79e-07, rel=1e-3)
+    _, grads64 = loss_and_gradients(init_params(SMALL, len(v)), batch, SMALL)
+    assert {g.dtype for g in grads64.values()} == {np.dtype(np.float64)}
 
 
 def test_loss_and_gradients_leaves_its_inputs_and_repeats_bitwise():
@@ -1058,6 +1083,37 @@ def test_checkpoint_predictions_survive_round_trip(tmp_path):
     (a,) = predict_value_distribution(params, cfg, vocab, query)
     (b,) = predict_value_distribution(loaded, loaded_cfg, vocab, query)
     assert np.allclose(a, b, atol=1e-4)
+
+
+def test_the_validated_model_is_the_loaded_model(tmp_path, monkeypatch):
+    vocab = _training_vocab()
+    records = _training_records(vocab)
+    cfg = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
+                      max_len=16, batch_size=8, epochs=2, seed=3)
+    val_records = records[40:]
+    scored = []
+
+    def spying_val_logits(p, c, v, items):
+        blocks = val_logits(p, c, v, items)
+        scored.append(blocks)
+        return blocks
+
+    val_logits = model_module._val_logits
+    monkeypatch.setattr(model_module, "_val_logits", spying_val_logits)
+    params, _ = train(records[:40], cfg, vocab, val_records=val_records)
+    monkeypatch.undo()
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, params, cfg, vocab)
+    loaded, loaded_cfg, _ = load_checkpoint(path)
+    assert sorted(loaded) == sorted(params)
+    for key in params:
+        assert np.array_equal(loaded[key], params[key]), key
+    items = [(r.input_ids, r.val_position, r.dimension) for r in val_records]
+    reloaded = model_module._val_logits(loaded, loaded_cfg, vocab, items)
+    assert len(reloaded) == len(scored[-1]) == len(val_records)
+    for got, want in zip(reloaded, scored[-1]):
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want)
 
 
 def test_loaded_checkpoint_scores_in_float32_and_softmaxes_in_float64(tmp_path):
