@@ -7,10 +7,10 @@ reproduced from its own header. Environment variables are never consulted.
 
 Exit codes:
     0  success
-    2  usage or configuration error (bad flag, bad config file, bad value,
-       an input path that is a directory, an output path that is empty,
-       is a directory or lies in a directory that does not exist, or an
-       output path that names an input or another output)
+    2  usage error (a bad flag or value, an input path that is a
+       directory, an output path that is empty, is a directory or lies in
+       a directory that does not exist, or an output path that names an
+       input or another output)
     3  a required input file is missing
     4  an input file violates its schema
     5  training diverged (loss passed the abort threshold)
@@ -42,7 +42,7 @@ from .extraction import (
     read_tuples_jsonl,
     write_tuples_jsonl,
 )
-from .label_space import TemporalDimension, label_space, render_manifest
+from .label_space import TemporalDimension, label_space
 from .model import (
     DivergenceError,
     TrainConfig,
@@ -64,14 +64,9 @@ from .sequences import (
     write_records_jsonl,
 )
 from .srl_ingest import SchemaError, read_corpus, text_lines, write_text
-from .targets import (
-    label_count_tables,
-    soft_target,
-    subsample_tuples,
-    weight_table,
-)
+from .targets import label_count_tables, subsample_tuples, weight_table
 
-__all__ = ["main", "PipelineConfig", "load_config_file"]
+__all__ = ["main", "PipelineConfig"]
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -81,16 +76,15 @@ EXIT_DIVERGED = 5
 
 
 class UsageError(ValueError):
-    """Bad flags or configuration; maps to exit code 2."""
+    """A bad flag or setting; maps to exit code 2."""
 
 
 @dataclass(frozen=True)
 class PipelineConfig(TrainConfig, MaskingConfig):
-    """Every tunable setting, loadable from a flat key=value file.
+    """Every tunable setting; each is a flag of the subcommands that read it.
 
-    Flags override file values. The settings of TrainConfig and
-    MaskingConfig keep their defaults and checks there; this class adds
-    the four that no library class owns.
+    The settings of TrainConfig and MaskingConfig keep their defaults and
+    checks there; this class adds the four that no library class owns.
     """
 
     ms: bool = False
@@ -109,8 +103,7 @@ class PipelineConfig(TrainConfig, MaskingConfig):
 
 # The PipelineConfig fields each subcommand reads besides seed. A
 # subcommand takes flags for these fields only and echoes them only, so
-# a header states what made its artifact; a config file may set any
-# field, so one file can serve a whole pipeline.
+# a header states what made its artifact.
 READS = {
     "extract": (),
     "stats": (),
@@ -121,12 +114,8 @@ READS = {
     "eval": (),
     "predict": (),
     "grad-check": (),
-    "dump-target": ("sigma_log", "sigma_circular"),
-    "manifest": (),
 }
 
-# The sigmas have no flag; a config file sets them.
-_CONFIG_ONLY = ("sigma_log", "sigma_circular")
 _FLAG_HELP = {
     "balance": "subsample so non-frequency dimensions match the smallest one",
     "min_count": "vocabulary frequency cutoff",
@@ -137,59 +126,18 @@ _FLAG_HELP = {
     "p_dim": "dimension-slot masking probability",
     "p_event": "per-event-token masking probability",
     "val_fraction": "held-out fraction logged each epoch",
+    "sigma_log": "soft-target width on the log-seconds scale",
+    "sigma_circular": "soft-target width on the rings, in label steps",
 }
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
 
 
-def _coerce(kind: type, raw: str):
-    """``raw`` as a ``kind`` value; ValueError if it is not one."""
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(raw)
-    return kind(raw)
-
-
-def load_config_file(path: str) -> dict:
-    """Flat key=value lines; '#' comments and blank lines are ignored.
-
-    Unknown keys are rejected rather than silently dropped. Every defect,
-    bytes that are not UTF-8 included, raises UsageError as path:line.
-    """
-    try:
-        lines = list(text_lines(path))
-    except SchemaError as exc:  # a damaged config file is a usage error
-        raise UsageError(str(exc)) from None
-    values: dict = {}
-    for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise UsageError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
-        key, _, raw = stripped.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in _CONFIG_FIELDS:
-            raise UsageError(f"{path}:{line_no}: unknown config key {key!r}")
-        kind = _CONFIG_FIELDS[key]
-        try:
-            values[key] = _coerce(kind, raw)
-        except ValueError:
-            raise UsageError(f"{path}:{line_no}: config key {key} expects "
-                             f"{kind.__name__}, got {raw!r}") from None
-    return values
-
-
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """defaults < config file < flags, validated."""
-    values = load_config_file(args.config) if args.config else {}
+    """defaults < flags, validated."""
     # Every flag shares its config field's name and is None unless given.
-    for name in _CONFIG_FIELDS:
-        if getattr(args, name, None) is not None:
-            values[name] = getattr(args, name)
+    values = {name: getattr(args, name) for name in _CONFIG_FIELDS
+              if getattr(args, name, None) is not None}
     try:
         return PipelineConfig(**values)
     except ValueError as exc:
@@ -243,9 +191,16 @@ def cmd_stats(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) 
     write_text(args.output, header, lines)
 
 
+# A corpus warns of this many skipped records by line, then counts the rest.
+_SKIP_WARNINGS = 10
+
+
 def _warn_skipped(path: str, errors: list[tuple[int, str]]) -> None:
-    for line_no, msg in errors:
+    for line_no, msg in errors[:_SKIP_WARNINGS]:
         print(f"skipping malformed record at {path}:{line_no}: {msg}", file=sys.stderr)
+    if len(errors) > _SKIP_WARNINGS:
+        print(f"skipping {len(errors) - _SKIP_WARNINGS} more malformed records in {path}",
+              file=sys.stderr)
 
 
 def _context_lookup(corpus_path: str) -> tuple[dict, list[tuple[int, str]]]:
@@ -413,6 +368,8 @@ def cmd_predict(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]
     if not args.event or args.verb_index is None or not args.dimension:
         raise UsageError("predict needs --input or all of --event/--verb-index/--dimension")
     dimension = _parse_dimension(args.dimension)
+    if dimension is TemporalDimension.HIERARCHY:
+        raise UsageError("--dimension hierarchy relates two events, and --event names one")
     tokens = args.event.split()
     if not 0 <= args.verb_index < len(tokens):
         raise UsageError(f"--verb-index {args.verb_index} is outside the "
@@ -444,23 +401,8 @@ def cmd_grad_check(args: argparse.Namespace, cfg: PipelineConfig, header: list[s
         raise RuntimeError(f"gradient check failed at {worst.key}")
 
 
-def cmd_dump_target(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) -> None:
-    dimension = _parse_dimension(args.dimension)
-    space = label_space(dimension)
-    if args.label not in space:
-        raise UsageError(f"label {args.label!r} not in the {dimension.value} space")
-    y = soft_target(dimension, args.label,
-                    sigma_log=cfg.sigma_log, sigma_circular=cfg.sigma_circular)
-    lines = ["label,probability", *(f"{label},{float(p)!r}" for label, p in zip(space.labels, y))]
-    write_text(args.output, header, lines)
-
-
-def cmd_manifest(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) -> None:
-    write_text(args.output, header, render_manifest().splitlines())
-
-
 _EXIT_CODE_HELP = (
-    "exit codes: 0 success; 2 usage or config error, an input path that is a "
+    "exit codes: 0 success; 2 bad flag or value, an input path that is a "
     "directory, or an output path that cannot be written or that names an input "
     "or another output; 3 missing input file; "
     "4 input schema violation; 5 training divergence; 1 other failure"
@@ -526,20 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grad-check", help="analytic vs finite-difference gradients")
     p.add_argument("--coords", type=int, default=40, help="coordinates probed per config")
 
-    p = sub.add_parser("dump-target", help="soft target distribution for one label")
-    p.add_argument("dimension", help="dimension name")
-    p.add_argument("label", help="gold label")
-    p.add_argument("--output", help="CSV path (default: stdout)")
-
-    p = sub.add_parser("manifest", help="print every dimension's label inventory")
-    p.add_argument("--output", help="path (default: stdout)")
-
     for name, p in sub.choices.items():
-        p.add_argument("--config", help="flat key=value config file; flags win over it")
         p.add_argument("--seed", type=int, help="root seed for all named random streams")
         for field in READS[name]:
-            if field in _CONFIG_ONLY:
-                continue
             kind = _CONFIG_FIELDS[field]
             flag = "--" + field.replace("_", "-")
             if kind is bool:
@@ -559,7 +490,7 @@ def _check_paths(args: argparse.Namespace) -> None:
     does not exist or, naming both flags, is the file of an input or of
     an earlier output."""
     seen = {}  # real path -> the flag and path that named it first
-    for name in ("input", "corpus", "vocab", "model", "config"):
+    for name in ("input", "corpus", "vocab", "model"):
         if path := getattr(args, name, None):
             if os.path.isdir(path):
                 raise UsageError(f"--{name} {path!r} is a directory, not a file")

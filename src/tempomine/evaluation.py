@@ -38,12 +38,19 @@ def eval_instance_to_json_dict(inst: TemporalTuple) -> dict:
 
 
 def _parse_query(obj: dict) -> Query:
-    """The event_tokens / verb_index / dimension fields of one JSON line."""
+    """The event_tokens / verb_index / dimension fields of one JSON line.
+
+    A hierarchy line is refused: its relation needs a second event, which
+    these lines do not carry.
+    """
     tokens = _as_token_list(obj["event_tokens"], "event_tokens")
     verb_index = _as_int(obj["verb_index"], "verb_index")
     if not 0 <= verb_index < len(tokens):
         raise ValueError(f"verb_index {verb_index} out of bounds for {len(tokens)} tokens")
-    return tokens, verb_index, TemporalDimension(obj["dimension"])
+    dimension = TemporalDimension(obj["dimension"])
+    if dimension is TemporalDimension.HIERARCHY:
+        raise ValueError("a hierarchy query relates two events, and a query line names one")
+    return tokens, verb_index, dimension
 
 
 def read_queries(lines: Iterable[str], source: str = "<queries>") -> list[Query]:

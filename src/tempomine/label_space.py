@@ -25,7 +25,6 @@ __all__ = [
     "DimensionReport",
     "dimension_reports",
     "label_space",
-    "render_manifest",
 ]
 
 
@@ -185,16 +184,3 @@ def dimension_reports(
         normalized = None if mean is None else mean / len(space)
         reports.append(DimensionReport(dim, len(pairs), mean, normalized, acc, distances))
     return reports
-
-
-def render_manifest() -> str:
-    """Label inventory manifest: one ``[dimension]`` section per dimension,
-    one label per line, in canonical order. Emitted by the CLI so other
-    tools can verify inventories bit-exactly."""
-    lines = []
-    for dim in TemporalDimension:
-        space = _SPACES[dim]
-        lines.append(f"[{dim.value}]")
-        lines.extend(space.labels)
-        lines.append("")
-    return "\n".join(lines)

@@ -138,6 +138,19 @@ def test_extract_logs_only_the_records_it_skips(tmp_path, capsys, strict):
                          "verb_index 99 out of bounds for 2 tokens"]
 
 
+def test_extract_warns_of_ten_skipped_records_then_counts_the_rest(tmp_path, capsys):
+    corpus = tmp_path / "c.jsonl"
+    corpus.write_text("{broken\n" * 13)
+    assert run(["extract", "--input", str(corpus), "--output", str(tmp_path / "t.jsonl")]) == 0
+    out, err = capsys.readouterr()
+    assert "(13 records skipped)" in out
+    warnings = err.splitlines()
+    assert len(warnings) == 11
+    for line_no, line in enumerate(warnings[:10], start=1):
+        assert line.startswith(f"skipping malformed record at {corpus}:{line_no}: "), line
+    assert warnings[10] == f"skipping 3 more malformed records in {corpus}"
+
+
 @pytest.mark.parametrize("count", ["nan", "inf"])
 def test_extract_count_that_is_not_finite_mines_nothing(tmp_path, capsys, count):
     corpus = tmp_path / "c.jsonl"
@@ -176,8 +189,8 @@ def test_missing_input_exit_3(tmp_path, capsys):
     ("train", "--output", "absent/m.ckpt"),
     ("train", "--loss-log", "absent/loss.csv"),
     ("build-dataset", "--vocab-out", "absent/v.tsv"),
-    ("manifest", "--output", "."),
-    ("manifest", "--output", ""),
+    ("stats", "--output", "."),
+    ("stats", "--output", ""),
 ], ids=["train-output", "train-loss-log", "build-dataset-vocab-out", "output-directory",
         "output-empty"])
 def test_unwritable_output_path_exit_2_before_any_work(pipeline, tmp_path, monkeypatch,
@@ -192,7 +205,7 @@ def test_unwritable_output_path_exit_2_before_any_work(pipeline, tmp_path, monke
                   "--output", str(tmp_path / "m.ckpt")],
         "build-dataset": ["build-dataset", "--input", str(pipeline["tuples"]),
                           "--output", str(tmp_path / "ds.jsonl")],
-        "manifest": ["manifest"],
+        "stats": ["stats", "--input", str(pipeline["tuples"])],
     }[command]
     assert run([*argv, flag, path]) == 2
     if target.startswith("absent"):
@@ -206,13 +219,12 @@ def test_unwritable_output_path_exit_2_before_any_work(pipeline, tmp_path, monke
 _INPUT_FLAGS = {
     "extract": ["--input"], "stats": ["--input"], "build-dataset": ["--input", "--corpus"],
     "train": ["--input", "--vocab"], "eval": ["--input", "--model", "--vocab"],
-    "predict": ["--model", "--vocab", "--input"], "grad-check": [], "dump-target": [],
-    "manifest": [],
+    "predict": ["--model", "--vocab", "--input"],
 }
 
 
 @pytest.mark.parametrize("command, flag", [
-    (command, flag) for command in cli.READS for flag in [*_INPUT_FLAGS[command], "--config"]])
+    (command, flag) for command, flags in _INPUT_FLAGS.items() for flag in flags])
 def test_directory_input_path_exit_2_before_any_work(pipeline, tmp_path, monkeypatch,
                                                      capsys, command, flag):
     def fail(*args, **kwargs):
@@ -232,9 +244,6 @@ def test_directory_input_path_exit_2_before_any_work(pipeline, tmp_path, monkeyp
         "predict": ["--model", str(pipeline["model"]), "--vocab", str(pipeline["vocab"]),
                     "--event", "they slept", "--verb-index", "1", "--dimension", "duration",
                     "--output", out],
-        "grad-check": [],
-        "dump-target": ["duration", "hour", "--output", out],
-        "manifest": ["--output", out],
     }[command]
     directory = tmp_path / "dir"
     directory.mkdir()
@@ -309,17 +318,28 @@ def test_non_finite_learning_rate_exit_2_before_training(pipeline, tmp_path, mon
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["train", "dump-target"])
-def test_non_finite_sigma_in_config_exit_2(pipeline, tmp_path, capsys, command):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("sigma_log=nan\n")
-    out = tmp_path / "out"
-    argv = {"train": ["train", "--input", str(pipeline["dataset"]),
-                      "--vocab", str(pipeline["vocab"])],
-            "dump-target": ["dump-target", "duration", "hour"]}[command]
-    assert run([*argv, "--config", str(cfg), "--output", str(out)]) == 2
-    assert capsys.readouterr().err == "ERROR code=2 sigma_log must be positive and finite, got nan\n"
-    assert not out.exists()
+@pytest.mark.parametrize("field", ["sigma_log", "sigma_circular"])
+def test_non_finite_sigma_exit_2_before_any_input(pipeline, tmp_path, monkeypatch, capsys,
+                                                  field):
+    def fail(*args, **kwargs):
+        raise AssertionError("an input was read or a model trained")
+    for name in ("text_lines", "_read_vocab", "read_records_jsonl", "train"):
+        monkeypatch.setattr(cli, name, fail)
+    assert run(["train", "--input", str(pipeline["dataset"]), "--vocab", str(pipeline["vocab"]),
+                "--output", str(tmp_path / "m.ckpt"), "--" + field.replace("_", "-"), "nan"]) == 2
+    assert capsys.readouterr().err == f"ERROR code=2 {field} must be positive and finite, got nan\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_echoes_the_sigma_flags(pipeline, tmp_path):
+    model = tmp_path / "m.ckpt"
+    assert run(["train", "--input", str(pipeline["dataset"]), "--vocab", str(pipeline["vocab"]),
+                "--output", str(model), "--d-model", "16", "--n-layers", "1", "--n-heads", "2",
+                "--ff-dim", "32", "--epochs", "1", "--sigma-log", "2.0",
+                "--sigma-circular", "1.0"]) == 0
+    header = header_lines(tmp_path / "m.ckpt.loss.csv")
+    assert "# sigma_log=2.0" in header and "# sigma_circular=1.0" in header
+    assert b"\n# sigma_circular=1.0\n# sigma_log=2.0\n" in model.read_bytes()
 
 
 def test_unknown_flag_exit_2(capsys):
@@ -357,64 +377,21 @@ def test_parser_is_built_once_per_process():
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_untyped_value_error_exit_1(monkeypatch, capsys):
+def test_untyped_value_error_exit_1(tmp_path, monkeypatch, capsys):
     # Only SchemaError and UsageError name bad input; a bare ValueError
     # is a bug in the program, not a schema violation.
     def broken(*args):
         raise ValueError("internal bug")
+    empty = tmp_path / "t.jsonl"
+    empty.write_text("")
     # The parser exists before the patch: main finds the handler by name.
-    assert run(["manifest"]) == 0
-    monkeypatch.setattr(cli, "cmd_manifest", broken)
-    assert run(["manifest"]) == 1
+    assert run(["stats", "--input", str(empty)]) == 0
+    monkeypatch.setattr(cli, "cmd_stats", broken)
+    assert run(["stats", "--input", str(empty)]) == 1
     assert capsys.readouterr().err == "ERROR code=1 internal bug\n"
 
 
-# ----------------------------------------------------------------- config
-
-def test_config_file_and_flag_precedence(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# comment\nseed=9\nsigma_log=2.0\n")
-    out = tmp_path / "t.csv"
-    assert run(["dump-target", "duration", "hour", "--config", str(cfg),
-                "--seed", "11", "--output", str(out)]) == 0
-    header = header_lines(out)
-    assert "# seed=11" in header        # flag beats file
-    assert "# sigma_log=2.0" in header  # file beats default
-    assert "# tempomine dump-target" in header
-    # paths never leak into the echo
-    assert not any("output" in line or str(tmp_path) in line for line in header)
-
-
-def test_config_file_unknown_key_exit_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("sigma=2.0\n")
-    assert run(["manifest", "--config", str(cfg)]) == 2
-    assert "unknown config key" in capsys.readouterr().err
-
-
-def test_config_file_bad_value_exit_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("# a comment\nseed=often\n")
-    assert run(["manifest", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"ERROR code=2 {cfg}:2: config key seed expects int, got 'often'")
-
-
-def test_config_file_line_without_equals_exit_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed=1\nseed 2\n")
-    assert run(["manifest", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == (
-        f"ERROR code=2 {cfg}:2: expected key=value, got 'seed 2'\n")
-
-
-def test_config_file_not_utf8_exit_2(tmp_path, capsys):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_bytes(b"seed=1\n# caf\xe9\n")
-    assert run(["manifest", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"ERROR code=2 {cfg}:2: not UTF-8 text: byte 0xe9")
-
+# --------------------------------------------------------------- settings
 
 def test_invalid_knob_combination_exit_2(pipeline, tmp_path, capsys):
     out = tmp_path / "ds.jsonl"
@@ -431,10 +408,6 @@ def test_seed_outside_64_bits_exit_2(pipeline, tmp_path, capsys, seed):
                 "--seed", seed]) == 2
     assert capsys.readouterr().err == f"ERROR code=2 seed must lie in [0, 2**64), got {seed}\n"
     assert not out.exists()
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"seed={seed}\n")
-    assert run(["manifest", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == f"ERROR code=2 seed must lie in [0, 2**64), got {seed}\n"
 
 
 def test_pipeline_config_extends_the_library_configs():
@@ -454,66 +427,56 @@ def test_pipeline_config_extends_the_library_configs():
             assert getattr(cfg, field.name) == getattr(default, field.name), field.name
 
 
-def test_config_checks_pipeline_settings_first(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("p_mask=1.5\nval_fraction=2\n")
-    assert run(["manifest", "--config", str(cfg)]) == 2
+def test_config_checks_pipeline_settings_first(pipeline, tmp_path, capsys):
+    assert run(["build-dataset", "--input", str(pipeline["tuples"]),
+                "--output", str(tmp_path / "ds.jsonl"), "--p-mask", "1.5", "--min-count", "0"]) == 2
+    assert capsys.readouterr().err == "ERROR code=2 min_count must be positive\n"
+    assert run(["train", "--input", str(pipeline["dataset"]), "--vocab", str(pipeline["vocab"]),
+                "--output", str(tmp_path / "m.ckpt"), "--learning-rate", "nan",
+                "--val-fraction", "2"]) == 2
     assert capsys.readouterr().err == "ERROR code=2 val_fraction must lie in [0, 1], got 2.0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# The required flags of each subcommand.
+_MINIMAL_ARGV = {
+    "extract": ["--input", "c.jsonl", "--output", "t.jsonl"],
+    "stats": ["--input", "t.jsonl"],
+    "build-dataset": ["--input", "t.jsonl", "--output", "d.jsonl"],
+    "train": ["--input", "d.jsonl", "--vocab", "v.tsv", "--output", "m.ckpt"],
+    "eval": ["--input", "e.jsonl", "--model", "m.ckpt", "--vocab", "v.tsv"],
+    "predict": ["--model", "m.ckpt", "--vocab", "v.tsv"],
+    "grad-check": [],
+}
 
 
 # Settings that are gone: --workers (parallel extraction), --format (the
-# binary dataset), --norm-mode and the all-event preset am.
+# binary dataset), --norm-mode, and on every subcommand --config (a
+# key=value settings file: every setting is a flag).
 @pytest.mark.parametrize("argv", [
-    ["extract", "--input", "c.jsonl", "--output", "t.jsonl", "--workers", "2"],
-    ["build-dataset", "--input", "t.jsonl", "--output", "d.jsonl", "--format", "jsonl"],
-    ["build-dataset", "--input", "t.jsonl", "--output", "d.jsonl", "--norm-mode", "softmax"],
-    ["dump-target", "duration", "day", "--norm-mode", "softmax"],
+    ["extract", *_MINIMAL_ARGV["extract"], "--workers", "2"],
+    ["build-dataset", *_MINIMAL_ARGV["build-dataset"], "--format", "jsonl"],
+    ["build-dataset", *_MINIMAL_ARGV["build-dataset"], "--norm-mode", "softmax"],
+    *([name, *argv, "--config", "run.cfg"] for name, argv in _MINIMAL_ARGV.items()),
 ], ids=lambda a: f"{a[0]} {a[-2]}")
 def test_removed_flag_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as ei:
         run(argv)
     assert ei.value.code == 2
-    assert capsys.readouterr().err.startswith("ERROR code=2 ")
+    assert capsys.readouterr().err == f"ERROR code=2 unrecognized arguments: {' '.join(argv[-2:])}\n"
 
 
-@pytest.mark.parametrize("text, argv", [
-    ("workers=2\n", ["manifest"]),
-    ("format=jsonl\n", ["manifest"]),
-    ("norm_mode=softmax\n", ["dump-target", "duration", "day"]),
-    ("am=true\np_event=0.3\n", ["manifest"]),
-], ids=["workers", "format", "norm_mode", "am"])
-def test_removed_config_key_exit_2(tmp_path, capsys, text, argv):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text)
-    key = text.partition("=")[0]
-    assert run([*argv, "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"ERROR code=2 {cfg}:1: unknown config key '{key}'")
-
-
-def test_config_file_switches_hold_without_flags(pipeline, tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("ms=true\nbalance=true\n")
-    out = tmp_path / "ds.jsonl"
-    assert run(["build-dataset", "--config", str(cfg),
-                "--input", str(pipeline["tuples"]),
-                "--corpus", str(pipeline["corpus"]),
-                "--output", str(out), "--seed", "21"]) == 0
-    header = header_lines(out)
-    for key in ("ms", "balance"):
-        assert f"# {key}=true" in header
-
-
-def test_config_file_switches_off_hold(pipeline, tmp_path):
-    # ms=true would need --corpus, so exit 0 shows that "false" reads as false.
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("ms=false\nbalance=OFF\n")
-    out = tmp_path / "ds.jsonl"
-    assert run(["build-dataset", "--config", str(cfg), "--input", str(pipeline["tuples"]),
-                "--output", str(out), "--seed", "21"]) == 0
-    header = header_lines(out)
-    for key in ("ms", "balance"):
-        assert f"# {key}=false" in header
+# Subcommands that are gone: manifest (every vocab.tsv's reserved rows list
+# the labels) and dump-target (tempomine.soft_target computes the row).
+@pytest.mark.parametrize("argv", [["manifest"], ["dump-target", "duration", "hour"]],
+                         ids=lambda a: a[0])
+def test_removed_subcommand_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as ei:
+        run(argv)
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR code=2 argument subcommand: invalid choice: '{argv[0]}'")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", [["--am"], ["--ms"], ["--p-mask", "0.3"],
@@ -533,7 +496,7 @@ def test_each_subcommand_takes_and_echoes_only_what_it_reads(pipeline, tmp_path)
     assert set(subparsers) == set(cli.READS)
     for name, subparser in subparsers.items():
         knob_flags = {a.dest for a in subparser._actions if a.dest in cli._CONFIG_FIELDS}
-        assert knob_flags == {"seed", *cli.READS[name]} - set(cli._CONFIG_ONLY), name
+        assert knob_flags == {"seed", *cli.READS[name]}, name
         assert " ".join(subparser.format_help().split()).endswith(cli._EXIT_CODE_HELP), name
 
     model = ["--model", str(pipeline["model"]), "--vocab", str(pipeline["vocab"])]
@@ -547,8 +510,6 @@ def test_each_subcommand_takes_and_echoes_only_what_it_reads(pipeline, tmp_path)
         "eval": ["--input", str(pipeline["instances"]), *model],
         "predict": ["--event", "they met", "--verb-index", "1", "--dimension", "duration",
                     *model],
-        "dump-target": ["duration", "hour"],
-        "manifest": [],
     }.items():
         written[name] = tmp_path / f"{name}.out"
         assert run([name, *argv, "--output", str(written[name])]) == 0
@@ -1343,6 +1304,36 @@ def test_predict_unknown_dimension_exit_2(pipeline, capsys):
                 "--dimension", "bogus"]) == 2
 
 
+# A hierarchy relation needs its second event, which neither --event nor a
+# query or instance line carries, so such a query is refused, not answered.
+def test_predict_event_hierarchy_exit_2(pipeline, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the checkpoint was read")
+    monkeypatch.setattr(cli, "load_checkpoint", fail)
+    out = tmp_path / "p.csv"
+    assert run(["predict", "--model", str(pipeline["model"]), "--vocab", str(pipeline["vocab"]),
+                "--event", "the nurse rested", "--verb-index", "2", "--dimension", "hierarchy",
+                "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "ERROR code=2 --dimension hierarchy relates two events, and --event names one\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_hierarchy_query_line_exit_4(pipeline, tmp_path, capsys, command):
+    line = {"event_tokens": ["the", "nurse", "rested"], "verb_index": 2, "dimension": "hierarchy"}
+    if command == "eval":
+        line["gold_label"] = "before"
+    path, out = tmp_path / "q.jsonl", tmp_path / "out.csv"
+    path.write_text("# a header line\n" + json.dumps(line) + "\n")
+    assert run([command, "--input", str(path), "--model", str(pipeline["model"]),
+                "--vocab", str(pipeline["vocab"]), "--output", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        f"ERROR code=4 {path}:2: a hierarchy query relates two events, "
+        f"and a query line names one\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb_index", ["2", "-1"])
 def test_predict_verb_index_outside_the_event_exit_2(pipeline, tmp_path, capsys, verb_index):
     out = tmp_path / "out.csv"
@@ -1591,33 +1582,12 @@ def test_grad_check_coords_not_positive_exit_2(capsys, coords):
     assert capsys.readouterr().err == f"ERROR code=2 --coords must be positive, got {coords}\n"
 
 
-def test_dump_target_stdout(capsys):
-    assert run(["dump-target", "typical_week", "Friday"]) == 0
-    out = capsys.readouterr().out
-    rows = [line.split(",") for line in out.splitlines()
-            if line and not line.startswith("#")][1:]
-    assert len(rows) == 7
-    assert sum(float(r[1]) for r in rows) == pytest.approx(1.0, abs=1e-9)
-    best = max(rows, key=lambda r: float(r[1]))
-    assert best[0] == "Friday"
-
-
-def test_dump_target_bad_label_exit_2(capsys):
-    assert run(["dump-target", "duration", "eon"]) == 2
-
-
-def test_manifest_lists_every_dimension(capsys):
-    assert run(["manifest"]) == 0
-    out = capsys.readouterr().out
-    for name in ("duration", "frequency", "upper_bound", "typical_day",
-                 "typical_week", "typical_month", "typical_season", "hierarchy"):
-        assert f"[{name}]" in out
-
-
-def test_module_entry_point(fresh_python):
-    proc = fresh_python("-m", "tempomine.cli", "manifest")
+def test_module_entry_point(fresh_python, tmp_path):
+    empty = tmp_path / "t.jsonl"
+    empty.write_text("")
+    proc = fresh_python("-m", "tempomine.cli", "stats", "--input", str(empty))
     assert proc.returncode == 0
-    assert "[duration]" in proc.stdout
+    assert "dimension,label,count,weight" in proc.stdout
 
 
 def test_import_loads_neither_numpy_random_nor_logging(fresh_python):

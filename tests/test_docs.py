@@ -1,3 +1,4 @@
+import argparse
 import glob
 import importlib
 import os
@@ -31,6 +32,20 @@ def test_header_table_matches_reads():
     # grad-check writes no file, so it has no header to document.
     want = {name: sorted(fields) for name, fields in cli.READS.items() if name != "grad-check"}
     assert _header_table() == want
+
+
+def test_readme_cli_table_matches_the_parser():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    rows = text.split("| subcommand | role |\n|---|---|\n", 1)[1]
+    listed = []
+    for row in rows.splitlines():
+        if not row.startswith("|"):
+            break
+        listed += re.findall(r"`([^`]+)`", row.strip("|").split("|")[0])
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert listed == list(subparsers)
 
 
 def test_module_references_resolve():

@@ -116,6 +116,8 @@ def test_read_queries_parses_each_line():
     ({"event_tokens": "they slept", "verb_index": 1, "dimension": "duration"},
      "event_tokens must be a list of strings"),
     (["they", "slept"], "expected a JSON object"),
+    ({"event_tokens": ["they", "slept"], "verb_index": 1, "dimension": "hierarchy"},
+     "a hierarchy query relates two events"),
 ])
 def test_read_queries_rejects_bad_line_as_path_line(obj, message):
     lines = ["# header", json.dumps(obj)]

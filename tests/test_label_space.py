@@ -12,7 +12,6 @@ from tempomine.label_space import (
     logsec,
     nearest_unit,
     rank_distance,
-    render_manifest,
 )
 
 UNIT_SECONDS = {
@@ -178,14 +177,6 @@ def test_label_space_membership():
     assert "fall" in space
     assert "autumn" not in space
     assert space.index("winter") == 3
-
-
-def test_manifest_mentions_every_dimension_and_label():
-    text = render_manifest()
-    for dim in TemporalDimension:
-        assert f"[{dim.value}]" in text
-        for lab in label_space(dim).labels:
-            assert lab in text.splitlines()
 
 
 def test_total_value_token_count():
