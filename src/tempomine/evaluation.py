@@ -14,7 +14,7 @@ from .extraction import TemporalTuple
 from .label_space import DimensionReport, TemporalDimension, dimension_reports, label_space
 from .model import Query, TrainConfig, predict_value_distribution
 from .sequences import Vocabulary
-from .srl_ingest import _as_int, _as_token_list, parse_json_lines
+from .srl_ingest import _as_int, _as_str, _as_token_list, parse_json_lines
 
 __all__ = [
     "evaluate",
@@ -61,9 +61,8 @@ def read_queries(lines: Iterable[str], source: str = "<queries>") -> list[Query]
 def read_eval_instances(lines: Iterable[str], source: str = "<instances>") -> list[TemporalTuple]:
     """Queries that also carry a gold_label, each read as the tuple whose
     value is that label."""
-    return parse_json_lines(
-        lines, source, lambda obj: TemporalTuple(*_parse_query(obj), value=obj["gold_label"])
-    )
+    return parse_json_lines(lines, source, lambda obj: TemporalTuple(
+        *_parse_query(obj), value=_as_str(obj["gold_label"], "gold_label")))
 
 
 def evaluate(

@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterable, Sequence
 from json.encoder import encode_basestring_ascii
 
 from .label_space import UNIT_ORDER, UNIT_SECONDS, TemporalDimension, label_space, nearest_unit
-from .srl_ingest import (SchemaError, SrlFrame, SrlSentence, _as_int, _as_token_list,
+from .srl_ingest import (SchemaError, SrlFrame, SrlSentence, _as_int, _as_str, _as_token_list,
                          is_temporal_role, parse_json_lines, text_lines, write_text)
 
 __all__ = [
@@ -70,7 +70,7 @@ class TemporalTuple:
             event_tokens=_as_token_list(obj["event_tokens"], "event_tokens"),
             verb_index=_as_int(obj["verb_index"], "verb_index"),
             dimension=TemporalDimension(obj["dimension"]),
-            value=obj["value"],
+            value=_as_str(obj["value"], "value"),
             arg_tmp_event_tokens=_as_token_list(obj.get("arg_tmp_event_tokens", []),
                                                 "arg_tmp_event_tokens"),
             provenance=(doc_id, _as_int(obj.get("sent_index", 0), "sent_index"),

@@ -34,6 +34,7 @@ max by columns for rows of up to 32 keys, when there are enough rows
 (``_row_max``); a max is exact in any order.
 """
 
+import dataclasses
 import math
 import struct
 from dataclasses import dataclass
@@ -838,7 +839,7 @@ def gradient_check(
 
 
 _CKPT_MAGIC = b"TMCK"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 
 
 def save_checkpoint(
@@ -850,18 +851,19 @@ def save_checkpoint(
 ) -> None:
     """Versioned binary: a text header with the config echo and one
     ``config`` line, then row-major little-endian float32 blocks in sorted
-    key order. The ``config`` line is all the file says of the blocks'
-    shapes, so ``params`` that are not the model ``cfg`` and ``vocab``
-    describe raise ValueError."""
+    key order. The ``config`` line states every ``TrainConfig`` field and
+    the vocabulary's size and ``Vocabulary.sha256``. It is all the file
+    says of the blocks' shapes, so ``params`` that are not the model
+    ``cfg`` and ``vocab`` describe raise ValueError."""
     shapes = _param_shapes(cfg, len(vocab))
     got = {key: np.shape(value) for key, value in params.items()}
     for key in sorted(got.keys() | shapes.keys()):
         if got.get(key) != shapes.get(key):
             raise ValueError(f"param {key} is {got.get(key, 'absent')}, but the config and "
                              f"vocabulary call for {shapes.get(key, 'no such param')}")
-    lines = [*header_lines, f"config d_model={cfg.d_model} n_layers={cfg.n_layers} "
-             f"n_heads={cfg.n_heads} ff_dim={cfg.ff_dim} max_len={cfg.max_len} "
-             f"vocab_size={len(vocab)} vocab_sha256={vocab.sha256()}"]
+    config = [f"{f.name}={getattr(cfg, f.name)}" for f in dataclasses.fields(TrainConfig)]
+    lines = [*header_lines, " ".join(["config", *config, f"vocab_size={len(vocab)}",
+                                      f"vocab_sha256={vocab.sha256()}"])]
     header = "".join(f"# {line}\n" for line in lines).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
@@ -872,11 +874,11 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, str]:
-    """Parameters, as the stored float32 arrays, the config, and the
-    ``Vocabulary.sha256`` of the vocabulary the model was trained on. A
-    file of another version, a bad ``config`` line, or a length that
-    disagrees with the blocks that line calls for raises SchemaError
-    naming the file."""
+    """Parameters, as the stored float32 arrays, the config it was trained
+    with, and the ``Vocabulary.sha256`` of the vocabulary the model was
+    trained on. A file of another version, a ``config`` line that misses a
+    field or holds a bad or unknown one, or a length that disagrees with
+    the blocks that line calls for raises SchemaError naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     start = 4 + struct.calcsize("<HI")
@@ -898,8 +900,13 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, str]
         vocab_size = int(fields.pop("vocab_size"))
         if vocab_size < 1:
             raise ValueError("vocab_size must be positive")
-        cfg = TrainConfig(**{key: int(value) for key, value in fields.items()})
-    except (KeyError, TypeError, ValueError) as exc:
+        cfg = TrainConfig(**{f.name: f.type(fields.pop(f.name))
+                             for f in dataclasses.fields(TrainConfig)})
+        if fields:
+            raise ValueError(f"unknown config keys {sorted(fields)}")
+    except KeyError as exc:
+        raise SchemaError(f"{path}: bad checkpoint header: missing key {exc}") from exc
+    except ValueError as exc:
         raise SchemaError(f"{path}: bad checkpoint header: {exc}") from exc
     shapes = _param_shapes(cfg, vocab_size)
     expected = off + 4 * sum(math.prod(shape) for shape in shapes.values())

@@ -116,7 +116,15 @@ def parse_json_lines(lines: Iterable[str], source: str, parse) -> list:
 def _as_token_list(value, what: str) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
         raise SchemaError(f"{what} must be a list of strings")
+    if "" in value:  # an empty string is no word
+        raise SchemaError(f"{what} must hold no empty strings, got one at {value.index('')}")
     return tuple(value)
+
+
+def _as_str(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{what} must be a string, got {json.dumps(value)}")
+    return value
 
 
 def _as_int(value, what: str) -> int:
@@ -167,8 +175,6 @@ def parse_sentence(obj: dict) -> SrlSentence:
     tokens = _as_token_list(obj.get("tokens"), "tokens")
     if not tokens:
         raise SchemaError("tokens must be non-empty")
-    if "" in tokens:
-        raise SchemaError(f"tokens must hold no empty strings, got one at {tokens.index('')}")
     frames_obj = obj.get("frames", [])
     if not isinstance(frames_obj, list):
         raise SchemaError("frames must be a list")

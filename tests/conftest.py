@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -72,4 +73,51 @@ def tiny_trained(tmp_path_factory):
         "records": records,
         "test_sentences": test_s,
         "log": log,
+    }
+
+
+@pytest.fixture(scope="session")
+def pipeline(tmp_path_factory):
+    """A small CLI pipeline: corpus -> tuples -> dataset -> model, and
+    evaluation instances, which are query lines with a gold label."""
+    from tempomine.cli import main as run
+    from tempomine.evaluation import eval_instance_to_json_dict
+    from tempomine.srl_ingest import sentence_to_json_dict
+    from tempomine.synthetic import generate_corpus, planted_eval_instances
+
+    root = tmp_path_factory.mktemp("pipeline")
+    corpus = root / "corpus.jsonl"
+    sentences = generate_corpus(150, seed=21)
+    with open(corpus, "w") as f:
+        for s in sentences:
+            f.write(json.dumps(sentence_to_json_dict(s), sort_keys=True) + "\n")
+
+    tuples = root / "tuples.jsonl"
+    assert run(["extract", "--input", str(corpus), "--output", str(tuples)]) == 0
+
+    dataset = root / "ds.jsonl"
+    vocab_path = root / "ds.jsonl.vocab.tsv"
+    assert run(["build-dataset", "--input", str(tuples),
+                "--output", str(dataset), "--seed", "21"]) == 0
+
+    model = root / "model.ckpt"
+    assert run(["train", "--input", str(dataset), "--vocab", str(vocab_path),
+                "--output", str(model), "--seed", "21",
+                "--d-model", "32", "--n-layers", "1", "--n-heads", "2",
+                "--ff-dim", "64", "--epochs", "4", "--batch-size", "16",
+                "--learning-rate", "0.003"]) == 0
+
+    instances = root / "eval.jsonl"
+    with open(instances, "w") as f:
+        for inst in planted_eval_instances(sentences[:40]):
+            f.write(json.dumps(eval_instance_to_json_dict(inst)) + "\n")
+
+    return {
+        "root": root,
+        "corpus": corpus,
+        "tuples": tuples,
+        "dataset": dataset,
+        "vocab": vocab_path,
+        "model": model,
+        "instances": instances,
     }

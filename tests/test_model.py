@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import damage
 from tempomine.extraction import TemporalTuple
 from tempomine import model as model_module
 from tempomine import sequences as sequences_module
@@ -34,7 +35,6 @@ from tempomine.sequences import (
     build_vocabulary,
     val_targets,
 )
-from tempomine.srl_ingest import SchemaError
 from tempomine.targets import soft_target
 
 SMALL = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
@@ -1053,21 +1053,18 @@ def test_checkpoint_round_trip(tmp_path):
     assert vocab_sha256 == vocab.sha256()
     with open(path, "rb") as f:
         blob = f.read()
-    assert blob[4:6] == b"\x02\x00"
+    assert blob[4:6] == b"\x03\x00"
     assert blob[10:].startswith(
         f"# written by tests\n# config d_model=16 n_layers=2 n_heads=2 ff_dim=32 max_len=16 "
-        f"vocab_size={len(vocab)} vocab_sha256={vocab.sha256()}\n".encode())
+        f"learning_rate=0.001 batch_size=32 epochs=5 seed=0 targets=soft sigma_log=4.0 "
+        f"sigma_circular=0.5 vocab_size={len(vocab)} vocab_sha256={vocab.sha256()}\n".encode())
     assert sorted(loaded) == sorted(params)
     for k in params:
         assert loaded[k].shape == params[k].shape
         assert loaded[k].dtype == np.float32 and loaded[k].flags.writeable
         # float32 storage: round trip agrees to single precision
         assert np.allclose(loaded[k], params[k], atol=1e-6)
-    assert loaded_cfg.d_model == cfg.d_model
-    assert loaded_cfg.n_layers == cfg.n_layers
-    assert loaded_cfg.n_heads == cfg.n_heads
-    assert loaded_cfg.ff_dim == cfg.ff_dim
-    assert loaded_cfg.max_len == cfg.max_len
+    assert loaded_cfg == cfg
 
 
 def test_checkpoint_predictions_survive_round_trip(tmp_path):
@@ -1176,33 +1173,10 @@ def test_val_logits_chunks_take_items_in_length_order(monkeypatch):
     assert not np.allclose(got[0], got[1])
 
 
-def test_checkpoint_magic_and_bad_file(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"JUNK" + b"\x00" * 32)
-    with pytest.raises(ValueError, match="magic"):
-        load_checkpoint(str(path))
-
-
-@pytest.mark.parametrize("change", ["truncate", "extend"])
-def test_checkpoint_length_must_match_manifest(tmp_path, change):
-    vocab = _training_vocab()
-    cfg = TrainConfig(d_model=8, n_layers=1, n_heads=1, ff_dim=16, max_len=16)
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), init_params(cfg, len(vocab)), cfg, vocab)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-6] if change == "truncate" else blob + b"\x00" * 4)
-    with pytest.raises(SchemaError, match=r"m\.ckpt: .* config line calls for"):
-        load_checkpoint(str(path))
-
-
-def test_checkpoint_cut_inside_header_names_file(tmp_path):
-    vocab = _training_vocab()
-    cfg = TrainConfig(d_model=8, n_layers=1, n_heads=1, ff_dim=16, max_len=16)
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), init_params(cfg, len(vocab)), cfg, vocab)
-    path.write_bytes(path.read_bytes()[:40])
-    with pytest.raises(SchemaError, match=r"m\.ckpt: "):
-        load_checkpoint(str(path))
+test_checkpoint_magic_and_bad_file = damage.cell_test("checkpoint", "bad-magic")
+test_checkpoint_length_must_match_manifest = damage.cell_tests({
+    "truncate": ("checkpoint", "truncated-last"), "extend": ("checkpoint", "trailing-bytes")})
+test_checkpoint_cut_inside_header_names_file = damage.cell_test("checkpoint", "truncated-middle")
 
 
 # The file states no shapes, so params that are not the model of their
