@@ -890,18 +890,25 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, str]
                           f"{_CKPT_VERSION}; retrain the model with train")
     off = start + header_len
 
+    fields: dict[str, str] = {}
+
+    def value(key: str, kind: type):
+        """The config value of ``key`` as a ``kind``; a bad one names its key."""
+        try:
+            return kind(fields.pop(key))
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+
     try:
-        fields: dict[str, str] = {}
         for line in blob[start:off].decode("utf-8").splitlines():
             body = line.lstrip("# ").strip()
             if body.startswith("config "):
                 fields.update(pair.split("=", 1) for pair in body.split()[1:])
         vocab_sha256 = fields.pop("vocab_sha256")
-        vocab_size = int(fields.pop("vocab_size"))
+        vocab_size = value("vocab_size", int)
         if vocab_size < 1:
             raise ValueError("vocab_size must be positive")
-        cfg = TrainConfig(**{f.name: f.type(fields.pop(f.name))
-                             for f in dataclasses.fields(TrainConfig)})
+        cfg = TrainConfig(**{f.name: value(f.name, f.type) for f in dataclasses.fields(TrainConfig)})
         if fields:
             raise ValueError(f"unknown config keys {sorted(fields)}")
     except KeyError as exc:

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+# The damage matrix asserts in its own module; show what its asserts compared.
+pytest.register_assert_rewrite("damage")
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 

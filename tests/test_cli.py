@@ -943,72 +943,7 @@ def test_train_eval_predict_never_import_scipy(pipeline, fresh_python, tmp_path)
 
 # ----------------------------------------------------------- damage matrix
 
-test_damage_matrix = damage.cell_tests({f"{kind}-{name}": (kind, name)
-                                        for kind, name in damage.CELLS})
-
+test_damage_matrix = damage.as_test(damage.MATRIX)
 # The tests that checked one reader each before the matrix held their
-# damages keep their names and ids, each for the cells that check what it
-# checked, through the commands it ran.
-test_extract_strict_schema_exit_4 = damage.cell_test("corpus", "wrong-doc_id", ["extract --strict"])
-# Without --strict the record is skipped with one warning; with it, it is
-# refused with none.
-test_extract_logs_only_the_records_it_skips = damage.cell_tests({
-    "default": ("corpus", "verb_index-out-of-range", []),
-    "strict": ("corpus", "verb_index-out-of-range", ["extract --strict"])})
-test_extract_skips_malformed_by_default = damage.cell_test("corpus", "truncated-last", [])
-test_missing_input_exit_3 = damage.cell_test("corpus", "missing", ["extract"])
-test_build_dataset_ms_corpus_without_the_sentence_exit_4 = damage.cell_test("corpus", "header-only")
-test_build_dataset_ms_names_the_skipped_line_of_a_missing_sentence_exit_4 = damage.cell_test(
-    "corpus", "verb_index-out-of-range", ["build-dataset --ms"])
-test_tuple_missing_key_exit_4 = damage.cell_tests({
-    command: ("tuples", "missing-value", [command]) for command in ("build-dataset", "stats")})
-test_tuple_line_checked_where_read_exit_4 = damage.cell_tests({
-    name: ("tuples", name, ["build-dataset"]) for name in damage.TUPLE_DEFECTS})
-test_train_record_missing_key_exit_4 = damage.cell_test("records", "missing-weight")
-test_train_record_out_of_range_exit_4 = damage.cell_tests({
-    name: ("records", name) for name in damage.RECORD_DEFECTS})
-test_eval_missing_model_exit_3 = damage.cell_test("checkpoint", "missing", ["eval"])
-test_eval_truncated_checkpoint_exit_4 = damage.cell_test("checkpoint", "truncated-last", ["eval"])
-test_eval_instance_missing_key_exit_4 = damage.cell_test("instances", "missing-verb_index")
-test_eval_instance_verb_index_not_an_integer_exit_4 = damage.cell_tests({
-    "2.9-2.9": ("instances", "fractional-verb-index"),
-    '2-"2"': ("instances", "string-verb-index"),
-    "True-true": ("instances", "bool-verb-index")})
-test_predict_query_file_bad_line_exit_4 = damage.cell_tests({
-    f"query{i}-{damage.LINE_DEFECTS['queries'][name][2]}": ("queries", name)
-    for i, name in enumerate(["missing-verb_index", "unknown-dimension", "fractional-verb-index",
-                              "string-verb-index", "bool-verb-index"])})
-test_file_of_only_its_header_exit_2 = damage.cell_tests({
-    "build-dataset-no tuples in {}; nothing to build": ("tuples", "header-only"),
-    "train-no records in {}": ("records", "header-only")})
-test_hierarchy_query_line_exit_4 = damage.cell_tests({"eval": ("instances", "hierarchy"),
-                                                      "predict": ("queries", "hierarchy")})
-test_input_that_is_not_utf8_names_file_and_line = damage.cell_tests({
-    "extract-corpus": ("corpus", "not-utf8", ["extract"]),
-    **{f"{command}-{file}": (kind, "not-utf8", [command])
-       for kind, (file, readers) in damage.KINDS.items() for command in readers}})
-test_json_line_that_is_not_an_object_exit_4 = damage.cell_tests({
-    f"{command}-{file}-{name}": (kind, name, [command])
-    for kind, (file, readers) in damage.KINDS.items() if kind in damage.LINE_DEFECTS
-    for command in readers for name in damage.NOT_OBJECTS})
-test_build_dataset_ms_refuses_a_repeated_corpus_sentence_exit_4 = damage.cell_test(
-    "corpus", "repeated-sentence")
-test_train_on_legacy_binary_dataset_exit_4 = damage.cell_test("records", "legacy-binary")
-test_train_dataset_without_vocabulary_digest_exit_4 = damage.cell_test("records", "no-vocab-digest")
-test_train_dataset_without_a_supervised_slot_exit_4 = damage.cell_test("records", "no-supervised-slot")
-test_train_with_another_vocabulary_exit_4 = damage.cell_test("vocabulary", "swapped-words", ["train"])
-test_vocab_size_must_match_checkpoint_exit_4 = damage.cell_tests({
-    command + suffix: ("vocabulary", name, [command])
-    for name, suffix in [("dropped-word", ""), ("swapped-words", " swapped")]
-    for command in ("eval", "predict --input", "predict --event")})
-test_vocab_row_out_of_order_names_file_and_line = damage.cell_test(
-    "vocabulary", "row-out-of-order", ["predict --event"])
-test_predict_on_version_1_checkpoint_says_to_retrain_exit_4 = damage.cell_test(
-    "checkpoint", "version-1", ["predict --event"])
-test_checkpoint_max_len_below_template_exit_4 = damage.cell_tests({
-    "eval": ("checkpoint", "max-len-below-template", ["eval"]),
-    "predict": ("checkpoint", "max-len-below-template", ["predict --event"])})
-test_vocab_layout_is_checked_exit_4 = damage.cell_tests({
-    f"{token}-{command.split()[0]}": ("vocabulary", f"renamed-{token}", [command])
-    for token, command in [("[Dim:duration]", "predict --event"),
-                           ("[Val:duration:second]", "train"), ("[SEP]", "predict --event")]})
+# damages; damage.NAMED lists the check each of their ids runs.
+globals().update({name: damage.as_test(checks) for name, checks in damage.NAMED.items()})

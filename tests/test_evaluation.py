@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-import damage
 from tempomine.evaluation import (
     distribution_csv_lines,
     eval_instance_to_json_dict,
@@ -126,11 +125,19 @@ def test_read_queries_rejects_bad_line_as_path_line(obj, message):
         read_queries(lines, "q.jsonl")
 
 
-def test_read_eval_instances_shares_the_query_parser(pipeline, tmp_path, capsys):
-    for cell in ("unknown-gold-label", "missing-gold_label", "missing-dimension"):
-        (tmp_path / cell).mkdir()
-        damage.check(pipeline, tmp_path / cell, capsys, "instances",
-                     damage.damage(pipeline, "instances", cell))
+def test_read_eval_instances_shares_the_query_parser():
+    good = {"event_tokens": ["they", "slept"], "verb_index": 1,
+            "dimension": "duration", "gold_label": "hour"}
+    lines = [json.dumps(good), json.dumps({**good, "gold_label": "fortnight"})]
+    with pytest.raises(SchemaError,
+                       match="gold.jsonl:2: label 'fortnight' not in the duration space"):
+        read_eval_instances(lines, "gold.jsonl")
+    missing = {k: v for k, v in good.items() if k != "gold_label"}
+    with pytest.raises(SchemaError, match="gold.jsonl:1: missing key 'gold_label'"):
+        read_eval_instances([json.dumps(missing)], "gold.jsonl")
+    del missing["dimension"]
+    with pytest.raises(SchemaError, match="gold.jsonl:1: missing key 'dimension'"):
+        read_eval_instances([json.dumps(missing)], "gold.jsonl")
 
 
 def test_eval_instances_json_round_trip():

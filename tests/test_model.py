@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import damage
 from tempomine.extraction import TemporalTuple
 from tempomine import model as model_module
 from tempomine import sequences as sequences_module
@@ -35,6 +34,7 @@ from tempomine.sequences import (
     build_vocabulary,
     val_targets,
 )
+from tempomine.srl_ingest import SchemaError
 from tempomine.targets import soft_target
 
 SMALL = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
@@ -1173,10 +1173,33 @@ def test_val_logits_chunks_take_items_in_length_order(monkeypatch):
     assert not np.allclose(got[0], got[1])
 
 
-test_checkpoint_magic_and_bad_file = damage.cell_test("checkpoint", "bad-magic")
-test_checkpoint_length_must_match_manifest = damage.cell_tests({
-    "truncate": ("checkpoint", "truncated-last"), "extend": ("checkpoint", "trailing-bytes")})
-test_checkpoint_cut_inside_header_names_file = damage.cell_test("checkpoint", "truncated-middle")
+def test_checkpoint_magic_and_bad_file(tmp_path):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(b"JUNK" + b"\x00" * 32)
+    with pytest.raises(ValueError, match="magic"):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("change", ["truncate", "extend"])
+def test_checkpoint_length_must_match_manifest(tmp_path, change):
+    vocab = _training_vocab()
+    cfg = TrainConfig(d_model=8, n_layers=1, n_heads=1, ff_dim=16, max_len=16)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), init_params(cfg, len(vocab)), cfg, vocab)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-6] if change == "truncate" else blob + b"\x00" * 4)
+    with pytest.raises(SchemaError, match=r"m\.ckpt: .* config line calls for"):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_cut_inside_header_names_file(tmp_path):
+    vocab = _training_vocab()
+    cfg = TrainConfig(d_model=8, n_layers=1, n_heads=1, ff_dim=16, max_len=16)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(str(path), init_params(cfg, len(vocab)), cfg, vocab)
+    path.write_bytes(path.read_bytes()[:40])
+    with pytest.raises(SchemaError, match=r"m\.ckpt: "):
+        load_checkpoint(str(path))
 
 
 # The file states no shapes, so params that are not the model of their

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import damage
 from tempomine.extraction import TemporalTuple
 from tempomine.label_space import TemporalDimension, label_space
 from tempomine.seeding import stream_rng
@@ -144,8 +143,15 @@ def test_tsv_round_trip_awkward_words(tmp_path):
     assert Vocabulary.from_tsv_lines(text_lines(str(path)), str(path)) == v
 
 
-test_tsv_rejects_sparse_ids = damage.cell_test("vocabulary", "row-out-of-order")
-test_tsv_bad_row_names_source_and_line = damage.cell_test("vocabulary", "row-out-of-order")
+def test_tsv_rejects_sparse_ids():
+    with pytest.raises(ValueError, match="dense"):
+        Vocabulary.from_tsv_lines(["[PAD]\t0", "[UNK]\t2"])
+
+
+def test_tsv_bad_row_names_source_and_line():
+    with pytest.raises(SchemaError, match=r"v\.tsv:3: vocabulary ids must be dense, "
+                                          r"expected 1, got '2'"):
+        Vocabulary.from_tsv_lines(["# header", "[PAD]\t0", "[UNK]\t2"], "v.tsv")
 
 
 # ---------------------------------------------------------------- sequences
@@ -486,10 +492,23 @@ def test_records_jsonl_round_trip(tmp_path, vocab):
         assert f.readline() == "# made by tests\n"
 
 
-test_records_jsonl_bad_line_names_file_and_line = damage.cell_tests({
-    test_id: ("records", name) for test_id, name in [
-        ("no-weight", "missing-weight"), ("no-target-position", "missing-target-position"),
-        ("bad-dimension", "unknown-dimension"), ("bad-ids", "input-ids-string")]})
+@pytest.mark.parametrize("edit, message", [
+    (lambda obj: obj.pop("weight"), "missing key 'weight'"),
+    (lambda obj: obj["targets"][0].pop("position"), "missing key 'position'"),
+    (lambda obj: obj.update(dimension="eon"), "'eon' is not a valid TemporalDimension"),
+    (lambda obj: obj.update(input_ids="abc"), 'input_ids must be a list of integers, got "abc"'),
+], ids=["no-weight", "no-target-position", "bad-dimension", "bad-ids"])
+def test_records_jsonl_bad_line_names_file_and_line(tmp_path, vocab, edit, message):
+    records = _sample_records(vocab, n=3)
+    path = tmp_path / "ds.jsonl"
+    write_records_jsonl(str(path), records, header_lines=["made by tests"])
+    lines = path.read_text().splitlines(keepends=True)
+    obj = json.loads(lines[2])
+    edit(obj)
+    lines[2] = json.dumps(obj) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(SchemaError, match=rf"ds\.jsonl:3: {message}"):
+        read_records_jsonl(str(path), vocab)
 
 
 @pytest.mark.parametrize("weight", [0.1, 1 / 3, 1e-7, 1e16, 2.0, math.nan, math.inf, -math.inf])

@@ -3,14 +3,15 @@ import json
 
 import pytest
 
-import damage
 from tempomine.srl_ingest import (
+    SchemaError,
     SrlFrame,
     SrlSentence,
     is_temporal_role,
     parse_sentence,
     read_corpus,
     sentence_to_json_dict,
+    text_lines,
 )
 
 
@@ -41,17 +42,47 @@ def test_parse_contexts():
     assert s.right_context == ("Then", "he", "left", ".")
 
 
-# A record's defects are cells of the damage matrix: extract --strict and
-# build-dataset --ms refuse the record, and extract skips it.
-test_parse_rejects_schema_violations = damage.cell_tests({f"mutation{i}": ("corpus", name) for i, name in enumerate([
-    "wrong-doc_id", "negative-sent_index", "wrong-sent_index", "bool-sent_index", "empty-tokens",
-    "integer-token", "wrong-tokens", "wrong-frames", "verb_index-out-of-range",
-    "negative-verb_index", "reversed-span", "span-out-of-range", "span-over-verb", "integer-role",
-    "short-span", "bool-span-bound", "empty-token", "wrong-left_context", "wrong-verb_index",
-    "float-verb_index"])})
-test_parse_names_the_defect = damage.cell_tests({"non-string-token": ("corpus", "integer-token"),
-                                                 "empty-token": ("corpus", "empty-token"),
-                                                 "bool-span-bound": ("corpus", "bool-span-bound")})
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        {"doc_id": 7},
+        {"sent_index": -1},
+        {"sent_index": "0"},
+        {"sent_index": True},  # a bool is no index, though Python counts it an int
+        {"tokens": []},
+        {"tokens": ["a", 3]},
+        {"tokens": "not a list"},
+        {"frames": "nope"},
+        {"frames": [{"verb_index": 9}]},
+        {"frames": [{"verb_index": -1}]},
+        {"frames": [{"verb_index": 1, "args": [{"role": "ARGM-TMP", "span": [3, 2]}]}]},
+        {"frames": [{"verb_index": 1, "args": [{"role": "ARGM-TMP", "span": [2, 9]}]}]},
+        {"frames": [{"verb_index": 1, "args": [{"role": "ARGM-TMP", "span": [0, 3]}]}]},
+        {"frames": [{"verb_index": 1, "args": [{"role": 5, "span": [2, 5]}]}]},
+        {"frames": [{"verb_index": 1, "args": [{"role": "ARGM-TMP", "span": [2]}]}]},
+        {"frames": [{"verb_index": 0, "args": [{"role": "ARGM-TMP", "span": [True, 4]}]}]},
+        {"tokens": ["Jack", "", "for", "an", "hour"]},
+        {"left_context": [1, 2]},
+        {"frames": [{"verb_index": True}]},
+        {"frames": [{"verb_index": 1.0}]},
+    ],
+)
+def test_parse_rejects_schema_violations(mutation):
+    with pytest.raises(SchemaError):
+        parse_sentence(make_record(**mutation))
+
+
+@pytest.mark.parametrize("mutation, message", [
+    ({"tokens": ["a", 3]}, "tokens must be a list of strings"),
+    ({"tokens": ["Jack", "", "for", "an", "hour"]},
+     "tokens must hold no empty strings, got one at 1"),
+    ({"frames": [{"verb_index": 0, "args": [{"role": "ARGM-TMP", "span": [True, 4]}]}]},
+     "span [True, 4] must be a [start, end) integer pair"),
+], ids=["non-string-token", "empty-token", "bool-span-bound"])
+def test_parse_names_the_defect(mutation, message):
+    with pytest.raises(SchemaError) as exc:
+        parse_sentence(make_record(**mutation))
+    assert str(exc.value) == message
 
 
 def test_parse_accepts_str_subclass_tokens():
@@ -64,7 +95,11 @@ def test_parse_accepts_str_subclass_tokens():
     assert s.left_context == ("He",)
 
 
-test_span_overlapping_verb_rejected = damage.cell_test("corpus", "span-over-verb")
+def test_span_overlapping_verb_rejected():
+    bad = make_record(frames=[{"verb_index": 3,
+                               "args": [{"role": "ARGM-TMP", "span": [2, 5]}]}])
+    with pytest.raises(SchemaError, match="overlaps verb"):
+        parse_sentence(bad)
 
 
 def test_reader_skips_and_counts_malformed_lines():
@@ -131,6 +166,14 @@ def test_dataclasses_are_frozen():
     assert isinstance(s, SrlSentence)
 
 
-# The damaged line is the last of a tuple file of over 30 kB, far past the
-# decoder's first chunk, so it is found by a rescan.
-test_text_lines_names_the_line_that_is_not_utf8 = damage.cell_test("tuples", "not-utf8")
+def test_text_lines_names_the_line_that_is_not_utf8(tmp_path):
+    # Far past the decoder's first chunk, so the line is found by a rescan.
+    path = tmp_path / "in.txt"
+    lines = [f"line {i}\n".encode() for i in range(3000)]
+    lines[2500] = b"caf\xe9\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(SchemaError, match=r"in\.txt:2501: not UTF-8 text: byte 0xe9 "
+                                          r"\(invalid continuation byte\)"):
+        list(text_lines(str(path)))
+    path.write_bytes(b"".join(lines[:2500]))
+    assert list(text_lines(str(path))) == [line.decode() for line in lines[:2500]]
