@@ -384,10 +384,9 @@ def cmd_predict(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]
 
 def _parse_dimension(name: str) -> TemporalDimension:
     try:
-        return TemporalDimension(name)
-    except ValueError:
-        valid = ", ".join(d.value for d in TemporalDimension)
-        raise UsageError(f"unknown dimension {name!r}; expected one of: {valid}")
+        return TemporalDimension.parse(name, "--dimension")
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_grad_check(args: argparse.Namespace, cfg: PipelineConfig, header: list[str]) -> None:

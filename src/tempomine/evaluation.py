@@ -47,7 +47,7 @@ def _parse_query(obj: dict) -> Query:
     verb_index = _as_int(obj["verb_index"], "verb_index")
     if not 0 <= verb_index < len(tokens):
         raise ValueError(f"verb_index {verb_index} out of bounds for {len(tokens)} tokens")
-    dimension = TemporalDimension(obj["dimension"])
+    dimension = TemporalDimension.parse(obj["dimension"])
     if dimension is TemporalDimension.HIERARCHY:
         raise ValueError("a hierarchy query relates two events, and a query line names one")
     return tokens, verb_index, dimension

@@ -69,7 +69,7 @@ class TemporalTuple:
         t = cls(
             event_tokens=_as_token_list(obj["event_tokens"], "event_tokens"),
             verb_index=_as_int(obj["verb_index"], "verb_index"),
-            dimension=TemporalDimension(obj["dimension"]),
+            dimension=TemporalDimension.parse(obj["dimension"]),
             value=_as_str(obj["value"], "value"),
             arg_tmp_event_tokens=_as_token_list(obj.get("arg_tmp_event_tokens", []),
                                                 "arg_tmp_event_tokens"),

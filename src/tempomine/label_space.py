@@ -6,6 +6,7 @@ scale; the typical-time dimensions (time of day, day of week, month, season)
 live on rings; relative hierarchy is a plain categorical set.
 """
 
+import json
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -39,6 +40,15 @@ class TemporalDimension(str, Enum):
     TYPICAL_MONTH = "typical_month"
     TYPICAL_SEASON = "typical_season"
     HIERARCHY = "hierarchy"
+
+    @classmethod
+    def parse(cls, name, key: str = "dimension") -> "TemporalDimension":
+        """The dimension called ``name``; else a ValueError naming ``key``."""
+        try:
+            return cls(name)
+        except ValueError:
+            valid = ", ".join(d.value for d in cls)
+            raise ValueError(f"{key} must be one of: {valid}; got {json.dumps(name)}") from None
 
 
 class Topology(str, Enum):

@@ -85,6 +85,7 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
 # Rows of at most this many keys take their max by columns (``_row_max``).
 _COLUMN_MAX_KEYS = 32
+_SCORING_CHUNK = 32  # rows a scoring forward takes, whatever the trained batch size
 # Adam's moment decay rates and denominator floor (the usual defaults).
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -643,12 +644,12 @@ def _val_logits(
 ) -> list[np.ndarray]:
     """Each (ids, [Val] position, dimension) item's [Val]-block logits with
     that slot masked, in item order. Items are scored in chunks of
-    ``cfg.batch_size`` taken in order of length, so a chunk pads to about
+    ``_SCORING_CHUNK`` taken in order of length, so a chunk pads to about
     its own length rather than to the longest item among its neighbours."""
     order = sorted(range(len(items)), key=lambda i: len(items[i][0]))
     blocks: dict[int, np.ndarray] = {}
-    for i in range(0, len(order), cfg.batch_size):
-        picked = order[i : i + cfg.batch_size]
+    for i in range(0, len(order), _SCORING_CHUNK):
+        picked = order[i : i + _SCORING_CHUNK]
         chunk = [items[j] for j in picked]
         ids = _pad_rows([(*row[:col], MASK_ID, *row[col + 1 :]) for row, col, _ in chunk])
         cols = [col for _, col, _ in chunk]
@@ -746,7 +747,7 @@ def predict_value_distribution(
     verb index, dimension) query, in query order.
 
     Each query sequence carries a masked [Val] slot; ``_val_logits``
-    scores them in chunks of ``cfg.batch_size``, in the parameters'
+    scores them in chunks of ``_SCORING_CHUNK``, in the parameters'
     dtype. Each dimension's [Val]-block logits are stacked into one
     float64 array and softmaxed row by row in one call, so every
     distribution sums to 1 to float64 precision.

@@ -406,7 +406,7 @@ def record_from_json_dict(obj: dict) -> TrainingRecord:
         input_ids=tuple(ids),
         targets=tuple(map(_target_from_json_dict, targets)),
         weight=float(weight),
-        dimension=TemporalDimension(obj["dimension"]),
+        dimension=TemporalDimension.parse(obj["dimension"]),
         val_position=_as_int(obj["val_position"], "val_position"),
     )
 

@@ -12,8 +12,7 @@ damaged copy of the kind's ``pipeline`` file and the ERROR line it gives;
 ``extract`` without ``--strict`` skips a damaged corpus record: it exits
 0, and its one warning names the record as ``path:line``.
 
-Each check runs once: under the name of the test in test_cli.py that
-checked it before the matrix held it (``NAMED``), or else in ``MATRIX``.
+Each check runs once, in ``MATRIX`` under the id ``kind-damage-command``.
 """
 
 import dataclasses
@@ -21,8 +20,6 @@ import json
 import struct
 from dataclasses import dataclass
 from types import SimpleNamespace
-
-import pytest
 
 from tempomine import cli
 from tempomine.label_space import TemporalDimension, label_space
@@ -104,20 +101,6 @@ def check(pipeline, tmp_path, capsys, kind, name, command):
         assert printed.out.endswith(" (1 records skipped)\n")
 
 
-def as_test(checks):
-    """A test of the check ``checks``, or of each of a dict of checks by
-    test id."""
-    if isinstance(checks, tuple):
-        def test(pipeline, tmp_path, capsys):
-            check(pipeline, tmp_path, capsys, *checks)
-        return test
-
-    @pytest.mark.parametrize("cell", list(checks.values()), ids=list(checks))
-    def test(pipeline, tmp_path, capsys, cell):
-        check(pipeline, tmp_path, capsys, *cell)
-    return test
-
-
 _GONE = object()  # the value of a key that the damage deletes
 
 
@@ -158,7 +141,25 @@ _FILE_DAMAGES = ("missing", "empty", "header-only", "truncated-first", "truncate
 # Line defects of each JSON-lines kind: (key path, value, message), set on
 # the first line below the header. A message that is a function is given
 # the damaged row: the edited object's keys, and ``n``, its token count.
-_CORPUS_DEFECTS = {
+# A dimension that is not one of the eight names gives this, then the
+# value as JSON.
+NOT_A_DIMENSION = ("dimension must be one of: duration, frequency, upper_bound, typical_day, "
+                   "typical_week, typical_month, typical_season, hierarchy; got ")
+# Queries and eval instances go through one parser.
+QUERY_DEFECTS = {
+    "string-tokens": ("event_tokens", "they met", "event_tokens must be a list of strings"),
+    "empty-token": (("event_tokens", 0), "", "event_tokens must hold no empty strings, got one at 0"),
+    "fractional-verb-index": ("verb_index", 2.9, "verb_index must be an integer, got 2.9"),
+    "string-verb-index": ("verb_index", "2", 'verb_index must be an integer, got "2"'),
+    "bool-verb-index": ("verb_index", True, "verb_index must be an integer, got true"),
+    "verb-index": ("verb_index", 99, lambda r: f"verb_index 99 out of bounds for {r.n} tokens"),
+    "unknown-dimension": ("dimension", "bogus", NOT_A_DIMENSION + '"bogus"'),
+    "integer-dimension": ("dimension", 5, NOT_A_DIMENSION + "5"),
+    # A hierarchy relation needs a second event, which a query line lacks.
+    "hierarchy": ("dimension", "hierarchy",
+                  "a hierarchy query relates two events, and a query line names one"),
+}
+LINE_DEFECTS = {"corpus": {
     "missing-doc_id": ("doc_id", _GONE, "doc_id must be a string"),
     "missing-sent_index": ("sent_index", _GONE, "sent_index must be an integer, got null"),
     "missing-tokens": ("tokens", _GONE, "tokens must be a list of strings"),
@@ -195,8 +196,7 @@ _CORPUS_DEFECTS = {
     "wrong-right_context": ("right_context", "x", "right_context must be a list of strings"),
     "empty-left_context-token": ("left_context", ["", "x"], "left_context must hold no empty strings, got one at 0"),
     "empty-right_context-token": ("right_context", ["x", ""], "right_context must hold no empty strings, got one at 1"),
-}
-TUPLE_DEFECTS = {
+}, "tuples": {
     "string-tokens": ("event_tokens", "they met", "event_tokens must be a list of strings"),
     "integer-tokens": ("event_tokens", [0, 1], "event_tokens must be a list of strings"),
     "integer-embedded": ("arg_tmp_event_tokens", [7], "arg_tmp_event_tokens must be a list of strings"),
@@ -217,12 +217,16 @@ TUPLE_DEFECTS = {
     "hierarchy-without-embedded-event": (
         "dimension", lambda t: t.update(value="before") or "hierarchy",
         "arg_tmp_event_tokens must be non-empty on a hierarchy tuple"),
-}
-# Set on the first record whose targets are its [Val] slot and one more.
-# A message function is also given the vocabulary's ``size``, the [Val] id
-# ``block`` of the record's dimension, and the record's ``first`` id,
-# ``n`` ids and damaged [Val] target ``val_id``.
-RECORD_DEFECTS = {
+    "integer-dimension": ("dimension", 5, NOT_A_DIMENSION + "5"),
+    "object-value": ("value", {}, "value must be a string, got {}"),
+    "empty-token": (("event_tokens", 1), "", "event_tokens must hold no empty strings, got one at 1"),
+    "empty-embedded-token": ("arg_tmp_event_tokens", ["", "ended"],
+                             "arg_tmp_event_tokens must hold no empty strings, got one at 0"),
+}, "records": {
+    # Set on the first record whose targets are its [Val] slot and one
+    # more. A message function is also given the vocabulary's ``size``, the
+    # [Val] id ``block`` of the record's dimension, and the record's
+    # ``first`` id, ``n`` ids and damaged [Val] target ``val_id``.
     "input-id": (("input_ids", 0), 9999, lambda r: f"input id 9999 outside the {r.size}-token vocabulary"),
     "negative-input-id": (("input_ids", 0), -1, lambda r: f"input id -1 outside the {r.size}-token vocabulary"),
     "hard-token-id": (("targets", 0, "token_id"), 9999,
@@ -258,43 +262,17 @@ RECORD_DEFECTS = {
     "stored-soft-row": (("targets", 0, "soft"), None,
                         "target holds a stored soft row, which records no longer carry; "
                         "rebuild the dataset with build-dataset"),
-}
-QUERY_DEFECTS = {
-    "string-tokens": ("event_tokens", "they met", "event_tokens must be a list of strings"),
-    "empty-token": (("event_tokens", 0), "", "event_tokens must hold no empty strings, got one at 0"),
-    "fractional-verb-index": ("verb_index", 2.9, "verb_index must be an integer, got 2.9"),
-    "string-verb-index": ("verb_index", "2", 'verb_index must be an integer, got "2"'),
-    "bool-verb-index": ("verb_index", True, "verb_index must be an integer, got true"),
-    "verb-index": ("verb_index", 99, lambda r: f"verb_index 99 out of bounds for {r.n} tokens"),
-    "unknown-dimension": ("dimension", "bogus", "'bogus' is not a valid TemporalDimension"),
-    "integer-dimension": ("dimension", 5, "5 is not a valid TemporalDimension"),
-    # A hierarchy relation needs a second event, which a query line lacks.
-    "hierarchy": ("dimension", "hierarchy",
-                  "a hierarchy query relates two events, and a query line names one"),
-}
-# The rows of TUPLE_DEFECTS and RECORD_DEFECTS are the ids of two NAMED
-# tests; the rows that only the matrix runs join them here.
-LINE_DEFECTS = {
-    "corpus": _CORPUS_DEFECTS,
-    "tuples": {**TUPLE_DEFECTS,
-               "integer-dimension": ("dimension", 5, "5 is not a valid TemporalDimension"),
-               "object-value": ("value", {}, "value must be a string, got {}"),
-               "empty-token": (("event_tokens", 1), "",
-                               "event_tokens must hold no empty strings, got one at 1"),
-               "empty-embedded-token": ("arg_tmp_event_tokens", ["", "ended"],
-                                        "arg_tmp_event_tokens must hold no empty strings, got one at 0")},
-    "records": {**RECORD_DEFECTS,
-                "input-ids-string": ("input_ids", "abc", 'input_ids must be a list of integers, got "abc"'),
-                "unknown-dimension": ("dimension", "eon", "'eon' is not a valid TemporalDimension"),
-                "integer-dimension": ("dimension", 5, "5 is not a valid TemporalDimension"),
-                "missing-target-position": (("targets", 0, "position"), _GONE, "missing key 'position'"),
-                "missing-target-token_id": (("targets", 0, "token_id"), _GONE, "missing key 'token_id'")},
-    "queries": QUERY_DEFECTS,
-    "instances": {**QUERY_DEFECTS,
-                  "unknown-gold-label": ("gold_label", "fortnight",
-                                         lambda r: f"label 'fortnight' not in the {r.dimension} space"),
-                  "object-gold-label": ("gold_label", {}, "gold_label must be a string, got {}")},
-}
+    "input-ids-string": ("input_ids", "abc", 'input_ids must be a list of integers, got "abc"'),
+    "unknown-dimension": ("dimension", "eon", NOT_A_DIMENSION + '"eon"'),
+    "integer-dimension": ("dimension", 5, NOT_A_DIMENSION + "5"),
+    "missing-target-position": (("targets", 0, "position"), _GONE, "missing key 'position'"),
+    "missing-target-token_id": (("targets", 0, "token_id"), _GONE, "missing key 'token_id'"),
+}, "queries": QUERY_DEFECTS, "instances": {
+    **QUERY_DEFECTS,
+    "unknown-gold-label": ("gold_label", "fortnight",
+                           lambda r: f"label 'fortnight' not in the {r.dimension} space"),
+    "object-gold-label": ("gold_label", {}, "gold_label must be a string, got {}"),
+}}
 REQUIRED_KEYS = {
     "tuples": ("event_tokens", "verb_index", "dimension", "value"),
     "records": ("input_ids", "targets", "weight", "dimension", "val_position"),
@@ -395,7 +373,7 @@ VOCABULARY_DEFECTS = {
                                         for i, line in enumerate(rest, 4)],
 }
 # Each reserved token must hold its id: these are renamed.
-_RENAMED = ("[Dim:duration]", "[Val:duration:second]", "[SEP]")
+_RESERVED = ("[Dim:duration]", "[Val:duration:second]", "[SEP]")
 
 
 def _vocabulary_damage(name, data, files, command):
@@ -548,7 +526,7 @@ CELLS = [
     *((kind, name) for kind in KINDS for name in _FILE_DAMAGES),
     *(("checkpoint", name) for name in ("bad-magic", "trailing-bytes", "version-1", "version-2",
                                         *CHECKPOINT_DEFECTS)),
-    *(("vocabulary", name) for name in (*VOCABULARY_DEFECTS, *(f"renamed-{t}" for t in _RENAMED))),
+    *(("vocabulary", name) for name in (*VOCABULARY_DEFECTS, *(f"renamed-{t}" for t in _RESERVED))),
     ("records", "no-vocab-digest"), ("records", "no-supervised-slot"), ("records", "legacy-binary"),
     ("corpus", "repeated-sentence"),
     *((kind, name) for kind in LINE_DEFECTS for name in [*NOT_OBJECTS, *LINE_DEFECTS[kind]]),
@@ -561,93 +539,17 @@ _EMPTY_READERS = {"corpus": ("build-dataset --ms",), "tuples": ("build-dataset",
 
 def commands(kind, name):
     """The commands that refuse the ``name`` damage of a ``kind`` file,
-    and ``extract``, which skips a damaged corpus record."""
+    and ``extract``, which skips a damaged corpus record (and refuses a
+    missing or non-UTF-8 corpus)."""
     readers = KINDS[kind][1]
     if name in ("empty", "header-only"):
         return _EMPTY_READERS.get(kind, readers)
     if name == "repeated-sentence":
         return ("build-dataset --ms",)
-    if kind == "corpus" and name not in ("missing", "not-utf8"):
-        return (*readers, "extract")
-    return readers
+    return (*readers, "extract") if kind == "corpus" else readers
 
 
-# The tests in test_cli.py that each checked one reader before the matrix
-# held their damages keep their names and ids; each id now runs the check
-# (kind, damage, command) that checks what it checked.
-NAMED = {
-    "test_extract_strict_schema_exit_4": ("corpus", "wrong-doc_id", "extract --strict"),
-    # Without --strict the record is skipped with one warning; with it,
-    # it is refused with none.
-    "test_extract_logs_only_the_records_it_skips": {
-        "default": ("corpus", "verb_index-out-of-range", "extract"),
-        "strict": ("corpus", "verb_index-out-of-range", "extract --strict")},
-    "test_extract_skips_malformed_by_default": ("corpus", "truncated-last", "extract"),
-    "test_missing_input_exit_3": ("corpus", "missing", "extract"),
-    "test_build_dataset_ms_corpus_without_the_sentence_exit_4": (
-        "corpus", "header-only", "build-dataset --ms"),
-    "test_build_dataset_ms_names_the_skipped_line_of_a_missing_sentence_exit_4": (
-        "corpus", "verb_index-out-of-range", "build-dataset --ms"),
-    "test_build_dataset_ms_refuses_a_repeated_corpus_sentence_exit_4": (
-        "corpus", "repeated-sentence", "build-dataset --ms"),
-    "test_tuple_missing_key_exit_4": {command: ("tuples", "missing-value", command)
-                                      for command in KINDS["tuples"][1]},
-    "test_tuple_line_checked_where_read_exit_4": {
-        name: ("tuples", name, "build-dataset") for name in TUPLE_DEFECTS},
-    "test_train_record_missing_key_exit_4": ("records", "missing-weight", "train"),
-    "test_train_record_out_of_range_exit_4": {
-        name: ("records", name, "train") for name in RECORD_DEFECTS},
-    "test_train_on_legacy_binary_dataset_exit_4": ("records", "legacy-binary", "train"),
-    "test_train_dataset_without_vocabulary_digest_exit_4": ("records", "no-vocab-digest", "train"),
-    "test_train_dataset_without_a_supervised_slot_exit_4": ("records", "no-supervised-slot", "train"),
-    "test_file_of_only_its_header_exit_2": {
-        "build-dataset-no tuples in {}; nothing to build": ("tuples", "header-only", "build-dataset"),
-        "train-no records in {}": ("records", "header-only", "train")},
-    "test_eval_missing_model_exit_3": ("checkpoint", "missing", "eval"),
-    "test_eval_truncated_checkpoint_exit_4": ("checkpoint", "truncated-last", "eval"),
-    "test_predict_on_version_1_checkpoint_says_to_retrain_exit_4": (
-        "checkpoint", "version-1", "predict --event"),
-    "test_checkpoint_max_len_below_template_exit_4": {
-        "eval": ("checkpoint", "max-len-below-template", "eval"),
-        "predict": ("checkpoint", "max-len-below-template", "predict --event")},
-    "test_eval_instance_missing_key_exit_4": ("instances", "missing-verb_index", "eval"),
-    "test_eval_instance_verb_index_not_an_integer_exit_4": {
-        "2.9-2.9": ("instances", "fractional-verb-index", "eval"),
-        '2-"2"': ("instances", "string-verb-index", "eval"),
-        "True-true": ("instances", "bool-verb-index", "eval")},
-    "test_predict_query_file_bad_line_exit_4": {
-        f"query{i}-{QUERY_DEFECTS[name][2]}": ("queries", name, "predict --input")
-        for i, name in enumerate(["missing-verb_index", "unknown-dimension",
-                                  "fractional-verb-index", "string-verb-index",
-                                  "bool-verb-index"])},
-    "test_hierarchy_query_line_exit_4": {"eval": ("instances", "hierarchy", "eval"),
-                                         "predict": ("queries", "hierarchy", "predict --input")},
-    "test_input_that_is_not_utf8_names_file_and_line": {
-        f"{command}-{KINDS[kind][0]}": (kind, "not-utf8", command) for kind, command in [
-            ("corpus", "extract"), ("corpus", "build-dataset --ms"), ("tuples", "build-dataset"),
-            ("tuples", "stats"), ("records", "train"), ("vocabulary", "train"),
-            ("vocabulary", "predict --event"), ("instances", "eval"), ("queries", "predict --input")]},
-    "test_json_line_that_is_not_an_object_exit_4": {
-        f"{command}-{file}-{name}": (kind, name, command)
-        for kind, (file, readers) in KINDS.items() if kind in LINE_DEFECTS and kind != "corpus"
-        for command in readers for name in NOT_OBJECTS},
-    "test_train_with_another_vocabulary_exit_4": ("vocabulary", "swapped-words", "train"),
-    "test_vocab_size_must_match_checkpoint_exit_4": {
-        command + suffix: ("vocabulary", name, command)
-        for name, suffix in [("dropped-word", ""), ("swapped-words", " swapped")]
-        for command in ("eval", "predict --input", "predict --event")},
-    "test_vocab_row_out_of_order_names_file_and_line": (
-        "vocabulary", "row-out-of-order", "predict --event"),
-    "test_vocab_layout_is_checked_exit_4": {
-        f"{token}-{command.split()[0]}": ("vocabulary", f"renamed-{token}", command)
-        for token, command in [("[Dim:duration]", "predict --event"),
-                               ("[Val:duration:second]", "train"), ("[SEP]", "predict --event")]},
-}
-
-
-_NAMED_CHECKS = [triple for checks in NAMED.values()
-                 for triple in (checks.values() if isinstance(checks, dict) else [checks])]
-assert len(set(_NAMED_CHECKS)) == len(_NAMED_CHECKS), "a check runs under two names"
-# Every other check, by id ``kind-damage-command``.
-MATRIX = {f"{kind}-{name}-{command}": (kind, name, command) for kind, name in CELLS
-          for command in commands(kind, name) if (kind, name, command) not in set(_NAMED_CHECKS)}
+CHECKS = [(kind, name, command) for kind, name in CELLS for command in commands(kind, name)]
+# Each check by its test id; damage names and commands hold "-", so two
+# checks could share one, which a test refuses.
+MATRIX = {"-".join(check): check for check in CHECKS}

@@ -5,14 +5,13 @@ its spans, so these tests pin the names it relies on."""
 import importlib
 import importlib.util
 import json
-import math
 import os
 
 import pytest
 
 from tempomine import cli
 from tempomine.evaluation import eval_instance_to_json_dict
-from tempomine.model import TrainConfig, save_checkpoint
+from tempomine.model import save_checkpoint
 from tempomine.synthetic import planted_eval_instances
 
 SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
@@ -56,13 +55,13 @@ def test_extract_and_build_dataset_call_through_module_names(spans, tmp_path,
 @pytest.mark.parametrize("command", ["eval", "predict"])
 def test_query_commands_score_in_one_batched_call(spans, tiny_trained, tmp_path, command):
     # The traced query metrics count one predict_value_distribution span
-    # per eval or predict --input call, and one forward per chunk of the
-    # checkpoint's batch size (the default: a checkpoint does not store it).
+    # per eval or predict --input call, and one forward per chunk of 32
+    # queries, whatever batch size the checkpoint states it trained with.
     model, vocab = tmp_path / "m.ckpt", tmp_path / "vocab.tsv"
     save_checkpoint(str(model), tiny_trained["params"], tiny_trained["cfg"], tiny_trained["vocab"])
     vocab.write_text("".join(line + "\n" for line in tiny_trained["vocab"].to_tsv_lines()))
     instances = planted_eval_instances(tiny_trained["test_sentences"])
-    n = 2 * TrainConfig().batch_size + 5
+    n = 69  # two chunks of 32 and one of 5
     queries = tmp_path / "q.jsonl"
     lines = [json.dumps(eval_instance_to_json_dict(instances[i % len(instances)])) for i in range(n)]
     queries.write_text("\n".join(lines) + "\n")
@@ -72,4 +71,4 @@ def test_query_commands_score_in_one_batched_call(spans, tiny_trained, tmp_path,
                          "--vocab", str(vocab), "--output", str(tmp_path / "out.csv")]) == 0
     calls = {name: agg[0] for name, agg in tracer.totals.items()}
     assert calls["model.predict_value_distribution"] == 1
-    assert calls["model.forward"] == math.ceil(n / TrainConfig().batch_size) == 3
+    assert calls["model.forward"] == 3

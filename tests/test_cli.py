@@ -839,6 +839,8 @@ def test_predict_unknown_dimension_exit_2(pipeline, capsys):
                 "--vocab", str(pipeline["vocab"]),
                 "--event", "they met", "--verb-index", "1",
                 "--dimension", "bogus"]) == 2
+    # The flag and the files name the same dimensions: one parser reads both.
+    assert capsys.readouterr().err == f'ERROR code=2 --{damage.NOT_A_DIMENSION}"bogus"\n'
 
 
 # A hierarchy relation needs its second event, which neither --event nor a
@@ -943,7 +945,10 @@ def test_train_eval_predict_never_import_scipy(pipeline, fresh_python, tmp_path)
 
 # ----------------------------------------------------------- damage matrix
 
-test_damage_matrix = damage.as_test(damage.MATRIX)
-# The tests that checked one reader each before the matrix held their
-# damages; damage.NAMED lists the check each of their ids runs.
-globals().update({name: damage.as_test(checks) for name, checks in damage.NAMED.items()})
+@pytest.mark.parametrize("check", list(damage.MATRIX.values()), ids=list(damage.MATRIX))
+def test_damage_matrix(pipeline, tmp_path, capsys, check):
+    damage.check(pipeline, tmp_path, capsys, *check)
+
+
+def test_damage_matrix_has_one_id_per_check():
+    assert len(damage.MATRIX) == len(set(damage.CHECKS)) == len(damage.CHECKS) == 425

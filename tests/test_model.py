@@ -34,7 +34,6 @@ from tempomine.sequences import (
     build_vocabulary,
     val_targets,
 )
-from tempomine.srl_ingest import SchemaError
 from tempomine.targets import soft_target
 
 SMALL = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
@@ -755,10 +754,10 @@ def test_train_improves_loss_and_is_deterministic():
 
 
 def test_val_logits_read_the_masked_val_slot(monkeypatch):
+    monkeypatch.setattr(model_module, "_SCORING_CHUNK", 4)
     vocab = _training_vocab()
     records = _training_records(vocab, n=10)
-    cfg = TrainConfig(d_model=16, n_layers=1, n_heads=2, ff_dim=32,
-                      max_len=16, batch_size=4, seed=1)
+    cfg = TrainConfig(d_model=16, n_layers=1, n_heads=2, ff_dim=32, max_len=16, seed=1)
     params = init_params(cfg, len(vocab))
     batches = []
 
@@ -1000,19 +999,19 @@ def test_trained_model_recovers_planted_value():
 
 
 def test_predict_batches_match_one_item_calls(monkeypatch):
-    # 2 * batch_size + 1 queries over three dimensions: three chunks, the
+    # Nine queries over three dimensions in chunks of 4: three chunks, the
     # last of one query, rows of different lengths padded within a chunk,
     # and one event longer than max_len, which build_sequence truncates.
+    monkeypatch.setattr(model_module, "_SCORING_CHUNK", 4)
     vocab = _training_vocab()
-    cfg = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
-                      max_len=16, batch_size=4, seed=0)
+    cfg = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32, max_len=16, seed=0)
     # Scaled-up weights, so the distributions are far from uniform.
     params = {k: 25.0 * v for k, v in init_params(cfg, len(vocab)).items()}
     dims = [TemporalDimension.DURATION, TemporalDimension.TYPICAL_WEEK,
             TemporalDimension.HIERARCHY]
     events = [(("they", "napped"), 1), (("they", "toured", "far"), 1), (("jogged",), 0),
               (("they", "often", "jogged", "at", "dawn"), 2)]
-    queries = [(*events[i % 4], dims[i % 3]) for i in range(2 * cfg.batch_size)]
+    queries = [(*events[i % 4], dims[i % 3]) for i in range(8)]
     queries.append((("they",) * 12 + ("napped",) + ("they",) * 12, 12,
                     TemporalDimension.DURATION))
 
@@ -1147,12 +1146,28 @@ def test_loaded_checkpoint_scores_in_float32_and_softmaxes_in_float64(tmp_path):
         np.testing.assert_allclose(dist, e / e.sum(), rtol=0, atol=1e-6)
 
 
+def test_scoring_chunks_do_not_follow_the_trained_batch_size(monkeypatch):
+    # A model trained one record a step scores 69 queries in 3 forwards.
+    vocab = _training_vocab()
+    cfg = TrainConfig(d_model=16, n_layers=1, n_heads=2, ff_dim=32, max_len=16, batch_size=1)
+    rows = []
+
+    def recording_forward(p, ids, c, **kwargs):
+        rows.append(len(ids))
+        return forward(p, ids, c, **kwargs)
+
+    monkeypatch.setattr(model_module, "forward", recording_forward)
+    queries = [(("they", "jogged"), 1, TemporalDimension.DURATION)] * 69
+    assert len(predict_value_distribution(init_params(cfg, len(vocab)), cfg, vocab, queries)) == 69
+    assert rows == [32, 32, 5]
+
+
 def test_val_logits_chunks_take_items_in_length_order(monkeypatch):
     # Short and long queries alternate; each chunk of two pads only to
     # its own longest row, and the blocks come back in query order.
+    monkeypatch.setattr(model_module, "_SCORING_CHUNK", 2)
     vocab = _training_vocab()
-    cfg = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32,
-                      max_len=16, batch_size=2, seed=0)
+    cfg = TrainConfig(d_model=16, n_layers=2, n_heads=2, ff_dim=32, max_len=16, seed=0)
     params = {k: 25.0 * v for k, v in init_params(cfg, len(vocab)).items()}
     short, long = (("jogged",), 0), (("they", "often", "jogged", "at", "dawn"), 2)
     queries = [(*(short if i % 2 == 0 else long), TemporalDimension.DURATION) for i in range(4)]
@@ -1171,35 +1186,6 @@ def test_val_logits_chunks_take_items_in_length_order(monkeypatch):
         (alone,) = predict_value_distribution(params, cfg, vocab, [query])
         np.testing.assert_allclose(dist, alone, rtol=0, atol=1e-12)
     assert not np.allclose(got[0], got[1])
-
-
-def test_checkpoint_magic_and_bad_file(tmp_path):
-    path = tmp_path / "bad.ckpt"
-    path.write_bytes(b"JUNK" + b"\x00" * 32)
-    with pytest.raises(ValueError, match="magic"):
-        load_checkpoint(str(path))
-
-
-@pytest.mark.parametrize("change", ["truncate", "extend"])
-def test_checkpoint_length_must_match_manifest(tmp_path, change):
-    vocab = _training_vocab()
-    cfg = TrainConfig(d_model=8, n_layers=1, n_heads=1, ff_dim=16, max_len=16)
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), init_params(cfg, len(vocab)), cfg, vocab)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-6] if change == "truncate" else blob + b"\x00" * 4)
-    with pytest.raises(SchemaError, match=r"m\.ckpt: .* config line calls for"):
-        load_checkpoint(str(path))
-
-
-def test_checkpoint_cut_inside_header_names_file(tmp_path):
-    vocab = _training_vocab()
-    cfg = TrainConfig(d_model=8, n_layers=1, n_heads=1, ff_dim=16, max_len=16)
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(str(path), init_params(cfg, len(vocab)), cfg, vocab)
-    path.write_bytes(path.read_bytes()[:40])
-    with pytest.raises(SchemaError, match=r"m\.ckpt: "):
-        load_checkpoint(str(path))
 
 
 # The file states no shapes, so params that are not the model of their
