@@ -15,6 +15,7 @@ from tempomine.extraction import TemporalTuple
 from tempomine.label_space import (DimensionReport, TemporalDimension, dimension_reports,
                                    label_space, rank_distance)
 from tempomine.model import predict_value_distribution
+from tempomine.srl_ingest import SchemaError
 
 
 # ---------------------------------------------------------------- metrics
@@ -103,6 +104,40 @@ def test_read_queries_parses_each_line():
              json.dumps({"event_tokens": ["they", "slept"], "verb_index": 1,
                          "dimension": "duration"})]
     assert read_queries(lines) == [(("they", "slept"), 1, TemporalDimension.DURATION)]
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"event_tokens": ["they", "slept"], "dimension": "duration"},
+     "missing key 'verb_index'"),
+    pytest.param({"event_tokens": ["they", "slept"], "verb_index": 1, "dimension": "eon"},
+                 'dimension must be one of: duration, .*; got "eon"', id="obj1-unknown-dimension"),
+    ({"event_tokens": ["they", "slept"], "verb_index": 2, "dimension": "duration"},
+     "verb_index 2 out of bounds for 2 tokens"),
+    ({"event_tokens": "they slept", "verb_index": 1, "dimension": "duration"},
+     "event_tokens must be a list of strings"),
+    (["they", "slept"], "expected a JSON object"),
+    ({"event_tokens": ["they", "slept"], "verb_index": 1, "dimension": "hierarchy"},
+     "a hierarchy query relates two events"),
+])
+def test_read_queries_rejects_bad_line_as_path_line(obj, message):
+    lines = ["# header", json.dumps(obj)]
+    with pytest.raises(SchemaError, match=rf"^q\.jsonl:2: .*{message}"):
+        read_queries(lines, "q.jsonl")
+
+
+def test_read_eval_instances_shares_the_query_parser():
+    good = {"event_tokens": ["they", "slept"], "verb_index": 1,
+            "dimension": "duration", "gold_label": "hour"}
+    lines = [json.dumps(good), json.dumps({**good, "gold_label": "fortnight"})]
+    with pytest.raises(SchemaError,
+                       match="gold.jsonl:2: label 'fortnight' not in the duration space"):
+        read_eval_instances(lines, "gold.jsonl")
+    missing = {k: v for k, v in good.items() if k != "gold_label"}
+    with pytest.raises(SchemaError, match="gold.jsonl:1: missing key 'gold_label'"):
+        read_eval_instances([json.dumps(missing)], "gold.jsonl")
+    del missing["dimension"]
+    with pytest.raises(SchemaError, match="gold.jsonl:1: missing key 'dimension'"):
+        read_eval_instances([json.dumps(missing)], "gold.jsonl")
 
 
 def test_eval_instances_json_round_trip():

@@ -42,6 +42,49 @@ def test_parse_contexts():
     assert s.right_context == ("Then", "he", "left", ".")
 
 
+@pytest.mark.parametrize(
+    "mutation",
+    [
+        {"doc_id": 7},
+        {"sent_index": -1},
+        {"sent_index": "0"},
+        {"sent_index": True},  # a bool is no index, though Python counts it an int
+        {"tokens": []},
+        {"tokens": ["a", 3]},
+        {"tokens": "not a list"},
+        {"frames": "nope"},
+        {"frames": [{"verb_index": 9}]},
+        {"frames": [{"verb_index": -1}]},
+        {"frames": [{"verb_index": 1, "args": [{"role": "ARGM-TMP", "span": [3, 2]}]}]},
+        {"frames": [{"verb_index": 1, "args": [{"role": "ARGM-TMP", "span": [2, 9]}]}]},
+        {"frames": [{"verb_index": 1, "args": [{"role": "ARGM-TMP", "span": [0, 3]}]}]},
+        {"frames": [{"verb_index": 1, "args": [{"role": 5, "span": [2, 5]}]}]},
+        {"frames": [{"verb_index": 1, "args": [{"role": "ARGM-TMP", "span": [2]}]}]},
+        {"frames": [{"verb_index": 0, "args": [{"role": "ARGM-TMP", "span": [True, 4]}]}]},
+        {"tokens": ["Jack", "", "for", "an", "hour"]},
+        {"left_context": [1, 2]},
+        {"frames": [{"verb_index": True}]},
+        {"frames": [{"verb_index": 1.0}]},
+    ],
+)
+def test_parse_rejects_schema_violations(mutation):
+    with pytest.raises(SchemaError):
+        parse_sentence(make_record(**mutation))
+
+
+@pytest.mark.parametrize("mutation, message", [
+    ({"tokens": ["a", 3]}, "tokens must be a list of strings"),
+    ({"tokens": ["Jack", "", "for", "an", "hour"]},
+     "tokens must hold no empty strings, got one at 1"),
+    ({"frames": [{"verb_index": 0, "args": [{"role": "ARGM-TMP", "span": [True, 4]}]}]},
+     "span [True, 4] must be a [start, end) integer pair"),
+], ids=["non-string-token", "empty-token", "bool-span-bound"])
+def test_parse_names_the_defect(mutation, message):
+    with pytest.raises(SchemaError) as exc:
+        parse_sentence(make_record(**mutation))
+    assert str(exc.value) == message
+
+
 def test_parse_accepts_str_subclass_tokens():
     class Word(str):
         pass
@@ -50,6 +93,13 @@ def test_parse_accepts_str_subclass_tokens():
     s = parse_sentence(make_record(tokens=tokens, left_context=[Word("He")]))
     assert s.tokens == ("Jack", "rested", "for", "an", "hour")
     assert s.left_context == ("He",)
+
+
+def test_span_overlapping_verb_rejected():
+    bad = make_record(frames=[{"verb_index": 3,
+                               "args": [{"role": "ARGM-TMP", "span": [2, 5]}]}])
+    with pytest.raises(SchemaError, match="overlaps verb"):
+        parse_sentence(bad)
 
 
 def test_reader_skips_and_counts_malformed_lines():
