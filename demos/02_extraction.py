@@ -1,7 +1,8 @@
 """From one SRL parse to mined tuples.
 
 Builds a sentence record by hand, runs the rule table over its temporal
-arguments, and prints what each rule family recovered.
+arguments, and prints what each rule family recovered. Each argument is
+tried only against the rules whose trigger words it holds.
 """
 
 from tempomine import extract_sentence, parse_sentence
@@ -47,7 +48,8 @@ def main() -> None:
             print(f"  embedded event: {' '.join(tup.arg_tmp_event_tokens)}")
         print()
 
-    # the rule table refuses non-temporal lookalikes instead of guessing
+    # "for" is the duration rule's trigger word, so that rule is tried here;
+    # it refuses the ordinal "second" instead of guessing a duration
     trap = parse_sentence({
         "doc_id": "demo",
         "sent_index": 1,

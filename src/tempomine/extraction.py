@@ -7,8 +7,18 @@ order is the precedence. The matched argument span is deleted from the
 sentence, the verb index re-pointed, and at most one tuple is emitted per
 argument.
 
+The argument is lowercased once, and a rule is tried only when the
+argument holds one of its trigger words, without which it cannot match:
+
+* hierarchy: before, after, during, while, when;
+* frequency: every, each, per, once, twice, times, or a frequency adverb
+  (daily, weekly, monthly, yearly, annually, hourly);
+* duration: for;
+* upper bound: in, yesterday, next, last, previous, recent;
+* typical time: a time-of-day, weekday, month or season keyword.
+
 All keyword matching is case-insensitive on token surfaces; there is no
-lemmatization.
+lemmatization. Each public ``extract_*`` rule lowercases its own input.
 """
 
 import math
@@ -166,13 +176,7 @@ def _unit_near(seconds: float) -> str | None:
     return nearest_unit(seconds) if 0.0 < seconds < math.inf else None
 
 
-def extract_duration(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
-    """Duration rule: argument starts with "for" + optional count + unit word.
-
-    The ordinal sense of singular "second" ("for a second chance") is
-    rejected whenever further lexical material follows the unit word.
-    """
-    lower = [t.lower() for t in arg_tokens]
+def _duration(lower: list[str]) -> str | None:
     if not lower or lower[0] != "for":
         return None
     count = parse_numeric(lower, 1)
@@ -183,6 +187,15 @@ def extract_duration(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
     if lower[i] == "second" and any(t.isalpha() for t in lower[i + 1:]):
         return None
     return _unit_near((count or 1.0) * UNIT_SECONDS[unit])
+
+
+def extract_duration(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
+    """Duration rule: argument starts with "for" + optional count + unit word.
+
+    The ordinal sense of singular "second" ("for a second chance") is
+    rejected whenever further lexical material follows the unit word.
+    """
+    return _duration([t.lower() for t in arg_tokens])
 
 
 def _parse_period_seconds(lower: list[str], start: int) -> float | None:
@@ -205,14 +218,7 @@ def _parse_period_seconds(lower: list[str], start: int) -> float | None:
     return None
 
 
-def extract_frequency(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
-    """Frequency rule: a trigger keyword plus a recoverable period.
-
-    The result is the unit nearest to (period seconds / occurrence count):
-    "four times per week" recurs every 1.75 days, extracted as "day".
-    Arguments containing "when" are rejected outright.
-    """
-    lower = [t.lower() for t in arg_tokens]
+def _frequency(lower: list[str]) -> str | None:
     if "when" in lower:
         return None
     trigger_idx = next((i for i, t in enumerate(lower) if t in _FREQUENCY_TRIGGERS), None)
@@ -234,14 +240,18 @@ def extract_frequency(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
     return None if period is None else _unit_near(period / count)
 
 
-def extract_typical_time(arg_tokens: list[str] | tuple[str, ...]) -> tuple[TemporalDimension, str] | None:
-    """Typical-time rule: first time-of-day/weekday/month/season keyword.
+def extract_frequency(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
+    """Frequency rule: a trigger keyword plus a recoverable period.
 
-    Arguments containing "until"/"since"/"following" do not describe an
-    occurrence time and are filtered out.
+    The result is the unit nearest to (period seconds / occurrence count):
+    "four times per week" recurs every 1.75 days, extracted as "day".
+    Arguments containing "when" are rejected outright.
     """
-    lower = [t.lower() for t in arg_tokens]
-    if any(t in _INVALID_TYPICAL_PREPOSITIONS for t in lower):
+    return _frequency([t.lower() for t in arg_tokens])
+
+
+def _typical_time(lower: list[str]) -> tuple[TemporalDimension, str] | None:
+    if not _INVALID_TYPICAL_PREPOSITIONS.isdisjoint(lower):
         return None
     for t in lower:
         if t in _TYPICAL_KEYWORDS:
@@ -249,10 +259,16 @@ def extract_typical_time(arg_tokens: list[str] | tuple[str, ...]) -> tuple[Tempo
     return None
 
 
-def extract_upper_bound(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
-    """Upper-bound rule: "in" + count + unit, "yesterday", or
-    next/last/previous/recent + unit ("last week" bounds the event by a week)."""
-    lower = [t.lower() for t in arg_tokens]
+def extract_typical_time(arg_tokens: list[str] | tuple[str, ...]) -> tuple[TemporalDimension, str] | None:
+    """Typical-time rule: first time-of-day/weekday/month/season keyword.
+
+    Arguments containing "until"/"since"/"following" do not describe an
+    occurrence time and are filtered out.
+    """
+    return _typical_time([t.lower() for t in arg_tokens])
+
+
+def _upper_bound(lower: list[str]) -> str | None:
     if not lower:
         return None
     if lower[0] == "in":
@@ -267,54 +283,48 @@ def extract_upper_bound(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
     return None
 
 
+def extract_upper_bound(arg_tokens: list[str] | tuple[str, ...]) -> str | None:
+    """Upper-bound rule: "in" + count + unit, "yesterday", or
+    next/last/previous/recent + unit ("last week" bounds the event by a week)."""
+    return _upper_bound([t.lower() for t in arg_tokens])
+
+
+def _hierarchy(lower: list[str]) -> str | None:
+    """The label of an argument-initial keyword that an event phrase follows."""
+    if len(lower) < 2 or lower[0] not in _HIERARCHY_KEYWORDS:
+        return None
+    return "during" if lower[0] in ("during", "while") else lower[0]
+
+
 def extract_hierarchy(arg_tokens: list[str] | tuple[str, ...]) -> tuple[str, list[str]] | None:
     """Hierarchy rule: argument-initial before/after/during/while/when.
 
     "while" merges into "during". The remainder of the argument is the
     embedded event phrase and must be non-empty.
     """
-    if not arg_tokens:
-        return None
-    keyword = arg_tokens[0].lower()
-    if keyword not in _HIERARCHY_KEYWORDS:
-        return None
-    rest = list(arg_tokens[1:])
-    if not rest:
-        return None
-    label = "during" if keyword in ("during", "while") else keyword
-    return label, rest
+    label = _hierarchy([t.lower() for t in arg_tokens])
+    return None if label is None else (label, list(arg_tokens[1:]))
 
 
-# What a rule makes of an argument's tokens: (dimension, value, embedded tokens), or None.
-_Match = tuple[TemporalDimension, str, Sequence[str]] | None
+def _tagged(dimension: TemporalDimension, rule: Callable[[list[str]], str | None]
+            ) -> Callable[[list[str]], tuple[TemporalDimension, str] | None]:
+    """``rule``'s value tagged with ``dimension``."""
+    def tagged(lower: list[str]) -> tuple[TemporalDimension, str] | None:
+        value = rule(lower)
+        return None if value is None else (dimension, value)
+    return tagged
 
 
-def _tagged(dimension: TemporalDimension,
-            extract: Callable[[Sequence[str]], str | None]) -> Callable[[Sequence[str]], _Match]:
-    """The rule that tags ``extract``'s value with ``dimension``; it embeds no tokens."""
-    def rule(arg_tokens: Sequence[str]) -> _Match:
-        value = extract(arg_tokens)
-        return None if value is None else (dimension, value, ())
-    return rule
-
-
-def _hierarchy_rule(arg_tokens: Sequence[str]) -> _Match:
-    found = extract_hierarchy(arg_tokens)
-    return None if found is None else (TemporalDimension.HIERARCHY, *found)
-
-
-def _typical_time_rule(arg_tokens: Sequence[str]) -> _Match:
-    found = extract_typical_time(arg_tokens)
-    return None if found is None else (*found, ())
-
-
-# The order is the precedence: an argument takes the first rule that matches it.
+# (trigger words, rule on lowercased tokens), in order of precedence: an
+# argument takes the first rule that matches it. A rule matches only an
+# argument that holds one of its trigger words, so it is tried only then.
 _RULES = (
-    _hierarchy_rule,
-    _tagged(TemporalDimension.FREQUENCY, extract_frequency),
-    _tagged(TemporalDimension.DURATION, extract_duration),
-    _tagged(TemporalDimension.UPPER_BOUND, extract_upper_bound),
-    _typical_time_rule,
+    (_HIERARCHY_KEYWORDS, _tagged(TemporalDimension.HIERARCHY, _hierarchy)),
+    (_FREQUENCY_TRIGGERS, _tagged(TemporalDimension.FREQUENCY, _frequency)),
+    (frozenset({"for"}), _tagged(TemporalDimension.DURATION, _duration)),
+    (frozenset({"in", "yesterday"}) | _UPPER_BOUND_MODIFIERS,
+     _tagged(TemporalDimension.UPPER_BOUND, _upper_bound)),
+    (frozenset(_TYPICAL_KEYWORDS), _typical_time),
 )
 
 
@@ -337,13 +347,13 @@ def classify_temporal_argument(
     span, with the verb index re-pointed at the same surface token.
     """
     arg_tokens = sentence.tokens[span[0]:span[1]]
-    for rule in _RULES:
-        match = rule(arg_tokens)
-        if match is not None:
+    lower = [t.lower() for t in arg_tokens]
+    for triggers, rule in _RULES:
+        if not triggers.isdisjoint(lower) and (match := rule(lower)) is not None:
             break
     else:
         return []
-    dimension, value, embedded = match
+    dimension, value = match
 
     event_tokens, verb_index = _delete_span(sentence.tokens, span, frame.verb_index)
     if not event_tokens:
@@ -354,7 +364,7 @@ def classify_temporal_argument(
             verb_index=verb_index,
             dimension=dimension,
             value=value,
-            arg_tmp_event_tokens=tuple(embedded),
+            arg_tmp_event_tokens=tuple(arg_tokens[1:]) if dimension is TemporalDimension.HIERARCHY else (),
             provenance=(sentence.doc_id, sentence.sent_index, frame_ordinal),
         )
     ]

@@ -146,20 +146,20 @@ def _parse_frame(obj, n_tokens: int) -> SrlFrame:
         raise SchemaError("args must be a list")
     parsed = []
     for arg in args:
-        if not isinstance(arg, dict) or not isinstance(arg.get("role"), str):
+        if not isinstance(arg, dict) or not isinstance(role := arg.get("role"), str):
             raise SchemaError("argument must be an object with a string role")
         span = arg.get("span")
+        start, end = span if isinstance(span, list) and len(span) == 2 else (None, None)
         # bool is an int subclass, but no bound.
-        if not (isinstance(span, list) and len(span) == 2
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in span)):
+        if not (isinstance(start, int) and isinstance(end, int)
+                and type(start) is not bool and type(end) is not bool):
             raise SchemaError(f"span {span!r} must be a [start, end) integer pair")
-        start, end = span
         if not (0 <= start < end <= n_tokens):
             raise SchemaError(f"span {span!r} out of bounds for {n_tokens} tokens")
         if start <= verb_index < end:
             raise SchemaError(f"span {span!r} overlaps verb at {verb_index}")
-        parsed.append((arg["role"], (start, end)))
-    return SrlFrame(verb_index=verb_index, arguments=tuple(parsed))
+        parsed.append((role, (start, end)))
+    return SrlFrame(verb_index, tuple(parsed))
 
 
 def parse_sentence(obj: dict) -> SrlSentence:
@@ -178,17 +178,12 @@ def parse_sentence(obj: dict) -> SrlSentence:
     frames_obj = obj.get("frames", [])
     if not isinstance(frames_obj, list):
         raise SchemaError("frames must be a list")
-    frames = tuple(_parse_frame(f, len(tokens)) for f in frames_obj)
+    frames = tuple([_parse_frame(f, len(tokens)) for f in frames_obj])
     left = obj.get("left_context")
     right = obj.get("right_context")
-    return SrlSentence(
-        doc_id=doc_id,
-        sent_index=sent_index,
-        tokens=tokens,
-        frames=frames,
-        left_context=_as_token_list(left, "left_context") if left is not None else None,
-        right_context=_as_token_list(right, "right_context") if right is not None else None,
-    )
+    return SrlSentence(doc_id, sent_index, tokens, frames,
+                       _as_token_list(left, "left_context") if left is not None else None,
+                       _as_token_list(right, "right_context") if right is not None else None)
 
 
 @dataclass

@@ -1,4 +1,6 @@
+import collections
 import json
+import random
 
 import pytest
 
@@ -17,7 +19,7 @@ from tempomine.extraction import (
     write_tuples_jsonl,
 )
 from tempomine.label_space import TemporalDimension
-from tempomine.srl_ingest import parse_sentence, read_corpus
+from tempomine.srl_ingest import SrlFrame, SrlSentence, parse_sentence, read_corpus
 
 
 # ---------------------------------------------------------------- numerics
@@ -292,6 +294,77 @@ def test_extract_sentence_ignores_non_temporal_roles():
 def test_lowercase_role_accepted():
     s = _sentence(["He", "ate", "at", "noon"], 1, (2, 4), role="arg-tmp")
     assert len(extract_sentence(s)) == 1
+
+
+# ---------------------------------------------------------------- trigger gating
+
+# Argument words, one list per kind: every keyword table, counts that
+# parse, overflow or fail to parse, the filter words, the ordinal
+# "second" before a word, and fillers. Each word of an argument is drawn
+# as a random kind, then a random word of that kind.
+_WORD_KINDS = [
+    sorted(extraction_module._HIERARCHY_KEYWORDS),
+    sorted(extraction_module._FREQUENCY_TRIGGERS),
+    sorted(extraction_module._UPPER_BOUND_MODIFIERS),
+    sorted(extraction_module._TYPICAL_KEYWORDS),
+    sorted(extraction_module._UNIT_SURFACES),
+    [*sorted(extraction_module._NUMBER_WORDS), "a", "an"],
+    ["1", "2.5", "1,000", "1e308", "5e-324", "inf", "nan", "0", "-3"],
+    ["for"],
+    ["in", "yesterday"],
+    ["when", "until", "since", "following"],
+    ["second chance", "second opinion", "second ."],
+    ["the", "rain", "soon", "of", ",", "."],
+]
+
+
+def _random_arguments(rng, n, without=frozenset()):
+    """``n`` arguments of 1-5 words in random case, none of them a word of ``without``."""
+    kinds = [[w.split() for w in kind if without.isdisjoint(w.split())] for kind in _WORD_KINDS]
+    kinds = [kind for kind in kinds if kind]
+    cases = (str.lower, str.upper, str.title)
+    return [[rng.choice(cases)(t)
+             for _ in range(rng.randint(1, 5)) for t in rng.choice(rng.choice(kinds))]
+            for _ in range(n)]
+
+
+def _classified_by_public_rules(arg):
+    """What the public rules make of ``arg``, tried in order of precedence."""
+    found = extract_hierarchy(arg)
+    if found is not None:
+        return TemporalDimension.HIERARCHY, found[0], tuple(found[1])
+    for dimension, rule in ((TemporalDimension.FREQUENCY, extract_frequency),
+                            (TemporalDimension.DURATION, extract_duration),
+                            (TemporalDimension.UPPER_BOUND, extract_upper_bound)):
+        value = rule(arg)
+        if value is not None:
+            return dimension, value, ()
+    found = extract_typical_time(arg)
+    return None if found is None else (*found, ())
+
+
+def test_classify_equals_the_public_rules_in_order_of_precedence():
+    rng = random.Random(20200705)
+    dimensions = collections.Counter()
+    for arg in _random_arguments(rng, 20_000):
+        s = SrlSentence("t", 0, ("They", "hiked", *arg),
+                        (SrlFrame(1, (("ARGM-TMP", (2, 2 + len(arg))),)),))
+        got = [(t.dimension, t.value, t.arg_tmp_event_tokens)
+               for t in classify_temporal_argument(s, s.frames[0], (2, 2 + len(arg)))]
+        expected = _classified_by_public_rules(arg)
+        assert got == ([] if expected is None else [expected]), arg
+        dimensions[None if expected is None else expected[0]] += 1
+    # Every dimension, and no match at all, occurs many times over.
+    assert set(dimensions) == {None, *TemporalDimension}
+    assert min(dimensions.values()) >= 50, dimensions
+
+
+@pytest.mark.parametrize("triggers, rule", extraction_module._RULES,
+                         ids=["hierarchy", "frequency", "duration", "upper-bound", "typical-time"])
+def test_a_rule_matches_no_argument_without_a_trigger_word(triggers, rule):
+    rng = random.Random(7)
+    for arg in _random_arguments(rng, 2_000, without=triggers):
+        assert rule([t.lower() for t in arg]) is None, arg
 
 
 # ---------------------------------------------------------------- round trip

@@ -78,8 +78,53 @@ def test_parse_rejects_schema_violations(mutation):
      "tokens must hold no empty strings, got one at 1"),
     ({"frames": [{"verb_index": 0, "args": [{"role": "ARGM-TMP", "span": [True, 4]}]}]},
      "span [True, 4] must be a [start, end) integer pair"),
-], ids=["non-string-token", "empty-token", "bool-span-bound"])
+    ({"sent_index": True}, "sent_index must be an integer, got true"),
+    ({"sent_index": 2.0}, "sent_index must be an integer, got 2.0"),
+    ({"frames": [{"verb_index": True}]}, "verb_index must be an integer, got true"),
+    ({"frames": [{"verb_index": 2.0}]}, "verb_index must be an integer, got 2.0"),
+    ({"frames": [{"verb_index": 1, "args": [{"role": "ARGM-TMP", "span": [2.0, 5]}]}]},
+     "span [2.0, 5] must be a [start, end) integer pair"),
+    ({"frames": [{"verb_index": 1, "args": [{"role": "ARGM-TMP", "span": [2, True]}]}]},
+     "span [2, True] must be a [start, end) integer pair"),
+    ({"frames": [{"verb_index": 1, "args": [{"role": "ARGM-TMP", "span": [2, 5.0]}]}]},
+     "span [2, 5.0] must be a [start, end) integer pair"),
+], ids=["non-string-token", "empty-token", "bool-span-bound", "bool-sent-index",
+        "float-sent-index", "bool-verb-index", "float-verb-index", "float-span-start",
+        "bool-span-end", "float-span-end"])
 def test_parse_names_the_defect(mutation, message):
+    with pytest.raises(SchemaError) as exc:
+        parse_sentence(make_record(**mutation))
+    assert str(exc.value) == message
+
+
+def _args(*args):
+    return {"frames": [{"verb_index": 1, "args": list(args)}]}
+
+
+# Each record has two defects; the reader names the one it checks first.
+@pytest.mark.parametrize("mutation, message", [
+    ({"doc_id": 7, "sent_index": -1}, "doc_id must be a string"),
+    ({"sent_index": -1, "tokens": []}, "sent_index must be a non-negative integer"),
+    ({"tokens": ["", 3]}, "tokens must be a list of strings"),
+    ({"tokens": ["a", ""], "frames": "nope"}, "tokens must hold no empty strings, got one at 1"),
+    ({"frames": "nope", "left_context": [1]}, "frames must be a list"),
+    ({"frames": ["nope", {"verb_index": 9}]}, "frame must be an object"),
+    ({"frames": [{"verb_index": 9, "args": "nope"}]}, "verb_index 9 out of bounds for 5 tokens"),
+    ({"frames": [{"verb_index": 1, "args": "nope"}, {"verb_index": 9}]}, "args must be a list"),
+    (_args({"role": 5, "span": [9]}), "argument must be an object with a string role"),
+    (_args({"role": "ARGM-TMP", "span": [2.0, 9]}),
+     "span [2.0, 9] must be a [start, end) integer pair"),
+    (_args({"role": "ARGM-TMP", "span": [0, 9]}), "span [0, 9] out of bounds for 5 tokens"),
+    (_args({"role": "ARGM-TMP", "span": [0, 3]}, {"role": 5}), "span [0, 3] overlaps verb at 1"),
+    ({**_args({"role": "ARGM-TMP", "span": [3, 2]}), "left_context": [1]},
+     "span [3, 2] out of bounds for 5 tokens"),
+    ({"left_context": [1], "right_context": [2]}, "left_context must be a list of strings"),
+], ids=["doc-id-before-sent-index", "sent-index-before-tokens", "token-type-before-empty-token",
+        "tokens-before-frames", "frames-before-contexts", "frame-before-next-frame",
+        "verb-index-before-args", "args-before-next-frame", "role-before-span",
+        "span-type-before-bounds", "span-bounds-before-overlap", "overlap-before-next-arg",
+        "frames-before-left-context", "left-context-before-right-context"])
+def test_parse_reports_the_first_of_two_defects(mutation, message):
     with pytest.raises(SchemaError) as exc:
         parse_sentence(make_record(**mutation))
     assert str(exc.value) == message
@@ -93,6 +138,18 @@ def test_parse_accepts_str_subclass_tokens():
     s = parse_sentence(make_record(tokens=tokens, left_context=[Word("He")]))
     assert s.tokens == ("Jack", "rested", "for", "an", "hour")
     assert s.left_context == ("He",)
+
+
+def test_parse_accepts_int_subclass_indices():
+    class Index(int):
+        pass
+
+    s = parse_sentence(make_record(
+        sent_index=Index(3),
+        frames=[{"verb_index": Index(1), "args": [{"role": "ARGM-TMP",
+                                                  "span": [Index(2), Index(5)]}]}]))
+    assert s.sent_index == 3
+    assert s.frames == (SrlFrame(1, (("ARGM-TMP", (2, 5)),)),)
 
 
 def test_span_overlapping_verb_rejected():
@@ -163,7 +220,14 @@ def test_dataclasses_are_frozen():
     f = SrlFrame(verb_index=0, arguments=())
     with pytest.raises(AttributeError):
         f.verb_index = 2
+    with pytest.raises(AttributeError):
+        s.frames[0].arguments = ()
     assert isinstance(s, SrlSentence)
+    # The reader fills each field by position, so check that each landed in its own.
+    assert s == SrlSentence(doc_id="d0", sent_index=0,
+                            tokens=("Jack", "rested", "for", "an", "hour"),
+                            frames=(SrlFrame(verb_index=1, arguments=(("ARGM-TMP", (2, 5)),)),),
+                            left_context=None, right_context=None)
 
 
 def test_text_lines_names_the_line_that_is_not_utf8(tmp_path):
